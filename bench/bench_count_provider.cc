@@ -9,7 +9,7 @@
 
 #include "cube/datacube.h"
 #include "datagen/quest_generator.h"
-#include "itemset/compressed_bitmap.h"
+#include "itemset/counting_column.h"
 #include "itemset/count_provider.h"
 
 namespace corrmine {

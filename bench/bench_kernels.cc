@@ -157,7 +157,7 @@ int main() {
       double seconds = SecondsSince(start);
       CORRMINE_CHECK(result.ok());
       if (rep == 0 || seconds < r.seconds) r.seconds = seconds;
-      line = RenderDeterministicStats(*result, nullptr);
+      line = RenderDeterministicStats(*result);
     }
     if (deterministic_line.empty()) {
       deterministic_line = line;

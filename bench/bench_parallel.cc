@@ -1,6 +1,6 @@
 // Throughput of the parallel level-wise mining engine at 1/2/4/8 threads on
-// Quest-style synthetic data, plus the prefix-intersection cache's AND-word
-// accounting on the same workload. Emits one machine-readable JSON line
+// Quest-style synthetic data, plus the tracing and profiling overhead on the
+// same workload. Emits one machine-readable JSON line
 // (prefixed "BENCH_JSON ") per run so the BENCH_*.json trajectory files can
 // be seeded straight from the output; the human-readable table follows.
 //
@@ -63,7 +63,7 @@ int main() {
 
   // Quest workload sized so the 8-thread run still has thousands of
   // candidate evaluations per flush; low min_count pushes the search to
-  // level 3+ where the prefix cache has siblings to share.
+  // level 3+, where sibling candidates share their prefix groups.
   datagen::QuestOptions quest;
   quest.num_transactions = 20000;
   quest.num_items = 400;
@@ -102,20 +102,6 @@ int main() {
     }
     runs.push_back(ThreadRun{threads, seconds});
   }
-
-  // Cache ablation, single-threaded so the AND-word deltas are attributable
-  // to the cache alone. The counters come in pairs: what the cached
-  // provider actually did vs. what the plain multi-way chain would cost for
-  // the identical query stream.
-  CachedCountProvider cached(provider.index());
-  options.num_threads = 1;
-  auto start = std::chrono::steady_clock::now();
-  auto cached_result = MineCorrelations(cached, db->num_items(), options);
-  double cached_seconds = SecondsSince(start);
-  CORRMINE_CHECK(cached_result.ok());
-  CORRMINE_CHECK(ResultFingerprint(*cached_result) == baseline_fingerprint)
-      << "cached provider changed the mining result";
-  CachedCountProvider::CacheStats cache = cached.stats();
 
   // Tracing overhead on the headline configuration: interleaved
   // traced/untraced repeats of the 8-thread run, best-of-3 each side so
@@ -206,14 +192,7 @@ int main() {
          << num(runs[i].seconds) << ",\"speedup\":"
          << num(SafeRatio(runs[0].seconds, runs[i].seconds)) << '}';
   }
-  json << "],\"cache\":{\"seconds\":" << num(cached_seconds)
-       << ",\"queries\":" << cache.queries << ",\"hits\":" << cache.hits
-       << ",\"misses\":" << cache.misses
-       << ",\"and_word_ops\":" << cache.and_word_ops
-       << ",\"uncached_and_word_ops\":" << cache.uncached_and_word_ops
-       << ",\"and_word_ops_saved\":"
-       << cache.uncached_and_word_ops - cache.and_word_ops << "}"
-       << ",\"trace\":{\"threads\":" << headline.threads
+  json << "],\"trace\":{\"threads\":" << headline.threads
        << ",\"seconds\":" << num(traced_seconds)
        << ",\"untraced_seconds\":" << num(untraced_seconds)
        << ",\"overhead_ratio\":" << num(trace_overhead)
@@ -236,18 +215,6 @@ int main() {
   }
   std::cout << "== Parallel miner throughput (quest, s = 1%) ==\n\n";
   table.Print(std::cout);
-  std::cout << "\n== Prefix-intersection cache (1 thread, same workload) =="
-            << "\n\nAND word ops: " << cache.and_word_ops << " cached vs "
-            << cache.uncached_and_word_ops << " uncached ("
-            << io::FormatDouble(
-                   100.0 *
-                       SafeRatio(
-                           static_cast<double>(cache.uncached_and_word_ops -
-                                               cache.and_word_ops),
-                           static_cast<double>(cache.uncached_and_word_ops)),
-                   1)
-            << "% saved), " << cache.hits << " hits / " << cache.misses
-            << " misses.\n";
   std::cout << "\n== Tracing overhead (" << headline.threads
             << " threads) ==\n\ntraced " << io::FormatDouble(traced_seconds, 3)
             << "s vs " << io::FormatDouble(untraced_seconds, 3)
@@ -262,7 +229,6 @@ int main() {
             << "s unprofiled (best of " << kOverheadReps << ", ratio "
             << io::FormatDouble(profile_overhead, 3) << "), "
             << profile_samples << " samples captured.\n";
-  cached.PublishMetrics(&MetricsRegistry::Global());
   corrmine::bench::EmitMetricsLine("bench_parallel");
   return 0;
 }

@@ -16,10 +16,12 @@
 // Determinism contract: every (shards, threads) configuration must deliver
 // exactly the scalar baseline's counts; the harness CHECK-fails otherwise.
 
+#include <algorithm>
 #include <chrono>
 
 #include "bench_metrics.h"
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -43,9 +45,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 double SafeRatio(double a, double b) { return b > 0.0 ? a / b : 0.0; }
 
-/// The level's deduplicated query plan — the same shape the miner builds:
-/// every proper non-empty submask of every candidate, each distinct itemset
-/// queried once, with per-candidate rows of indices into the query list.
+/// The level's deduplicated query plan: every non-empty submask of every
+/// candidate, each distinct itemset queried once, with per-candidate rows
+/// of indices into the query list. Queries are sorted by size, then
+/// lexicographically (as out-of-core pass 2 sorts its candidate union), so
+/// the blocked executor sees the prefix-run stream every library caller
+/// sends.
 struct QueryPlan {
   std::vector<Itemset> queries;
   std::vector<uint32_t> rows;  // candidate-major, (2^k - 1) entries each
@@ -69,6 +74,22 @@ struct QueryPlan {
         plan.rows.push_back(it->second);
       }
     }
+    std::vector<uint32_t> order(plan.queries.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const Itemset& x = plan.queries[a];
+      const Itemset& y = plan.queries[b];
+      if (x.size() != y.size()) return x.size() < y.size();
+      return x < y;
+    });
+    std::vector<uint32_t> rank(order.size());
+    std::vector<Itemset> sorted(order.size());
+    for (uint32_t pos = 0; pos < order.size(); ++pos) {
+      rank[order[pos]] = pos;
+      sorted[pos] = std::move(plan.queries[order[pos]]);
+    }
+    plan.queries = std::move(sorted);
+    for (uint32_t& row : plan.rows) row = rank[row];
     return plan;
   }
 };

@@ -5,8 +5,8 @@
 # collapsed-stack validation), the full test suite with the metrics layer
 # compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
 # and a ThreadSanitizer run over the concurrency-sensitive suites (the
-# parallel mining engine, its pool, and the cached count provider). Run
-# from the repository root:
+# parallel mining engine, its pool, and the count providers). Run from the
+# repository root:
 #
 #   scripts/verify.sh                  # everything
 #   SKIP_TSAN=1 scripts/verify.sh      # skip the TSan stage
@@ -319,13 +319,13 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B build-tsan -S . -DCORRMINE_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j \
     --target thread_pool_test miner_test batch_tables_test \
-    count_provider_cache_test sharded_database_test trace_test \
+    sharded_database_test trace_test \
     profiler_test kernel_differential_test scheduler_determinism_test \
     incremental_differential_test border_state_test \
     differential_miners_test counting_column_test outofcore_test >/dev/null
   (cd build-tsan &&
    ctest --output-on-failure \
-     -R '^(thread_pool_test|miner_test|batch_tables_test|count_provider_cache_test|sharded_database_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
+     -R '^(thread_pool_test|miner_test|batch_tables_test|sharded_database_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
 fi
 
 echo "verify: OK"

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,6 +44,9 @@ Status ValidateOptions(const MinerOptions& options) {
   if (options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
+  if (options.max_level < 0) {
+    return Status::InvalidArgument("max_level must be >= 0");
+  }
   return Status::OK();
 }
 
@@ -73,13 +78,33 @@ void EnumerateRunJoins(const Itemset* members, size_t count,
   }
 }
 
+/// The Step-8 prune for one raw join of two NOTSIG run members: every
+/// k-subset of the (k+1)-item `joined` must be NOTSIG. The subsets missing
+/// the last or second-to-last item are the two join parents themselves, so
+/// only the others are probed — from a stack buffer, with no Itemset built.
 bool AllSubsetsNotSig(const Itemset& joined,
                       const hash::ItemsetPerfectSet& not_sig_set) {
-  for (const Itemset& subset : joined.SubsetsMissingOne()) {
-    if (!not_sig_set.Contains(subset)) return false;
+  const size_t size = joined.size();
+  ItemId subset[ContingencyTable::kMaxItems];
+  for (size_t skip = 0; skip + 2 < size; ++skip) {
+    size_t len = 0;
+    for (size_t j = 0; j < size; ++j) {
+      if (j != skip) subset[len++] = joined.item(j);
+    }
+    if (!not_sig_set.Find({subset, len}).has_value()) return false;
   }
   return true;
 }
+
+/// One completed level's NOTSIG members and their all-present counts:
+/// counts[i] = O(members.itemsets()[i]). Figure 1 admits a level-k
+/// candidate only when every (k-1)-subset is NOTSIG, recursively, so every
+/// proper subset of a candidate with at least two items is a member of its
+/// own level's table, counted when that level was mined.
+struct LevelTable {
+  hash::ItemsetPerfectSet members;
+  std::vector<uint64_t> counts;
+};
 
 /// Tracks the NOTSIG prefix runs of one level and farms each closed run's
 /// raw-join enumeration out to the pool. `frontier` must never reallocate
@@ -187,201 +212,40 @@ struct MinerCounters {
 /// small chunks are meaty.
 constexpr size_t kEvalGrain = 16;
 
-/// The deduplicated all-items-present queries of one level, plus the
-/// per-candidate index table that maps every nonzero submask of every
-/// candidate to its slot in the batch answer. Sibling candidates share
-/// almost all of their proper subsets (the join emits runs with a common
-/// (k-1)-prefix, and every (k-1)-subset is itself a NOTSIG member), so the
-/// deduplicated batch is typically several times smaller than the naive
-/// per-candidate query stream — that, not just parallel fan-out, is where
-/// the batch API's throughput comes from (DESIGN.md §7).
-/// Dedup sharding parameters. 64 shards = 6 bits of the subset hash; the
-/// shard axis is the stage-2 parallel unit, so shard count bounds dedup
-/// parallelism while staying cheap to bucket into.
-constexpr size_t kDedupShards = 64;
-/// Candidates per stage-1 bucketing chunk.
-constexpr size_t kDedupChunkCands = 256;
-/// Flat entries per stage-3 id-remap chunk.
-constexpr size_t kRemapGrain = size_t{1} << 14;
-
-/// Mixed FNV-1a over a subset's items. The top bits pick the dedup shard
-/// and the low bits the open-addressing probe, so the final mix keeps them
-/// independent. Internal to the plan build — nothing persists it.
-uint64_t HashSubset(const ItemId* items, size_t k) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < k; ++i) {
-    h ^= items[i];
-    h *= 1099511628211ull;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  return h;
-}
-
-struct LevelQueryPlan {
-  std::vector<Itemset> queries;
-  /// cand_query_index[ci * num_cells + m] answers submask m of candidate
-  /// ci; entry 0 of each row is unused (the empty mask is n).
-  std::vector<uint32_t> cand_query_index;
-  uint32_t num_cells = 0;
-
-  /// Builds the plan for a level of uniform-size candidates.
-  ///
-  /// Deduplication is hash-sharded so it parallelizes and — equally
-  /// important on small machines — never allocates per probe: stage 1
-  /// buckets every (candidate, submask) reference by subset hash into
-  /// (chunk, shard) buckets; stage 2 dedups each shard independently with
-  /// a flat open-addressing table, walking its buckets in chunk order and
-  /// materializing an Itemset only on first touch; stage 3 turns
-  /// (shard, local id) into global ids by prefix-summed shard bases. Every
-  /// stage is a pure function of the candidate stream, so the plan is
-  /// identical for any thread count — only the query *order* differs from
-  /// the old serial first-touch walk, which nothing downstream observes
-  /// (grouping, counts and counters all come out the same).
-  static LevelQueryPlan Build(const std::vector<Itemset>& cand, int level,
-                              ThreadPool* pool) {
-    LevelQueryPlan plan;
-    const int k = level;
-    plan.num_cells = uint32_t{1} << k;
-    plan.cand_query_index.assign(cand.size() * plan.num_cells, 0);
-
-    // Stage 1: bucket subset references by shard. An entry is the subset's
-    // hash plus its (candidate, mask) coordinates; the subset itself is
-    // rebuilt from those coordinates when needed, so buckets stay POD.
-    struct Entry {
-      uint64_t hash;
-      uint64_t cand_mask;  // ci << 32 | m
-    };
-    const size_t num_chunks =
-        (cand.size() + kDedupChunkCands - 1) / kDedupChunkCands;
-    std::vector<std::vector<Entry>> buckets(num_chunks * kDedupShards);
-    Status status = ParallelFor(
-        pool, num_chunks, 1, [&](size_t c_begin, size_t c_end) -> Status {
-          ItemId items[ContingencyTable::kMaxItems];
-          for (size_t chunk = c_begin; chunk < c_end; ++chunk) {
-            std::vector<Entry>* out = &buckets[chunk * kDedupShards];
-            const size_t ci_begin = chunk * kDedupChunkCands;
-            const size_t ci_end =
-                std::min(ci_begin + kDedupChunkCands, cand.size());
-            for (size_t ci = ci_begin; ci < ci_end; ++ci) {
-              const Itemset& s = cand[ci];
-              for (uint32_t m = 1; m < plan.num_cells; ++m) {
-                size_t kk = 0;
-                for (int j = 0; j < k; ++j) {
-                  if ((m >> j) & 1) items[kk++] = s.item(j);
-                }
-                const uint64_t h = HashSubset(items, kk);
-                out[h >> 58].push_back(
-                    Entry{h, (static_cast<uint64_t>(ci) << 32) | m});
-              }
-            }
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-
-    // Stage 2: dedup each shard with a flat open-addressing table, chunks
-    // in order (first touch within a shard is schedule-independent).
-    // cand_query_index temporarily holds (shard << 26 | local id) + 1.
-    struct Shard {
-      std::vector<Itemset> queries;
-      std::vector<uint64_t> hashes;
-    };
-    std::vector<Shard> shards(kDedupShards);
-    status = ParallelFor(
-        pool, kDedupShards, 1, [&](size_t s_begin, size_t s_end) -> Status {
-          ItemId items[ContingencyTable::kMaxItems];
-          for (size_t s = s_begin; s < s_end; ++s) {
-            size_t entries = 0;
-            for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-              entries += buckets[chunk * kDedupShards + s].size();
-            }
-            if (entries == 0) continue;
-            size_t cap = 16;
-            while (cap < 2 * entries) cap <<= 1;
-            const size_t probe_mask = cap - 1;
-            std::vector<uint32_t> table(cap, 0);  // local id + 1
-            Shard& shard = shards[s];
-            for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-              for (const Entry& e : buckets[chunk * kDedupShards + s]) {
-                const size_t ci = static_cast<size_t>(e.cand_mask >> 32);
-                const uint32_t m = static_cast<uint32_t>(e.cand_mask);
-                const Itemset& sc = cand[ci];
-                size_t kk = 0;
-                for (int j = 0; j < k; ++j) {
-                  if ((m >> j) & 1) items[kk++] = sc.item(j);
-                }
-                size_t idx = e.hash & probe_mask;
-                uint32_t local;
-                for (;;) {
-                  const uint32_t v = table[idx];
-                  if (v == 0) {
-                    local = static_cast<uint32_t>(shard.queries.size());
-                    // Strict bound: the +1 temp encoding below must not wrap
-                    // at (shard 63, local 2^26-1).
-                    CORRMINE_CHECK(local + 1 < (uint32_t{1} << 26))
-                        << "dedup shard overflow";
-                    table[idx] = local + 1;
-                    shard.queries.emplace_back(
-                        std::vector<ItemId>(items, items + kk));
-                    shard.hashes.push_back(e.hash);
-                    break;
-                  }
-                  const uint32_t cand_local = v - 1;
-                  if (shard.hashes[cand_local] == e.hash) {
-                    const Itemset& q = shard.queries[cand_local];
-                    if (q.size() == kk &&
-                        std::equal(items, items + kk, q.begin())) {
-                      local = cand_local;
-                      break;
-                    }
-                  }
-                  idx = (idx + 1) & probe_mask;
-                }
-                plan.cand_query_index[ci * plan.num_cells + m] =
-                    ((static_cast<uint32_t>(s) << 26) | local) + 1;
-              }
-            }
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-
-    // Stage 3: shard-base prefix sums, then rewrite every reference to its
-    // global id and splice the shard query lists in shard order.
-    size_t bases[kDedupShards];
-    size_t total = 0;
-    for (size_t s = 0; s < kDedupShards; ++s) {
-      bases[s] = total;
-      total += shards[s].queries.size();
+/// Fills `all_present` (2^k entries) for candidate `s`: n for the empty
+/// mask, the item counts for singletons, the level tables for proper
+/// subsets of size 2..k-1, and `count` — the candidate's own O(S) from this
+/// level's batch — for the full mask.
+Status AssembleAllPresent(const Itemset& s, uint64_t count, uint64_t n,
+                          const std::vector<uint64_t>& item_counts,
+                          const std::vector<LevelTable>& tables,
+                          std::span<uint64_t> all_present) {
+  const size_t k = s.size();
+  const uint32_t full = (uint32_t{1} << k) - 1;
+  all_present[0] = n;
+  all_present[full] = count;
+  ItemId subset[ContingencyTable::kMaxItems];
+  for (uint32_t m = 1; m < full; ++m) {
+    size_t len = 0;
+    for (size_t j = 0; j < k; ++j) {
+      if ((m >> j) & 1) subset[len++] = s.item(j);
     }
-    plan.queries.resize(total);
-    status = ParallelFor(
-        pool, kDedupShards, 1, [&](size_t s_begin, size_t s_end) -> Status {
-          for (size_t s = s_begin; s < s_end; ++s) {
-            std::move(shards[s].queries.begin(), shards[s].queries.end(),
-                      plan.queries.begin() + static_cast<ptrdiff_t>(bases[s]));
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-    status = ParallelFor(
-        pool, plan.cand_query_index.size(), kRemapGrain,
-        [&](size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const uint32_t enc = plan.cand_query_index[i];
-            if (enc == 0) continue;  // Mask-0 slots stay unused.
-            const uint32_t packed = enc - 1;
-            plan.cand_query_index[i] = static_cast<uint32_t>(
-                bases[packed >> 26] + (packed & ((uint32_t{1} << 26) - 1)));
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-    return plan;
+    if (len == 1) {
+      all_present[m] = item_counts[subset[0]];
+      continue;
+    }
+    const LevelTable& table = tables[len - 2];
+    std::optional<size_t> index = table.members.Find({subset, len});
+    if (!index.has_value()) {
+      return Status::Internal(
+          "candidate " + s.ToString() + " has a proper subset of size " +
+          std::to_string(len) + " missing from the level-" +
+          std::to_string(len) + " NOTSIG table");
+    }
+    all_present[m] = table.counts[*index];
   }
-};
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -474,10 +338,13 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     }
   }
 
-  // The NOTSIG frontier of the last processed level (kept for the frontier
-  // output and the continue-mining condition); SIG is appended to the
-  // output as discovered.
-  std::vector<Itemset> not_sig;
+  // The NOTSIG members of every completed level with their counts
+  // (tables[j - 2] holds level j). A level's table is appended only once
+  // its pipeline has drained and never changes afterwards, so pool workers
+  // evaluating level k read levels 2..k-1 while the ordered consumer fills
+  // level k's table on the side. SIG is appended to the output as
+  // discovered.
+  std::vector<LevelTable> tables;
 
   for (int level = 2; level <= max_level; ++level) {
     PhaseTimer level_timer(&registry, "miner.level");
@@ -488,8 +355,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     stats.level = level;
     stats.possible_itemsets = BinomialCount(num_items, level);
 
-    std::vector<Itemset> next_not_sig;
-    hash::ItemsetPerfectSet next_not_sig_set;
+    LevelTable next;
     // Skip NOTSIG bookkeeping when this is the last level we will visit —
     // nothing consumes it, and on dense data it is the memory high-water
     // mark — unless the caller asked for the frontier.
@@ -499,132 +365,132 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     const bool gen_next = level < max_level;
     std::vector<Itemset> next_cand;
 
-    // Steps 6-7, batched per level: CAND is materialized whole, its
-    // deduplicated submask queries are answered by ONE CountAllPresentBatch
-    // call against the provider, and candidates are then streamed through
-    // an ordered evaluation pipeline (support test, then chi-squared, into
-    // index-addressed slots) whose single-threaded consumer commits
-    // verdicts *in stream order* while later chunks are still evaluating —
-    // so the output is byte-identical whatever the thread or shard count,
-    // including the inline single-threaded path.
+    // Steps 6-7, batched per level: CAND is materialized whole and counted
+    // by ONE CountAllPresentBatch, one query per candidate in the join's
+    // (k-1)-prefix-run order. Every other entry of a candidate's 2^k
+    // all-present vector is already known: n, the item counts, and the
+    // counts of its proper subsets in the lower levels' tables. Candidates
+    // then stream through an ordered evaluation pipeline (support test,
+    // then chi-squared, into index-addressed slots) whose single-threaded
+    // consumer commits verdicts *in stream order* while later chunks are
+    // still evaluating — so the output is byte-identical whatever the
+    // thread or shard count, including the inline single-threaded path.
     //
-    // Materializing CAND trades the old 32-MB streaming discipline for the
-    // single-batch contract that sharded/remote providers need (issuing one
-    // round trip per level instead of one per candidate); CAND at level k
-    // is bounded by the NOTSIG join, which pruning keeps far below the
-    // raw C(|I|, k) lattice width.
+    // Materializing CAND buys the single-batch contract that sharded and
+    // remote providers need (one round trip per level, not one per
+    // candidate); CAND at level k is bounded by the NOTSIG join, which
+    // pruning keeps far below the raw C(|I|, k) lattice width.
     if (!cand.empty()) {
       TraceInstant("miner.candidates", level, -1,
                    static_cast<int64_t>(cand.size()));
-      LevelQueryPlan plan = [&] {
-        PhaseTimer plan_timer(&registry, "miner.plan");
-        TraceScope plan_span("miner.plan", level, -1,
-                             static_cast<int64_t>(cand.size()));
-        ProfileScope plan_profile("miner.plan");
-        return LevelQueryPlan::Build(cand, level, pool);
-      }();
-      std::vector<uint64_t> query_counts(plan.queries.size());
+      std::vector<uint64_t> cand_counts(cand.size());
       {
         PhaseTimer count_timer(&registry, "miner.count_batch");
         TraceScope count_span("miner.count_batch", level, -1,
-                              static_cast<int64_t>(plan.queries.size()));
+                              static_cast<int64_t>(cand.size()));
         ProfileScope count_profile("miner.count_batch");
-        provider.CountAllPresentBatch(plan.queries, query_counts, pool);
+        provider.CountAllPresentBatch(cand, cand_counts, pool);
       }
 
       std::vector<EvalSlot> slots(cand.size());
-      TraceScope eval_span("miner.evaluate", level, -1,
-                           static_cast<int64_t>(cand.size()));
-      ProfileScope eval_profile("miner.evaluate");
       // The fan-in appends NOTSIG members in candidate order; runs of a
       // shared (k-1)-prefix close as soon as the next member's prefix
       // differs, and each closed run's raw joins are enumerated as pool
       // morsels *while later candidates are still being evaluated*. The
-      // frontier is reserved up front so in-flight join morsels read
-      // stable storage.
+      // table is reserved up front so in-flight join morsels read stable
+      // storage.
       RunJoiner joiner;
-      joiner.frontier = &next_not_sig;
+      joiner.frontier = &next.members.itemsets();
       joiner.prefix_len = static_cast<size_t>(level) - 1;
-      if (keep_not_sig) next_not_sig.reserve(cand.size());
+      if (keep_not_sig) {
+        next.members.Reserve(cand.size());
+        next.counts.reserve(cand.size());
+      }
       if (gen_next) joiner.joins.reserve(cand.size());
 
-      // Per-slot evaluation scratch: the 2^k all-present vector each chunk
-      // assembles tables from, sized once per level and reused across every
-      // chunk that slot runs.
-      const size_t eval_slots =
-          OrderedPipelineSlotBound(pool, cand.size(), kEvalGrain);
-      std::vector<std::vector<uint64_t>> eval_scratch(eval_slots);
-      Status eval_status = OrderedPipeline(
-          pool, cand.size(), kEvalGrain,
-          [&](size_t slot, size_t begin, size_t end) -> Status {
-            std::vector<uint64_t>& all_present = eval_scratch[slot];
-            if (all_present.size() < plan.num_cells) {
-              all_present.resize(plan.num_cells);
-            }
-            for (size_t i = begin; i < end; ++i) {
-              all_present[0] = n;
-              const uint32_t* row = &plan.cand_query_index[i * plan.num_cells];
-              for (uint32_t m = 1; m < plan.num_cells; ++m) {
-                all_present[m] = query_counts[row[m]];
+      Status eval_status;
+      {
+        PhaseTimer eval_timer(&registry, "miner.evaluate");
+        TraceScope eval_span("miner.evaluate", level, -1,
+                             static_cast<int64_t>(cand.size()));
+        ProfileScope eval_profile("miner.evaluate");
+        // Per-slot evaluation scratch: the 2^k all-present vector each chunk
+        // assembles tables from, sized once per level and reused across
+        // every chunk that slot runs.
+        const size_t num_cells = size_t{1} << level;
+        const size_t eval_slots =
+            OrderedPipelineSlotBound(pool, cand.size(), kEvalGrain);
+        std::vector<std::vector<uint64_t>> eval_scratch(
+            eval_slots, std::vector<uint64_t>(num_cells));
+        eval_status = OrderedPipeline(
+            pool, cand.size(), kEvalGrain,
+            [&](size_t slot, size_t begin, size_t end) -> Status {
+              std::vector<uint64_t>& all_present = eval_scratch[slot];
+              for (size_t i = begin; i < end; ++i) {
+                CORRMINE_RETURN_NOT_OK(AssembleAllPresent(
+                    cand[i], cand_counts[i], n, item_counts, tables,
+                    all_present));
+                CORRMINE_ASSIGN_OR_RETURN(
+                    ContingencyTable table,
+                    ContingencyTable::FromAllPresentCounts(cand[i],
+                                                           all_present));
+                if (!HasCellSupport(table, options.support)) {
+                  slots[i].kind = EvalSlot::Kind::kDiscard;
+                  continue;
+                }
+                ChiSquaredResult chi2 =
+                    ComputeChiSquared(table, options.chi2);
+                slots[i].masked_cells = chi2.validity.masked_cells;
+                if (chi2.SignificantAt(options.confidence_level)) {
+                  slots[i].kind = EvalSlot::Kind::kSig;
+                  slots[i].chi2 = chi2;
+                  slots[i].major = MajorDependenceCell(table);
+                } else {
+                  slots[i].kind = EvalSlot::Kind::kNotSig;
+                }
               }
-              CORRMINE_ASSIGN_OR_RETURN(
-                  ContingencyTable table,
-                  ContingencyTable::FromAllPresentCounts(cand[i],
-                                                         all_present));
-              if (!HasCellSupport(table, options.support)) {
-                slots[i].kind = EvalSlot::Kind::kDiscard;
-                continue;
-              }
-              ChiSquaredResult chi2 = ComputeChiSquared(table, options.chi2);
-              slots[i].masked_cells = chi2.validity.masked_cells;
-              if (chi2.SignificantAt(options.confidence_level)) {
-                slots[i].kind = EvalSlot::Kind::kSig;
-                slots[i].chi2 = chi2;
-                slots[i].major = MajorDependenceCell(table);
-              } else {
-                slots[i].kind = EvalSlot::Kind::kNotSig;
-              }
-            }
-            return Status::OK();
-          },
-          // Deterministic fan-in: the ordered consumer walks the slots in
-          // candidate order, so SIG/NOTSIG/stat updates match the
-          // sequential history exactly.
-          [&](size_t begin, size_t end) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              ++stats.candidates;
-              switch (slots[i].kind) {
-                case EvalSlot::Kind::kDiscard:
-                  ++stats.discards;
-                  break;
-                case EvalSlot::Kind::kSig:
-                  ++stats.significant;
-                  ++stats.chi2_tests;
-                  stats.masked_cells += slots[i].masked_cells;
-                  result.significant.push_back(CorrelationRule{
-                      std::move(cand[i]), slots[i].chi2, slots[i].major});
-                  break;
-                case EvalSlot::Kind::kNotSig:
-                  ++stats.not_significant;
-                  ++stats.chi2_tests;
-                  stats.masked_cells += slots[i].masked_cells;
-                  if (keep_not_sig) {
-                    next_not_sig_set.Insert(cand[i]);
-                    next_not_sig.push_back(std::move(cand[i]));
-                    const size_t t = next_not_sig.size() - 1;
-                    if (gen_next && joiner.StartsNewRun(t)) {
-                      joiner.CloseRun(pool, t);
+              return Status::OK();
+            },
+            // Deterministic fan-in: the ordered consumer walks the slots in
+            // candidate order, so SIG/NOTSIG/stat updates match the
+            // sequential history exactly.
+            [&](size_t begin, size_t end) -> Status {
+              for (size_t i = begin; i < end; ++i) {
+                ++stats.candidates;
+                switch (slots[i].kind) {
+                  case EvalSlot::Kind::kDiscard:
+                    ++stats.discards;
+                    break;
+                  case EvalSlot::Kind::kSig:
+                    ++stats.significant;
+                    ++stats.chi2_tests;
+                    stats.masked_cells += slots[i].masked_cells;
+                    result.significant.push_back(CorrelationRule{
+                        std::move(cand[i]), slots[i].chi2, slots[i].major});
+                    break;
+                  case EvalSlot::Kind::kNotSig:
+                    ++stats.not_significant;
+                    ++stats.chi2_tests;
+                    stats.masked_cells += slots[i].masked_cells;
+                    if (keep_not_sig) {
+                      next.members.Insert(cand[i]);
+                      next.counts.push_back(cand_counts[i]);
+                      const size_t t = next.members.size() - 1;
+                      if (gen_next && joiner.StartsNewRun(t)) {
+                        joiner.CloseRun(pool, t);
+                      }
                     }
-                  }
-                  break;
+                    break;
+                }
               }
-            }
-            return Status::OK();
-          });
-      // In-flight join morsels hold pointers into `next_not_sig` and
-      // `joiner.joins` — drain them before any return, including the error
-      // one, or the early exit would free storage under a live task.
-      if (gen_next) joiner.Drain(pool);
+              return Status::OK();
+            });
+        // In-flight join morsels hold pointers into `next.members` and
+        // `joiner.joins` — drain them before any return, including the
+        // error one, or the early exit would free storage under a live
+        // task.
+        if (gen_next) joiner.Drain(pool);
+      }
       CORRMINE_RETURN_NOT_OK(eval_status);
 
       // Step 8, finished off: flush the tail run, drain in-flight join
@@ -632,10 +498,12 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       // NOTSIG set) in parallel over runs. Filtered runs concatenate in
       // run order — the sequential candidate stream, byte for byte.
       if (gen_next) {
-        joiner.CloseRun(pool, next_not_sig.size());
-        joiner.Drain(pool);
         PhaseTimer gen_timer(&registry, "miner.generate");
+        TraceScope gen_span("miner.generate", level, -1,
+                            static_cast<int64_t>(next.members.size()));
         ProfileScope gen_profile("miner.generate");
+        joiner.CloseRun(pool, next.members.size());
+        joiner.Drain(pool);
         CORRMINE_RETURN_NOT_OK(ParallelFor(
             pool, joiner.joins.size(), 1,
             [&](size_t begin, size_t end) -> Status {
@@ -644,7 +512,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
                 run.erase(std::remove_if(run.begin(), run.end(),
                                          [&](const Itemset& joined) {
                                            return !AllSubsetsNotSig(
-                                               joined, next_not_sig_set);
+                                               joined, next.members);
                                          }),
                           run.end());
               }
@@ -676,7 +544,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       MinerProgress heartbeat;
       heartbeat.level = level;
       heartbeat.candidates = stats.candidates;
-      heartbeat.frontier = next_not_sig.size();
+      heartbeat.frontier = next.members.size();
       heartbeat.significant_total = result.significant.size();
       heartbeat.elapsed_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -685,13 +553,13 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       options.progress(heartbeat);
     }
     if (exhausted) break;
-    not_sig = std::move(next_not_sig);
+    tables.push_back(std::move(next));
     cand = std::move(next_cand);
-    if (not_sig.size() < 2 || level == max_level) break;
+    if (tables.back().members.size() < 2 || level == max_level) break;
   }
 
-  if (options.keep_frontier) {
-    result.frontier = std::move(not_sig);
+  if (options.keep_frontier && !tables.empty()) {
+    result.frontier = tables.back().members.itemsets();
   }
   return result;
 }

@@ -56,10 +56,11 @@ class ContingencyTable {
   /// `all_present[m]` = baskets containing every item of submask m of `s`
   /// (bit j = j-th sorted item), for all 2^|s| masks with
   /// `all_present[0] == n`. This is the path the batched level-wise miner
-  /// uses — it answers a whole level's submask queries in one
-  /// CountAllPresentBatch, then Mobius-inverts per candidate. Same
-  /// validation and negativity checks as Build; identical tables for
-  /// identical counts.
+  /// uses — it counts a whole level's candidates in one
+  /// CountAllPresentBatch, takes every proper subset's count from the
+  /// earlier levels, then Mobius-inverts per candidate. Same validation
+  /// and negativity checks as Build; identical tables for identical
+  /// counts.
   static StatusOr<ContingencyTable> FromAllPresentCounts(
       const Itemset& s, std::span<const uint64_t> all_present);
 

@@ -15,24 +15,12 @@ namespace corrmine {
 
 namespace {
 
-Status ValidateSessionOptions(const SessionOptions& options,
-                              size_t resolved_shards) {
+Status ValidateSessionOptions(const SessionOptions& options) {
   if (options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
   if (options.num_shards < 0) {
     return Status::InvalidArgument("num_shards must be >= 0");
-  }
-  if (options.prefix_cache && resolved_shards != 1) {
-    return Status::InvalidArgument(
-        "prefix_cache requires num_shards == 1 (the cache decorates a "
-        "single whole-database index)");
-  }
-  if (options.prefix_cache &&
-      options.provider != SessionProvider::kBitmap) {
-    return Status::InvalidArgument(
-        "prefix_cache requires the bitmap provider (the cache memoizes "
-        "whole-database prefix bitmaps)");
   }
   return Status::OK();
 }
@@ -67,13 +55,6 @@ MiningSession::MiningSession(ShardedTransactionDatabase db,
       active_provider_ = scan_provider_.get();
       break;
   }
-  if (options.prefix_cache) {
-    // Validated by the factories: the bitmap strategy with exactly one
-    // shard, whose vertical index therefore covers the whole database.
-    cached_ =
-        std::make_unique<CachedCountProvider>(sharded_provider_->shard_index(0));
-    active_provider_ = cached_.get();
-  }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   metrics().GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
@@ -81,9 +62,9 @@ MiningSession::MiningSession(ShardedTransactionDatabase db,
 
 StatusOr<MiningSession> MiningSession::Open(const std::string& path,
                                             const SessionOptions& options) {
+  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   const size_t shards =
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options, shards));
   if (options.named_items) {
     std::ifstream file(path);
     if (!file) return Status::IOError("cannot open " + path);
@@ -103,16 +84,16 @@ StatusOr<MiningSession> MiningSession::Open(const std::string& path,
 
 StatusOr<MiningSession> MiningSession::FromDatabase(
     const TransactionDatabase& db, const SessionOptions& options) {
+  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   const size_t shards =
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options, shards));
   return MiningSession(ShardedTransactionDatabase::Partition(db, shards),
                        options);
 }
 
 StatusOr<MiningSession> MiningSession::FromShardedDatabase(
     ShardedTransactionDatabase db, const SessionOptions& options) {
-  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options, db.num_shards()));
+  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   return MiningSession(std::move(db), options);
 }
 
@@ -143,10 +124,6 @@ void MiningSession::PublishMemoryGauges() const {
     registry.GetGauge("column.payload_bytes")
         ->Set(static_cast<int64_t>(storage.payload_bytes));
   }
-  if (cached_ != nullptr) {
-    registry.GetGauge("mem.cache_bytes")
-        ->Set(static_cast<int64_t>(cached_->MemoryBytes()));
-  }
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
@@ -162,7 +139,6 @@ Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
   if (sharded_provider_ != nullptr) sharded_provider_->AppendFrom(db_);
   if (compressed_provider_ != nullptr) compressed_provider_->AppendFrom(db_);
   // The scan provider reads db_ live — nothing to catch up.
-  if (cached_ != nullptr) cached_->AdvanceEpoch();
   PublishMemoryGauges();
   return Status::OK();
 }

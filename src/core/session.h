@@ -48,14 +48,7 @@ struct SessionOptions {
   /// change.
   int num_shards = 1;
 
-  /// Memoize prefix-intersection bitmaps (CachedCountProvider) on top of
-  /// the counting index. Only available with num_shards == 1 — the cache
-  /// decorates a single whole-database vertical index, and its cost
-  /// counters are pinned by golden tests to the unsharded AND-chain shape.
-  bool prefix_cache = false;
-
-  /// Counting strategy to build. prefix_cache additionally requires
-  /// kBitmap (the cache decorates a whole-database bitmap index).
+  /// Counting strategy to build.
   SessionProvider provider = SessionProvider::kBitmap;
 
   /// Text inputs hold word tokens, not integer ids (Open only).
@@ -71,8 +64,7 @@ struct SessionOptions {
 };
 
 /// One place that owns everything a mining run needs — the sharded dataset,
-/// the counting provider (with optional prefix cache), the thread pool, and
-/// the metrics registry — so front ends (the CLI, tests, benchmarks) stop
+/// the counting provider, the thread pool, and the metrics registry — so front ends (the CLI, tests, benchmarks) stop
 /// hand-assembling provider/pool/option plumbing. Construction resolves the
 /// 0-means-auto conventions once; every Mine* method lends the session's
 /// pool to the run and wires the resolved thread count through, so results
@@ -107,8 +99,7 @@ class MiningSession {
   /// Delta ingestion: appends `chunk`'s baskets in order (round-robin
   /// placement continues where loading left off), growing the item space to
   /// cover chunk.num_items() when the delta introduces new items. The
-  /// per-shard vertical indexes are caught up in place — no rebuild — and
-  /// the prefix cache's epoch advances so no stale count survives. After
+  /// per-shard vertical indexes are caught up in place — no rebuild. After
   /// the call every count is exactly what a fresh session over base+delta
   /// would produce. Must not race with Mine* calls.
   Status AppendBatch(const TransactionDatabase& chunk);
@@ -126,14 +117,10 @@ class MiningSession {
       EclatOptions options = {}) const;
 
   const ShardedTransactionDatabase& database() const { return db_; }
-  /// The counting strategy every Mine* call uses (the prefix cache when
-  /// enabled, else the selected provider).
+  /// The counting strategy every Mine* call uses.
   const CountProvider& provider() const { return *active_provider_; }
   /// The strategy this session was built with.
   SessionProvider provider_kind() const { return provider_kind_; }
-  /// Non-null only when SessionOptions::prefix_cache was set.
-  const CachedCountProvider* cache() const { return cached_.get(); }
-  CachedCountProvider* cache() { return cached_.get(); }
 
   size_t num_shards() const { return db_.num_shards(); }
   /// Resolved thread count (the 0-means-auto convention already applied).
@@ -153,18 +140,16 @@ class MiningSession {
  private:
   MiningSession(ShardedTransactionDatabase db, const SessionOptions& options);
 
-  /// Refreshes the "mem.*" gauges (peak RSS, shard-index bytes, cache bytes)
-  /// in the session's registry; called after every Mine* run.
+  /// Refreshes the "mem.*" gauges (peak RSS, shard-index bytes) in the
+  /// session's registry; called after every Mine* run.
   void PublishMemoryGauges() const;
 
   ShardedTransactionDatabase db_;
   // Exactly one of the three strategy members is built (provider_kind_);
-  // active_provider_ points at it, or at cached_ when the cache decorates
-  // the bitmap strategy.
+  // active_provider_ points at it.
   std::unique_ptr<ShardedCountProvider> sharded_provider_;
   std::unique_ptr<CompressedCountProvider> compressed_provider_;
   std::unique_ptr<ShardedScanCountProvider> scan_provider_;
-  std::unique_ptr<CachedCountProvider> cached_;
   const CountProvider* active_provider_ = nullptr;
   SessionProvider provider_kind_ = SessionProvider::kBitmap;
   std::unique_ptr<ThreadPool> pool_;

@@ -2,6 +2,8 @@
 #define CORRMINE_HASH_ITEMSET_SET_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "hash/dynamic_perfect_hash.h"
@@ -15,9 +17,10 @@ namespace corrmine::hash {
 /// the 64-bit hash (vanishingly rare but possible) fall back to a small
 /// overflow list and never produce wrong answers.
 ///
-/// This is the container Figure 1's Step 8 uses for NOTSIG and CAND:
-/// candidate generation tests all i-subsets of a potential (i+1)-candidate
-/// for membership in constant time each.
+/// This is the container Figure 1's Step 8 uses for NOTSIG: candidate
+/// generation tests all i-subsets of a potential (i+1)-candidate for
+/// membership in constant time each, and the miner looks up every proper
+/// subset's count by insertion index.
 class ItemsetPerfectSet {
  public:
   explicit ItemsetPerfectSet(uint64_t seed = 0x17e85e7ULL) : table_(seed) {}
@@ -25,13 +28,22 @@ class ItemsetPerfectSet {
   /// Inserts `s`; returns true if newly added.
   bool Insert(const Itemset& s);
 
-  bool Contains(const Itemset& s) const;
+  /// Insertion index of the stored itemset whose items are exactly `items`
+  /// (sorted, duplicate-free), or nullopt. Allocation-free, so callers can
+  /// probe with a stack buffer instead of building an Itemset.
+  std::optional<size_t> Find(std::span<const ItemId> items) const;
+
+  bool Contains(const Itemset& s) const { return Find(s.items()).has_value(); }
 
   size_t size() const { return itemsets_.size(); }
   bool empty() const { return itemsets_.empty(); }
 
   /// Stored itemsets in insertion order.
   const std::vector<Itemset>& itemsets() const { return itemsets_; }
+
+  /// Reserves storage for `n` itemsets, so pointers into itemsets() stay
+  /// valid while up to `n` inserts happen.
+  void Reserve(size_t n) { itemsets_.reserve(n); }
 
   void Clear();
 

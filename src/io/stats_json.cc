@@ -11,9 +11,7 @@
 
 namespace corrmine {
 
-std::string RenderDeterministicStats(
-    const MiningResult& result,
-    const CachedCountProvider::CacheStats* cache_stats) {
+std::string RenderDeterministicStats(const MiningResult& result) {
   std::ostringstream out;
   out << "{\"schema\":\"corrmine-stats-v1\"";
   out << ",\"rules\":" << result.significant.size();
@@ -30,30 +28,17 @@ std::string RenderDeterministicStats(
         << ",\"sig\":" << s.significant
         << ",\"notsig\":" << s.not_significant << "}";
   }
-  out << "]";
-  if (cache_stats != nullptr) {
-    out << ",\"cache\":{\"queries\":" << cache_stats->queries
-        << ",\"hits\":" << cache_stats->hits
-        << ",\"misses\":" << cache_stats->misses
-        << ",\"overflow_builds\":" << cache_stats->overflow_builds
-        << ",\"and_word_ops\":" << cache_stats->and_word_ops
-        << ",\"uncached_and_word_ops\":" << cache_stats->uncached_and_word_ops
-        << "}";
-  } else {
-    out << ",\"cache\":null";
-  }
-  out << "}";
+  out << "]}";
   return out.str();
 }
 
 std::string RenderStatsJson(const MiningResult& result,
-                            const CachedCountProvider::CacheStats* cache_stats,
                             const MetricsRegistry& registry) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema\": \"corrmine-stats-v1\",\n";
   out << "  \"deterministic\": "
-      << RenderDeterministicStats(result, cache_stats) << ",\n";
+      << RenderDeterministicStats(result) << ",\n";
   // Which counting kernel served the run, and what was requested ("auto"
   // unless forced via --kernel / CORRMINE_KERNEL). Machine-dependent by
   // nature, so it lives OUTSIDE the deterministic section — statsdiff

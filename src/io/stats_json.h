@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "core/chi_squared_miner.h"
-#include "itemset/count_provider.h"
 
 namespace corrmine {
 
@@ -16,10 +15,10 @@ class MetricsRegistry;
 /// The report is split into two sections with different reproducibility
 /// guarantees:
 ///
-///  - "deterministic": derived purely from the mining result and the
-///    count-provider cache accounting. Byte-identical for the same input,
-///    options, and cache configuration, *regardless of thread count* —
-///    compare these lines directly in tests and CI.
+///  - "deterministic": derived purely from the mining result. Byte-identical
+///    for the same input and options, *regardless of thread count, shard
+///    count, provider or kernel* — compare these lines directly in tests
+///    and CI.
 ///  - "runtime": a MetricsRegistry snapshot (timings, pool activity,
 ///    per-process counter totals). Informative, never stable across runs.
 ///
@@ -45,13 +44,8 @@ class MetricsRegistry;
 /// Renders the deterministic section as one compact JSON object line:
 ///   {"schema":"corrmine-stats-v1","rules":R,"levels":[{"level":2,
 ///    "possible":P,"cand":C,"discards":D,"chi2_tests":T,"masked_cells":M,
-///    "sig":S,"notsig":N},...],"cache":{...}|null}
-/// `cache` is null when mining ran without a CachedCountProvider. The cache
-/// counters are deterministic while `overflow_builds` is 0 (see
-/// CachedCountProvider::CacheStats).
-std::string RenderDeterministicStats(
-    const MiningResult& result,
-    const CachedCountProvider::CacheStats* cache_stats);
+///    "sig":S,"notsig":N},...]}
+std::string RenderDeterministicStats(const MiningResult& result);
 
 /// Renders the full stats document (multi-line, human-skimmable):
 ///   {
@@ -65,7 +59,6 @@ std::string RenderDeterministicStats(
 /// When metrics are compiled out (CORRMINE_METRICS=OFF) the runtime section
 /// reports zeros; the deterministic section is unaffected.
 std::string RenderStatsJson(const MiningResult& result,
-                            const CachedCountProvider::CacheStats* cache_stats,
                             const MetricsRegistry& registry);
 
 /// Writes `json` to `path` (overwriting), with a trailing newline.

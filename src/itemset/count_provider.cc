@@ -1,9 +1,5 @@
 #include "itemset/count_provider.h"
 
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -14,10 +10,6 @@
 namespace corrmine {
 
 namespace {
-
-/// Query-axis chunk size for parallel batches: each query is a multi-word
-/// AND/popcount chain, so modest chunks already amortize scheduling.
-constexpr size_t kBatchQueryGrain = 16;
 
 /// Basket-axis chunk size for the scan provider's shared pass.
 constexpr size_t kScanBasketGrain = 1024;
@@ -152,201 +144,6 @@ void BitmapCountProvider::CountAllPresentBatchImpl(
         return Status::OK();
       });
   CORRMINE_CHECK(status.ok()) << status.ToString();
-}
-
-CachedCountProvider::CachedCountProvider(const VerticalIndex& index,
-                                         size_t max_entries)
-    : index_(index),
-      max_entries_(max_entries),
-      hit_ns_(MetricsRegistry::Global().GetHistogram("cache.hit_ns")),
-      miss_ns_(MetricsRegistry::Global().GetHistogram("cache.miss_ns")) {}
-
-uint64_t CachedCountProvider::CountAllPresentImpl(const Itemset& s) const {
-  CORRMINE_CHECK(!s.empty()) << "CountAllPresent requires a non-empty set";
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const size_t k = s.size();
-  const uint64_t words = index_.words_per_bitmap();
-  if (k >= 2) {
-    uncached_and_word_ops_.fetch_add((k - 1) * words,
-                                     std::memory_order_relaxed);
-  }
-  if (k == 1) return index_.item_bitmap(s.item(0)).Count();
-  if (k == 2) {
-    and_word_ops_.fetch_add(words, std::memory_order_relaxed);
-    return index_.item_bitmap(s.item(0))
-        .AndCount(index_.item_bitmap(s.item(1)));
-  }
-  const ItemId last = s.item(k - 1);
-  Bitmap scratch;
-  if constexpr (kMetricsEnabled) {
-    // Latency split by cache outcome: a hit is one AND/popcount against a
-    // ready bitmap (or a short wait on an in-flight build); a miss pays
-    // the recursive materialization. The histograms never feed the
-    // deterministic stats, so the clock reads cannot perturb results.
-    const auto t0 = std::chrono::steady_clock::now();
-    bool hit = false;
-    const Bitmap* prefix =
-        PrefixBitmapInto(s.WithoutItem(last), &scratch, &hit);
-    and_word_ops_.fetch_add(words, std::memory_order_relaxed);
-    const uint64_t count = prefix->AndCount(index_.item_bitmap(last));
-    const uint64_t elapsed = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    (hit ? hit_ns_ : miss_ns_)->Observe(elapsed);
-    return count;
-  } else {
-    const Bitmap* prefix = PrefixBitmapInto(s.WithoutItem(last), &scratch);
-    and_word_ops_.fetch_add(words, std::memory_order_relaxed);
-    return prefix->AndCount(index_.item_bitmap(last));
-  }
-}
-
-void CachedCountProvider::CountAllPresentBatchImpl(
-    std::span<const Itemset> queries, std::span<uint64_t> counts,
-    ThreadPool* pool) const {
-  // Parallel over the query axis; the build-once cache entry protocol keeps
-  // the cost counters identical for any schedule (each distinct prefix is
-  // still materialized exactly once).
-  Status status = ParallelFor(
-      pool, queries.size(), kBatchQueryGrain,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          counts[i] = CountAllPresentImpl(queries[i]);
-        }
-        return Status::OK();
-      });
-  CORRMINE_CHECK(status.ok()) << status.ToString();
-}
-
-const Bitmap* CachedCountProvider::PrefixBitmapInto(const Itemset& prefix,
-                                                    Bitmap* scratch,
-                                                    bool* top_level_hit) const {
-  if (prefix.size() == 1) {
-    if (top_level_hit != nullptr) *top_level_hit = true;
-    return &index_.item_bitmap(prefix.item(0));
-  }
-
-  // Claim-or-find under the map lock. Exactly one arrival per prefix
-  // becomes the builder; everyone else gets the (possibly in-flight) entry.
-  std::shared_ptr<Entry> entry;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(prefix);
-    if (it != cache_.end() && it->second->epoch == epoch_) {
-      entry = it->second;
-    } else if (it != cache_.end()) {
-      // Stale epoch: the index gained rows since this entry was built.
-      // Replace it with a fresh claimed entry — build-once still holds per
-      // epoch, because AdvanceEpoch may not race with queries, so no other
-      // thread can hold the old entry here.
-      entry = std::make_shared<Entry>();
-      entry->epoch = epoch_;
-      it->second = entry;
-      builder = true;
-    } else if (cache_.size() < max_entries_) {
-      entry = std::make_shared<Entry>();
-      entry->epoch = epoch_;
-      cache_.emplace(prefix, entry);
-      builder = true;
-    }
-  }
-  if (top_level_hit != nullptr) *top_level_hit = entry && !builder;
-
-  if (entry && !builder) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lock(entry->mu);
-    entry->ready_cv.wait(lock, [&entry] { return entry->ready; });
-    // Entry bitmaps are never moved or erased while queries run, so the
-    // pointer stays valid after the lock is released.
-    return &entry->bits;
-  }
-
-  if (builder) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Cache full: compute transiently. Counts stay exact; only these
-    // rebuilds make the cost counters schedule-dependent.
-    overflow_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const ItemId last = prefix.item(prefix.size() - 1);
-  Bitmap base_scratch;
-  const Bitmap* base =
-      PrefixBitmapInto(prefix.WithoutItem(last), &base_scratch);
-  Bitmap built(*base);
-  built.AndWith(index_.item_bitmap(last));
-  and_word_ops_.fetch_add(index_.words_per_bitmap(),
-                          std::memory_order_relaxed);
-
-  if (!builder) {
-    *scratch = std::move(built);
-    return scratch;
-  }
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    entry->bits = std::move(built);
-    entry->ready = true;
-  }
-  entry->ready_cv.notify_all();
-  return &entry->bits;
-}
-
-CachedCountProvider::CacheStats CachedCountProvider::stats() const {
-  CacheStats out;
-  out.queries = queries_.load(std::memory_order_relaxed);
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.overflow_builds = overflow_builds_.load(std::memory_order_relaxed);
-  out.and_word_ops = and_word_ops_.load(std::memory_order_relaxed);
-  out.uncached_and_word_ops =
-      uncached_and_word_ops_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void CachedCountProvider::PublishMetrics(MetricsRegistry* registry) const {
-  CacheStats snapshot = stats();
-  registry->GetGauge("cache.queries")
-      ->Set(static_cast<int64_t>(snapshot.queries));
-  registry->GetGauge("cache.hits")->Set(static_cast<int64_t>(snapshot.hits));
-  registry->GetGauge("cache.misses")
-      ->Set(static_cast<int64_t>(snapshot.misses));
-  registry->GetGauge("cache.overflow_builds")
-      ->Set(static_cast<int64_t>(snapshot.overflow_builds));
-  registry->GetGauge("cache.and_word_ops")
-      ->Set(static_cast<int64_t>(snapshot.and_word_ops));
-  registry->GetGauge("cache.uncached_and_word_ops")
-      ->Set(static_cast<int64_t>(snapshot.uncached_and_word_ops));
-  registry->GetGauge("cache.entries")
-      ->Set(static_cast<int64_t>(cache_size()));
-  registry->GetGauge("mem.cache_bytes")
-      ->Set(static_cast<int64_t>(MemoryBytes()));
-}
-
-uint64_t CachedCountProvider::MemoryBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<uint64_t>(cache_.size()) * index_.words_per_bitmap() *
-         sizeof(uint64_t);
-}
-
-void CachedCountProvider::ClearCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-}
-
-void CachedCountProvider::AdvanceEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++epoch_;
-}
-
-uint64_t CachedCountProvider::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
-size_t CachedCountProvider::cache_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
 }
 
 }  // namespace corrmine

@@ -1,21 +1,14 @@
 #ifndef CORRMINE_ITEMSET_COUNT_PROVIDER_H_
 #define CORRMINE_ITEMSET_COUNT_PROVIDER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 
 #include "itemset/itemset.h"
 #include "itemset/transaction_database.h"
 
 namespace corrmine {
 class Counter;
-class Histogram;
-class MetricsRegistry;
 class ThreadPool;
 }  // namespace corrmine
 
@@ -118,9 +111,10 @@ class ScanCountProvider : public CountProvider {
 };
 
 /// Strategy B: per-item bitmaps; each count is a multi-way AND/popcount.
-/// One O(total occurrences) preprocessing pass. Batches parallelize over
-/// the query axis (each query's count lands in its own slot, so any
-/// schedule yields identical results).
+/// One O(total occurrences) preprocessing pass. Batches run the
+/// prefix-blocked executor (kernels.h), parallel over prefix groups (each
+/// query's count lands in its own slot, so any schedule yields identical
+/// results).
 class BitmapCountProvider : public CountProvider {
  public:
   /// Builds the vertical index eagerly; `db` may be discarded afterwards.
@@ -140,136 +134,6 @@ class BitmapCountProvider : public CountProvider {
 
  private:
   VerticalIndex index_;
-};
-
-/// Strategy C: bitmap counting with Eclat-style prefix-intersection
-/// caching. The level-wise miner's join produces runs of sibling
-/// candidates sharing a (k-1)-prefix, and contingency-table construction
-/// re-queries every subset of each candidate; the plain bitmap provider
-/// rebuilds the same multi-way AND chain for each of those queries. This
-/// decorator materializes the intersection bitmap of each queried prefix
-/// once, so a size-k count is a single AND/popcount against the last
-/// item's bitmap instead of a (k-1)-way chain.
-///
-/// Counts are exact and identical to BitmapCountProvider's — the cache
-/// changes cost, never answers — so it can be swapped in anywhere,
-/// including under the deterministic parallel miner.
-///
-/// Thread safety: CountAllPresent may be called concurrently. Each prefix
-/// is materialized exactly once: the first arrival claims the cache entry
-/// and builds it, later arrivals block until it is ready (the prefix chain
-/// is acyclic, so waiting cannot deadlock). Build-once is what makes the
-/// cost counters below *deterministic* across thread counts — no thread
-/// ever duplicates another's AND chain, so hits/misses/and_word_ops depend
-/// only on the query multiset, not the schedule (the stats-json determinism
-/// contract in DESIGN.md §6 leans on this). Batches parallelize over the
-/// query axis and go through the same build-once path, so the counters
-/// stay schedule-independent. ClearCache must not race with queries.
-class CachedCountProvider : public CountProvider {
- public:
-  /// `index` must outlive this provider. `max_entries` bounds the cache;
-  /// once full, further prefixes are computed transiently (counts stay
-  /// exact, the speedup degrades gracefully).
-  explicit CachedCountProvider(const VerticalIndex& index,
-                               size_t max_entries = size_t{1} << 16);
-
-  uint64_t num_baskets() const override { return index_.num_baskets(); }
-
-  /// Cost counters, for benchmarking the cache against the plain bitmap
-  /// strategy. `and_word_ops` is the number of 64-bit AND operations this
-  /// provider actually performed; `uncached_and_word_ops` is what the
-  /// plain multi-way chain would have cost for the same query stream
-  /// ((k-1) * words per size-k query). A `miss` is a prefix materialized
-  /// into the cache (each distinct prefix misses exactly once); a `hit` is
-  /// any other arrival at a cached prefix, including arrivals that waited
-  /// on an in-flight build. `overflow_builds` counts transient rebuilds
-  /// once the cache is full — the only path on which the counters can
-  /// depend on thread schedule. All counters are cumulative, thread-safe,
-  /// and (while overflow_builds == 0) identical for any thread count.
-  struct CacheStats {
-    uint64_t queries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t overflow_builds = 0;
-    uint64_t and_word_ops = 0;
-    uint64_t uncached_and_word_ops = 0;
-  };
-  CacheStats stats() const;
-
-  /// Copies the current stats into `registry` as gauges under
-  /// "cache.<field>" (plus "mem.cache_bytes" from MemoryBytes) — call before
-  /// snapshotting/dumping the registry. The query path only touches its
-  /// pre-resolved latency histograms, never the registry maps.
-  void PublishMetrics(MetricsRegistry* registry) const;
-
-  /// Approximate bytes held by memoized prefix bitmaps.
-  uint64_t MemoryBytes() const;
-
-  /// Drops every memoized prefix. Within one mining run retained entries
-  /// keep paying off (contingency tables re-query every subset, so short
-  /// prefixes recur across levels); call this between *independent* runs,
-  /// or to release memory once mining finishes. Must not be called
-  /// concurrently with CountAllPresent.
-  void ClearCache();
-
-  /// Lazy invalidation for append-aware callers: bumping the epoch marks
-  /// every memoized prefix stale without sweeping the map. A stale entry is
-  /// rebuilt (against the grown index) the first time the new epoch touches
-  /// it — so after `index` gains rows, AdvanceEpoch() restores exactness at
-  /// the cost of re-materializing only the prefixes actually re-queried.
-  /// Without it, appends whose row count stays within the same bitmap word
-  /// count would silently serve stale counts. Must not race with queries
-  /// (same contract as ClearCache).
-  void AdvanceEpoch();
-  uint64_t epoch() const;
-
-  size_t cache_size() const;
-
- protected:
-  uint64_t CountAllPresentImpl(const Itemset& s) const override;
-  void CountAllPresentBatchImpl(std::span<const Itemset> queries,
-                                std::span<uint64_t> counts,
-                                ThreadPool* pool) const override;
-
- private:
-  /// One memoized prefix: claimed under the map lock by its builder, filled
-  /// outside it, waited on by concurrent arrivals.
-  struct Entry {
-    std::mutex mu;
-    std::condition_variable ready_cv;
-    bool ready = false;
-    Bitmap bits;
-    /// Epoch this entry was built in; entries from older epochs are
-    /// replaced on first touch (see AdvanceEpoch).
-    uint64_t epoch = 0;
-  };
-
-  /// Intersection bitmap of `prefix`, memoized when the cache has room;
-  /// otherwise computed into `*scratch`. The returned pointer is either a
-  /// cache entry (stable until ClearCache), an item bitmap, or `scratch`.
-  /// `top_level_hit` (optional) reports whether this arrival found the
-  /// prefix already claimed — the hit/miss classification the latency
-  /// histograms ("cache.hit_ns" / "cache.miss_ns") are keyed on.
-  const Bitmap* PrefixBitmapInto(const Itemset& prefix, Bitmap* scratch,
-                                 bool* top_level_hit = nullptr) const;
-
-  const VerticalIndex& index_;
-  const size_t max_entries_;
-  /// Latency histograms for size>=3 queries, split by whether the queried
-  /// prefix was already cached. Resolved from MetricsRegistry::Global() at
-  /// construction; no-ops when metrics are compiled out.
-  Histogram* hit_ns_;
-  Histogram* miss_ns_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<Itemset, std::shared_ptr<Entry>, ItemsetHasher>
-      cache_;
-  uint64_t epoch_ = 0;  // Guarded by mu_.
-  mutable std::atomic<uint64_t> queries_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> overflow_builds_{0};
-  mutable std::atomic<uint64_t> and_word_ops_{0};
-  mutable std::atomic<uint64_t> uncached_and_word_ops_{0};
 };
 
 }  // namespace corrmine

@@ -176,10 +176,6 @@ class CountingColumn {
   uint64_t total_count_ = 0;
 };
 
-/// Legacy name: the side-car CompressedBitmap grew into the first-class
-/// column above; existing call sites and tests keep compiling unchanged.
-using CompressedBitmap = CountingColumn;
-
 /// A set of counting columns over one row space — the abstraction the
 /// prefix-blocked column executor and CompressedCountProvider count
 /// against. Implemented by the in-memory CompressedVerticalIndex below and

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -160,27 +160,25 @@ std::string AvailableKernelNames() {
 BlockedCountPlan BlockedCountPlan::Build(std::span<const Itemset> queries) {
   BlockedCountPlan plan;
   plan.num_queries = queries.size();
-  std::unordered_map<Itemset, size_t, ItemsetHasher> group_ids;
-  auto group_index = [&](const Itemset& key) -> size_t {
-    auto [it, inserted] = group_ids.emplace(key, plan.groups.size());
-    if (inserted) {
-      plan.groups.emplace_back();
-      plan.groups.back().prefix = key;
-    }
-    return it->second;
-  };
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const Itemset& s = queries[qi];
     CORRMINE_CHECK(!s.empty()) << "blocked plan requires non-empty queries";
-    if (s.size() == 1) {
-      // A singleton is its own prefix: answered by one popcount of the
-      // (possibly shared) group's prefix block.
-      plan.groups[group_index(s)].self_queries.push_back(
-          static_cast<uint32_t>(qi));
+    // A singleton is its own prefix, answered by one popcount of the
+    // group's prefix block; a larger query extends its (size-1)-prefix.
+    const bool self = s.size() == 1;
+    const size_t prefix_len = self ? 1 : s.size() - 1;
+    const std::span<const ItemId> prefix(s.items().data(), prefix_len);
+    if (plan.groups.empty() ||
+        !std::ranges::equal(plan.groups.back().prefix.items(), prefix)) {
+      plan.groups.emplace_back();
+      plan.groups.back().prefix =
+          Itemset(std::vector<ItemId>(prefix.begin(), prefix.end()));
+    }
+    Group& group = plan.groups.back();
+    if (self) {
+      group.self_queries.push_back(static_cast<uint32_t>(qi));
     } else {
-      const ItemId last = s.item(s.size() - 1);
-      Group& group = plan.groups[group_index(s.WithoutItem(last))];
-      group.ext_items.push_back(last);
+      group.ext_items.push_back(s.item(prefix_len));
       group.ext_queries.push_back(static_cast<uint32_t>(qi));
     }
   }

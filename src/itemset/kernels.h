@@ -18,7 +18,7 @@ class VerticalIndex;
 /// SIMD-dispatched counting kernels (DESIGN.md §9).
 ///
 /// Every chi-squared verdict bottoms out in AND+popcount chains over
-/// vertical bitmaps, so the word loops behind Bitmap / CompressedBitmap /
+/// vertical bitmaps, so the word loops behind Bitmap / CountingColumn /
 /// the count providers are routed through one table of function pointers,
 /// selected once per process: the best ISA the CPU supports (AVX-512 with
 /// VPOPCNTDQ > AVX2 > NEON > portable std::popcount), overridable with the
@@ -112,18 +112,19 @@ std::string AvailableKernelNames();
 inline constexpr size_t kKernelTileWords = 1024;
 
 /// The prefix-blocked execution plan for one level batch. The level-wise
-/// miner's deduplicated queries arrive as runs sharing a (k-1)-prefix
-/// (sibling candidates differ in their last item only), so instead of
-/// re-walking full bitmaps per query the executor groups queries by that
-/// prefix, materializes the prefix intersection one tile at a time, and
-/// streams every extension item's column against the hot tile.
+/// miner's candidates arrive as runs sharing a (k-1)-prefix (sibling
+/// candidates differ in their last item only), so instead of re-walking
+/// full bitmaps per query the executor groups queries by that prefix,
+/// materializes the prefix intersection one tile at a time, and streams
+/// every extension item's column against the hot tile — Eclat's
+/// prefix-tidset intersection.
 struct BlockedCountPlan {
   struct Group {
     /// Shared prefix — the AND operands (size >= 1). A size-1 prefix
     /// aliases the item column directly; nothing is copied.
     Itemset prefix;
-    /// Query slots answered by popcount(prefix) itself (duplicate queries
-    /// each keep their own slot; one popcount serves them all).
+    /// Query slots answered by popcount(prefix) itself (adjacent duplicate
+    /// queries each keep their own slot; one popcount serves them all).
     std::vector<uint32_t> self_queries;
     /// Last items of the size-(|prefix|+1) queries in this group, and the
     /// answer slot of each.
@@ -134,10 +135,12 @@ struct BlockedCountPlan {
   std::vector<Group> groups;
   size_t num_queries = 0;
 
-  /// Groups `queries` by their (size-1)-prefix in first-touch order (so the
-  /// plan — and everything downstream — is deterministic for a given query
-  /// stream). Queries must be non-empty itemsets; duplicates are allowed
-  /// and each slot still gets its answer.
+  /// Groups `queries` by their (size-1)-prefix: consecutive queries with
+  /// the same prefix form one group, so a prefix-sorted stream (what every
+  /// library caller sends: the miner, Apriori, out-of-core pass 2, memo
+  /// misses) yields one group per prefix run. Any other order still counts
+  /// exactly, in more and smaller groups. Queries must be non-empty
+  /// itemsets; duplicates are allowed and each slot still gets its answer.
   static BlockedCountPlan Build(std::span<const Itemset> queries);
 };
 

@@ -27,6 +27,19 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown command should fail")
 endif()
 
+# Integer flags past INT32_MAX are rejected, not wrapped: 4294967299 would
+# narrow to 3 and 2147483648 to a negative (unlimited) level cap.
+foreach(arg "--max-level;4294967299" "--max-level;2147483648"
+            "--threads;4294967297" "--shards;4294967297")
+  execute_process(
+    COMMAND ${CLI} mine ${WORKDIR}/smoke.txt --support-count 25
+            --cell-fraction 0.26 ${arg}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "out of range")
+    message(FATAL_ERROR "mine ${arg} should fail as out of range: ${rc} ${err}")
+  endif()
+endforeach()
+
 # Exact-test of one itemset.
 execute_process(
   COMMAND ${CLI} check ${WORKDIR}/smoke.txt --items 0,1 --rounds 50

@@ -2,14 +2,14 @@
 
 #include "core/contingency_table.h"
 #include "datagen/quest_generator.h"
-#include "itemset/compressed_bitmap.h"
+#include "itemset/counting_column.h"
 #include "test_util.h"
 
 namespace corrmine {
 namespace {
 
 TEST(CompressedBitmapTest, BuildAndTest) {
-  CompressedBitmap map(200000, {0, 5, 65535, 65536, 199999});
+  CountingColumn map(200000, {0, 5, 65535, 65536, 199999});
   EXPECT_EQ(map.Count(), 5u);
   EXPECT_TRUE(map.Test(0));
   EXPECT_TRUE(map.Test(65535));
@@ -21,11 +21,11 @@ TEST(CompressedBitmapTest, BuildAndTest) {
 }
 
 TEST(CompressedBitmapTest, EmptyMap) {
-  CompressedBitmap map(1000, {});
+  CountingColumn map(1000, {});
   EXPECT_EQ(map.Count(), 0u);
   EXPECT_FALSE(map.Test(0));
   EXPECT_TRUE(map.ToRows().empty());
-  CompressedBitmap other(1000, {5});
+  CountingColumn other(1000, {5});
   EXPECT_EQ(map.AndCount(other), 0u);
 }
 
@@ -35,7 +35,7 @@ TEST(CompressedBitmapTest, DenseContainerKicksIn) {
   for (uint32_t r = 0; r < 5000; ++r) rows.push_back(r * 13 % 65536);
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  CompressedBitmap map(65536, rows);
+  CountingColumn map(65536, rows);
   EXPECT_EQ(map.Count(), rows.size());
   for (uint32_t r : rows) EXPECT_TRUE(map.Test(r));
   EXPECT_EQ(map.ToRows(), rows);
@@ -47,7 +47,7 @@ TEST(CompressedBitmapTest, RoundTripThroughRows) {
   for (uint32_t r = 0; r < 300000; ++r) {
     if (rng.NextBernoulli(0.01)) rows.push_back(r);
   }
-  CompressedBitmap map(300000, rows);
+  CountingColumn map(300000, rows);
   EXPECT_EQ(map.ToRows(), rows);
 }
 
@@ -61,8 +61,8 @@ TEST_P(CompressedVsPlain, AndCountMatchesPlainBitmap) {
     if (rng.NextBernoulli(0.02)) a.Set(r);
     if (rng.NextBernoulli(0.3)) b.Set(r);  // One sparse, one dense-ish.
   }
-  CompressedBitmap ca = CompressedBitmap::FromBitmap(a);
-  CompressedBitmap cb = CompressedBitmap::FromBitmap(b);
+  CountingColumn ca = CountingColumn::FromBitmap(a);
+  CountingColumn cb = CountingColumn::FromBitmap(b);
   EXPECT_EQ(ca.Count(), a.Count());
   EXPECT_EQ(cb.Count(), b.Count());
   EXPECT_EQ(ca.AndCount(cb), a.AndCount(b));

@@ -126,19 +126,15 @@ TEST(DifferentialMinersTest, AprioriIdenticalAcrossCountProviders) {
   TransactionDatabase db = SeededQuest(1997);
   ScanCountProvider scan(db);
   BitmapCountProvider bitmap(db);
-  CachedCountProvider cached(bitmap.index());
 
   AprioriOptions options;
   options.min_support_fraction = 0.02;
   options.max_level = 3;
   auto from_scan = MineFrequentItemsets(scan, db.num_items(), options);
   auto from_bitmap = MineFrequentItemsets(bitmap, db.num_items(), options);
-  auto from_cached = MineFrequentItemsets(cached, db.num_items(), options);
   ASSERT_TRUE(from_scan.ok());
   ASSERT_TRUE(from_bitmap.ok());
-  ASSERT_TRUE(from_cached.ok());
   EXPECT_EQ(AsMap(*from_scan), AsMap(*from_bitmap));
-  EXPECT_EQ(AsMap(*from_scan), AsMap(*from_cached));
 }
 
 /// Fingerprint of a mining result, including the new LevelStats columns —
@@ -165,7 +161,6 @@ TEST(DifferentialMinersTest, ChiSquaredVerdictsIdenticalAcrossProviders) {
   TransactionDatabase db = SeededQuest(42);
   ScanCountProvider scan(db);
   BitmapCountProvider bitmap(db);
-  CachedCountProvider cached(bitmap.index());
 
   MinerOptions options;
   options.support.min_count = 10;
@@ -176,15 +171,12 @@ TEST(DifferentialMinersTest, ChiSquaredVerdictsIdenticalAcrossProviders) {
 
   auto from_scan = MineCorrelations(scan, db.num_items(), options);
   auto from_bitmap = MineCorrelations(bitmap, db.num_items(), options);
-  auto from_cached = MineCorrelations(cached, db.num_items(), options);
   ASSERT_TRUE(from_scan.ok()) << from_scan.status().ToString();
   ASSERT_TRUE(from_bitmap.ok());
-  ASSERT_TRUE(from_cached.ok());
 
   std::string fingerprint = MiningFingerprint(*from_scan);
   EXPECT_FALSE(from_scan->significant.empty()) << "degenerate fixture";
   EXPECT_EQ(MiningFingerprint(*from_bitmap), fingerprint);
-  EXPECT_EQ(MiningFingerprint(*from_cached), fingerprint);
 }
 
 // The K-invariance contract (DESIGN.md §7), end to end: rules, statistics

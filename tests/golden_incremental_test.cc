@@ -96,7 +96,7 @@ std::string RenderWindow(const MiningResult& result,
   }
   table.Print(out);
   out << "minimal correlated pairs: " << pairs.size() << "\n";
-  out << "stats: " << RenderDeterministicStats(result, nullptr) << "\n";
+  out << "stats: " << RenderDeterministicStats(result) << "\n";
   return out.str();
 }
 

@@ -162,7 +162,7 @@ TEST(GoldenTablesTest, Table4Text) {
 
   out << "\nminimal correlated pairs: " << pairs.size()
       << "\nminimal correlated triples: " << triples.size() << "\n";
-  out << "stats: " << RenderDeterministicStats(*result, nullptr) << "\n";
+  out << "stats: " << RenderDeterministicStats(*result) << "\n";
 
   CompareOrUpdate("table4_text", out.str());
 }
@@ -201,7 +201,7 @@ TEST(GoldenTablesTest, Table5Quest) {
                   std::to_string(level.not_significant)});
   }
   table.Print(out);
-  out << "\nstats: " << RenderDeterministicStats(*result, nullptr) << "\n";
+  out << "\nstats: " << RenderDeterministicStats(*result) << "\n";
 
   CompareOrUpdate("table5_quest", out.str());
 }

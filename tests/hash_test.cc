@@ -172,6 +172,16 @@ TEST(ItemsetPerfectSetTest, ManyItemsets) {
   }
   EXPECT_FALSE(set.Contains(Itemset{0, 60}));
   EXPECT_FALSE(set.Contains(Itemset{0, 1, 2}));
+  // The span probe returns the insertion index, the key the miner's
+  // parallel count arrays are addressed by.
+  for (size_t i = 0; i < set.size(); ++i) {
+    const std::vector<ItemId>& items = set.itemsets()[i].items();
+    std::optional<size_t> found = set.Find(items);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(*found, i);
+  }
+  const ItemId absent[] = {0, 1, 2};
+  EXPECT_FALSE(set.Find(absent).has_value());
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ std::string ReferenceFingerprint(const IncrementalMiner& inc,
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   auto result = session->Mine(options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  *stats_line = RenderDeterministicStats(*result, nullptr);
+  *stats_line = RenderDeterministicStats(*result);
   return ExactFingerprint(*result);
 }
 
@@ -160,7 +160,7 @@ TEST(IncrementalDifferentialTest, RepairMatchesScratchAfterEveryBatch) {
         EXPECT_EQ(ExactFingerprint(*repaired), want)
             << "threads " << threads << " shards " << shards << " batch "
             << batch << " (" << what << ")";
-        EXPECT_EQ(RenderDeterministicStats(*repaired, nullptr), want_stats)
+        EXPECT_EQ(RenderDeterministicStats(*repaired), want_stats)
             << "threads " << threads << " shards " << shards << " batch "
             << batch << " (" << what << ")";
         ASSERT_FALSE(repaired->significant.empty()) << "degenerate fixture";
@@ -206,7 +206,7 @@ TEST(IncrementalDifferentialTest, RoundTrippedSnapshotRepairsIdentically) {
   std::string want_stats;
   std::string want = ReferenceFingerprint(*inc, options, &want_stats);
   EXPECT_EQ(ExactFingerprint(*repaired), want);
-  EXPECT_EQ(RenderDeterministicStats(*repaired, nullptr), want_stats);
+  EXPECT_EQ(RenderDeterministicStats(*repaired), want_stats);
 }
 
 // A second repair with no intervening delta must be pure memo traffic: the

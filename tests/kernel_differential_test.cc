@@ -335,28 +335,49 @@ TEST(BlockedExecutionTest, WorkStatsCountLogicalWords) {
 }
 
 TEST(BlockedCountPlanTest, GroupsSiblingsAndDeduplicatesWork) {
-  // {0,1,2}, {0,1,3}, {0,1,4} share prefix {0,1}; the pair {0,1} is a
-  // size-2 query, so it lands in group {0} as extension 1; the singleton
-  // {7} — queried twice — is a self group answering both slots with one
-  // popcount.
-  std::vector<Itemset> queries = {Itemset{0, 1, 2}, Itemset{0, 1},
-                                  Itemset{0, 1, 3}, Itemset{7},
-                                  Itemset{0, 1, 4}, Itemset{7}};
-  BlockedCountPlan plan = BlockedCountPlan::Build(queries);
+  // A prefix-sorted stream, the shape every library caller sends: the
+  // adjacent duplicate singletons {0} share one self group (one popcount
+  // answers both slots) that the pair {0,1} extends, and the siblings
+  // {0,1,2}, {0,1,3}, {0,1,4} form one group on their prefix {0,1}.
+  std::vector<Itemset> sorted = {Itemset{0},       Itemset{0},
+                                 Itemset{0, 1},    Itemset{0, 1, 2},
+                                 Itemset{0, 1, 3}, Itemset{0, 1, 4},
+                                 Itemset{7}};
+  BlockedCountPlan plan = BlockedCountPlan::Build(sorted);
+  EXPECT_EQ(plan.num_queries, sorted.size());
   ASSERT_EQ(plan.groups.size(), 3u);
-  const BlockedCountPlan::Group& shared = plan.groups[0];
-  EXPECT_EQ(shared.prefix, (Itemset{0, 1}));
-  EXPECT_TRUE(shared.self_queries.empty());
-  EXPECT_EQ(shared.ext_items, (std::vector<ItemId>{2, 3, 4}));
-  EXPECT_EQ(shared.ext_queries, (std::vector<uint32_t>{0, 2, 4}));
-  const BlockedCountPlan::Group& pair = plan.groups[1];
-  EXPECT_EQ(pair.prefix, (Itemset{0}));
-  EXPECT_EQ(pair.ext_items, (std::vector<ItemId>{1}));
-  EXPECT_EQ(pair.ext_queries, (std::vector<uint32_t>{1}));
+  const BlockedCountPlan::Group& head = plan.groups[0];
+  EXPECT_EQ(head.prefix, (Itemset{0}));
+  EXPECT_EQ(head.self_queries, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(head.ext_items, (std::vector<ItemId>{1}));
+  EXPECT_EQ(head.ext_queries, (std::vector<uint32_t>{2}));
+  const BlockedCountPlan::Group& siblings = plan.groups[1];
+  EXPECT_EQ(siblings.prefix, (Itemset{0, 1}));
+  EXPECT_TRUE(siblings.self_queries.empty());
+  EXPECT_EQ(siblings.ext_items, (std::vector<ItemId>{2, 3, 4}));
+  EXPECT_EQ(siblings.ext_queries, (std::vector<uint32_t>{3, 4, 5}));
   const BlockedCountPlan::Group& single = plan.groups[2];
   EXPECT_EQ(single.prefix, (Itemset{7}));
-  EXPECT_EQ(single.self_queries, (std::vector<uint32_t>{3, 5}));
+  EXPECT_EQ(single.self_queries, (std::vector<uint32_t>{6}));
   EXPECT_TRUE(single.ext_items.empty());
+
+  // An interleaved stream only groups what is adjacent — every prefix
+  // change opens a new group — and still answers every slot exactly.
+  std::vector<Itemset> interleaved = {Itemset{0, 1, 2}, Itemset{0, 1},
+                                      Itemset{0, 1, 3}, Itemset{7},
+                                      Itemset{0, 1, 4}, Itemset{7}};
+  BlockedCountPlan split = BlockedCountPlan::Build(interleaved);
+  EXPECT_EQ(split.groups.size(), interleaved.size());
+  std::mt19937_64 rng(7);
+  TransactionDatabase db = MakeDatabase(300, 8, &rng);
+  VerticalIndex index(db);
+  std::vector<uint64_t> counts(interleaved.size(), ~uint64_t{0});
+  ExecuteBlockedGroups(split, 0, split.groups.size(), index,
+                       std::span<uint64_t>(counts), nullptr);
+  for (size_t q = 0; q < interleaved.size(); ++q) {
+    EXPECT_EQ(counts[q], index.CountAllPresent(interleaved[q]))
+        << interleaved[q].ToString();
+  }
 }
 
 TEST(KernelSelectionTest, RejectsUnknownAndRestoresAuto) {

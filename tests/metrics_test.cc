@@ -136,42 +136,6 @@ MinerOptions SmallMinerOptions() {
   return options;
 }
 
-TEST(MinerMetricsTest, CacheCountersNonzeroAndThreadCountInvariant) {
-  auto db = datagen::GenerateQuestData(SmallQuest());
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  BitmapCountProvider provider(*db);
-
-  // One fresh cache per run: the build-once memoization makes the hit/miss
-  // accounting a function of the query stream alone, so any thread count
-  // must reproduce the sequential numbers exactly.
-  CachedCountProvider::CacheStats baseline;
-  for (int threads : {1, 4}) {
-    CachedCountProvider cached(provider.index());
-    MinerOptions options = SmallMinerOptions();
-    options.num_threads = threads;
-    MetricsRegistry registry;
-    options.metrics = &registry;
-    auto result = MineCorrelations(cached, db->num_items(), options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    CachedCountProvider::CacheStats stats = cached.stats();
-    EXPECT_GT(stats.queries, 0u);
-    EXPECT_GT(stats.hits, 0u) << "prefix cache never hit on quest workload";
-    EXPECT_GT(stats.misses, 0u);
-    EXPECT_EQ(stats.overflow_builds, 0u);
-    EXPECT_LT(stats.and_word_ops, stats.uncached_and_word_ops)
-        << "cache did not save AND work";
-    if (threads == 1) {
-      baseline = stats;
-    } else {
-      EXPECT_EQ(stats.queries, baseline.queries);
-      EXPECT_EQ(stats.hits, baseline.hits);
-      EXPECT_EQ(stats.misses, baseline.misses);
-      EXPECT_EQ(stats.and_word_ops, baseline.and_word_ops);
-      EXPECT_EQ(stats.uncached_and_word_ops, baseline.uncached_and_word_ops);
-    }
-  }
-}
-
 TEST(MinerMetricsTest, RegistryCountersMatchLevelStats) {
   if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   auto db = datagen::GenerateQuestData(SmallQuest());
@@ -200,6 +164,13 @@ TEST(MinerMetricsTest, RegistryCountersMatchLevelStats) {
   EXPECT_EQ(snap.counters.at("miner.runs"), 1u);
   EXPECT_EQ(snap.counters.at("miner.levels"), result->levels.size());
   EXPECT_GE(snap.histograms.at("miner.level.ns").count,
+            result->levels.size());
+  // A mined level is one count batch, one evaluation pass and (when a
+  // deeper level may follow) one generation pass, each its own phase.
+  EXPECT_EQ(snap.counters.at("miner.count_batch.calls"),
+            result->levels.size());
+  EXPECT_EQ(snap.counters.at("miner.evaluate.calls"), result->levels.size());
+  EXPECT_EQ(snap.histograms.at("miner.evaluate.ns").count,
             result->levels.size());
   // The level-boundary peak-RSS gauge: set after every completed level, so
   // a finished run always carries the process high-water mark.

@@ -101,7 +101,7 @@ TEST(SchedulerDeterminismTest, MatrixByteIdentical) {
     ASSERT_FALSE(result->significant.empty()) << "degenerate fixture";
     ASSERT_GE(result->levels.size(), 2u) << "fixture must reach level 3";
     fingerprint = ExactFingerprint(*result);
-    stats_line = RenderDeterministicStats(*result, nullptr);
+    stats_line = RenderDeterministicStats(*result);
   }
 
   constexpr int kRepeats = 2;  // same config twice: catches flaky races
@@ -118,7 +118,7 @@ TEST(SchedulerDeterminismTest, MatrixByteIdentical) {
         EXPECT_EQ(ExactFingerprint(*result), fingerprint)
             << "threads " << threads << " shards " << shards << " repeat "
             << repeat;
-        EXPECT_EQ(RenderDeterministicStats(*result, nullptr), stats_line)
+        EXPECT_EQ(RenderDeterministicStats(*result), stats_line)
             << "threads " << threads << " shards " << shards << " repeat "
             << repeat;
       }
@@ -150,39 +150,8 @@ TEST(SchedulerDeterminismTest, AutoDetectedConfigMatchesBaseline) {
   auto result = session->Mine(options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(ExactFingerprint(*result), ExactFingerprint(*expected));
-  EXPECT_EQ(RenderDeterministicStats(*result, nullptr),
-            RenderDeterministicStats(*expected, nullptr));
-}
-
-// The prefix cache rides on top of the same pool; its deterministic cache
-// counters (and the mined bytes) must also be schedule-independent.
-TEST(SchedulerDeterminismTest, PrefixCacheStatsStableAcrossThreads) {
-  TransactionDatabase db = MatrixFixture();
-  MinerOptions options = MatrixMinerOptions();
-
-  std::string fingerprint;
-  std::string stats_line;
-  for (int threads : {1, 8}) {
-    SessionOptions session_options;
-    session_options.num_threads = threads;
-    session_options.num_shards = 1;
-    session_options.prefix_cache = true;
-    auto session = MiningSession::FromDatabase(db, session_options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    auto result = session->Mine(options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_NE(session->cache(), nullptr);
-    CachedCountProvider::CacheStats cache = session->cache()->stats();
-    std::string line = RenderDeterministicStats(*result, &cache);
-    if (fingerprint.empty()) {
-      fingerprint = ExactFingerprint(*result);
-      stats_line = line;
-    } else {
-      EXPECT_EQ(ExactFingerprint(*result), fingerprint)
-          << "threads " << threads;
-      EXPECT_EQ(line, stats_line) << "threads " << threads;
-    }
-  }
+  EXPECT_EQ(RenderDeterministicStats(*result),
+            RenderDeterministicStats(*expected));
 }
 
 }  // namespace

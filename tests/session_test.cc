@@ -83,25 +83,6 @@ TEST(MiningSessionTest, MatchesStandaloneMinerForAnyShardThreadConfig) {
   }
 }
 
-TEST(MiningSessionTest, PrefixCacheRequiresSingleShard) {
-  TransactionDatabase db = SeededQuest(7);
-  SessionOptions options;
-  options.prefix_cache = true;
-  options.num_shards = 2;
-  auto session = MiningSession::FromDatabase(db, options);
-  ASSERT_FALSE(session.ok());
-  EXPECT_TRUE(session.status().IsInvalidArgument());
-
-  options.num_shards = 1;
-  auto cached_session = MiningSession::FromDatabase(db, options);
-  ASSERT_TRUE(cached_session.ok()) << cached_session.status().ToString();
-  ASSERT_NE(cached_session->cache(), nullptr);
-  auto result = cached_session->Mine(TestMinerOptions());
-  ASSERT_TRUE(result.ok());
-  // The cache actually served the run.
-  EXPECT_GT(cached_session->cache()->stats().queries, 0u);
-}
-
 TEST(MiningSessionTest, InvalidOptionsRejected) {
   TransactionDatabase db = SeededQuest(7);
   SessionOptions negative_threads;
@@ -170,9 +151,8 @@ TEST(MiningSessionTest, FrequentMinersAgreeWithMonolithicBaseline) {
 }
 
 // Delta ingestion through the facade: AppendBatch must leave the session
-// indistinguishable from one opened over the concatenated data — for every
-// layout, including the prefix-cached one, whose memoized bitmaps predate
-// the append and must be epoch-invalidated rather than silently reused.
+// indistinguishable from one opened over the concatenated data, for every
+// shard layout.
 TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
   TransactionDatabase base = SeededQuest(1997);
   TransactionDatabase delta = SeededQuest(4711);
@@ -181,18 +161,12 @@ TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
     ASSERT_TRUE(combined.AddBasket(delta.basket(row)).ok());
   }
 
-  struct Layout {
-    int shards;
-    bool prefix_cache;
-  };
-  for (const Layout& layout :
-       {Layout{1, false}, Layout{3, false}, Layout{1, true}}) {
+  for (int shards : {1, 3}) {
     SessionOptions options;
-    options.num_shards = layout.shards;
-    options.prefix_cache = layout.prefix_cache;
+    options.num_shards = shards;
     auto session = MiningSession::FromDatabase(base, options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
-    // Prime the session (and any prefix cache) over the base rows first.
+    // Mine the session over the base rows first.
     ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
     ASSERT_TRUE(session->AppendBatch(delta).ok());
     EXPECT_EQ(session->num_baskets(),
@@ -205,8 +179,7 @@ TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
     auto scratch_result = scratch->Mine(TestMinerOptions());
     ASSERT_TRUE(scratch_result.ok());
     EXPECT_EQ(Fingerprint(*appended_result), Fingerprint(*scratch_result))
-        << "shards " << layout.shards << " prefix_cache "
-        << layout.prefix_cache;
+        << "shards " << shards;
   }
 }
 
@@ -218,7 +191,9 @@ TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
   // strategy: no per-candidate scalar counts, and exactly one batch per
   // level — the singleton marginals batch plus one per mined level. A
   // provider without batch overrides would fall back to scalar counting
-  // and fail the scalar_calls == 0 pin.
+  // and fail the scalar_calls == 0 pin. And one count per candidate: every
+  // proper subset's count is looked up from an earlier level, so the
+  // batches carry the items plus each level's candidates, nothing else.
   for (const SessionProvider provider :
        {SessionProvider::kBitmap, SessionProvider::kCompressed,
         SessionProvider::kScan}) {
@@ -240,8 +215,13 @@ TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
     EXPECT_EQ(registry.GetCounter("count_provider.batch_calls")->Value(),
               result->levels.size() + 1)
         << "provider " << static_cast<int>(provider);
-    EXPECT_GT(registry.GetCounter("count_provider.batch_queries")->Value(),
-              0u);
+    uint64_t queries = db.num_items();
+    for (const LevelStats& level : result->levels) {
+      queries += level.candidates;
+    }
+    EXPECT_EQ(registry.GetCounter("count_provider.batch_queries")->Value(),
+              queries)
+        << "provider " << static_cast<int>(provider);
   }
 }
 
@@ -302,21 +282,6 @@ TEST(MiningSessionTest, AppendBatchWorksForEveryProvider) {
     ASSERT_TRUE(rebuilt.ok());
     EXPECT_EQ(Fingerprint(*appended), Fingerprint(*rebuilt))
         << "provider " << static_cast<int>(provider);
-  }
-}
-
-TEST(MiningSessionTest, PrefixCacheRequiresBitmapProvider) {
-  TransactionDatabase db = SeededQuest(7);
-  for (const SessionProvider provider :
-       {SessionProvider::kCompressed, SessionProvider::kScan}) {
-    SessionOptions options;
-    options.prefix_cache = true;
-    options.num_shards = 1;
-    options.provider = provider;
-    auto session = MiningSession::FromDatabase(db, options);
-    ASSERT_FALSE(session.ok())
-        << "prefix cache must require the bitmap provider";
-    EXPECT_TRUE(session.status().IsInvalidArgument());
   }
 }
 

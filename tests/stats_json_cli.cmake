@@ -1,7 +1,6 @@
-# End-to-end check of the --stats-json determinism contract (ISSUE/DESIGN
-# §6): mine the same Quest fixture at --threads 1 and --threads 8 with the
-# prefix cache on, and require the "deterministic" line of the two stats
-# files to be byte-identical. The "runtime" sections (timings, pool
+# End-to-end check of the --stats-json determinism contract (DESIGN.md §6):
+# mine the same Quest fixture at --threads 1 and --threads 8, and require
+# the "deterministic" line of the two stats files to be byte-identical. The "runtime" sections (timings, pool
 # activity) are expected to differ and are not compared.
 execute_process(
   COMMAND ${CLI} generate quest --baskets 2000 --out ${WORKDIR}/stats_fixture.txt
@@ -14,7 +13,7 @@ foreach(threads 1 8)
   execute_process(
     COMMAND ${CLI} mine ${WORKDIR}/stats_fixture.txt
             --support-count 100 --cell-fraction 0.26 --max-level 3
-            --threads ${threads} --prefix-cache
+            --threads ${threads}
             --stats-json ${WORKDIR}/stats_t${threads}.json
     RESULT_VARIABLE rc OUTPUT_VARIABLE out)
   if(NOT rc EQUAL 0)
@@ -45,7 +44,7 @@ endif()
 
 # Schema sanity on the full document.
 file(READ ${WORKDIR}/stats_t1.json doc)
-foreach(key "\"schema\": \"corrmine-stats-v1\"" "\"runtime\":" "\"cache\":")
+foreach(key "\"schema\": \"corrmine-stats-v1\"" "\"runtime\":")
   string(FIND "${doc}" "${key}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "stats json missing ${key}:\n${doc}")
@@ -54,8 +53,7 @@ endforeach()
 
 # The K-invariance contract (DESIGN.md §7), end to end: the deterministic
 # line must also be byte-identical across every --shards K x --threads T
-# combination. Run without --prefix-cache — the cache is a single-shard
-# feature and its cost counters are not part of the sharded contract.
+# combination.
 set(reference "")
 foreach(shards 1 4)
   foreach(threads 1 8)
@@ -87,19 +85,6 @@ foreach(shards 1 4)
     endif()
   endforeach()
 endforeach()
-
-# The earlier runs used the prefix cache; verdicts (rules + per-level
-# accounting) must not move when sharding replaces it. The cache field
-# itself legitimately differs ({"queries":...} vs null), so compare the
-# lines with it stripped.
-string(REGEX REPLACE "\"cache\":.*" "" cached_core "${lines_t1}")
-string(REGEX REPLACE "\"cache\":.*" "" sharded_core "${reference}")
-if(NOT cached_core STREQUAL sharded_core)
-  message(FATAL_ERROR
-          "deterministic stats diverged between the cached single-shard "
-          "run and the sharded matrix:\n  cached:  ${cached_core}\n"
-          "  sharded: ${sharded_core}")
-endif()
 
 # Tracing must be a pure observer: re-run the matrix with --trace-out and
 # require the deterministic line to stay byte-identical to the untraced

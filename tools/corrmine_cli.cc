@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -70,10 +71,6 @@ constexpr char kUsage[] =
     "                             count per shard (default 1; 0 = one per\n"
     "                             hardware thread; output is identical for\n"
     "                             any K — see DESIGN.md §7)\n"
-    "      --prefix-cache         memoize prefix bitmap intersections\n"
-    "                             (same counts, fewer AND operations;\n"
-    "                             requires --shards 1 and the bitmap\n"
-    "                             provider)\n"
     "      --provider NAME        counting strategy: bitmap (default,\n"
     "                             per-shard uncompressed bitmap indexes),\n"
     "                             compressed (hybrid array/bitmap/run\n"
@@ -92,7 +89,7 @@ constexpr char kUsage[] =
     "                             byte-identical to the in-memory mine;\n"
     "                             honors --threads and the mining flags,\n"
     "                             excludes --provider/--shards/--names/\n"
-    "                             --prefix-cache/--resume-from/--append\n"
+    "                             --resume-from/--append\n"
     "      --memory-budget B      out-of-core resident-set target in bytes\n"
     "                             (default 268435456); partitions are\n"
     "                             sized so peak RSS stays near it\n"
@@ -198,15 +195,30 @@ constexpr char kUsage[] =
     "      --seed S               generator seed\n"
     "      --format text|binary   output encoding (readers auto-detect)\n";
 
+/// A non-negative integer flag that lands in an int. Values past INT32_MAX
+/// are rejected: narrowing would silently wrap them, turning
+/// --max-level 4294967299 into 3 and --max-level 2147483648 into a
+/// negative "no limit".
+StatusOr<int> GetIntFlag(const FlagParser& flags, const std::string& name,
+                         int fallback) {
+  CORRMINE_ASSIGN_OR_RETURN(
+      uint64_t value, flags.GetUint64(name, static_cast<uint64_t>(fallback)));
+  if (value > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::InvalidArgument(
+        "--" + name + " " + std::to_string(value) + " is out of range (max " +
+        std::to_string(std::numeric_limits<int32_t>::max()) + ")");
+  }
+  return static_cast<int>(value);
+}
+
 /// Session knobs shared by mine/rules/check: --threads and --shards follow
 /// the same convention (default 1, 0 = one per hardware thread).
 StatusOr<SessionOptions> SessionOptionsFromFlags(const FlagParser& flags) {
   SessionOptions options;
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t threads, flags.GetUint64("threads", 1));
-  options.num_threads = static_cast<int>(threads);
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t shards, flags.GetUint64("shards", 1));
-  options.num_shards = static_cast<int>(shards);
-  options.prefix_cache = flags.GetBool("prefix-cache", false);
+  CORRMINE_ASSIGN_OR_RETURN(options.num_threads,
+                            GetIntFlag(flags, "threads", 1));
+  CORRMINE_ASSIGN_OR_RETURN(options.num_shards,
+                            GetIntFlag(flags, "shards", 1));
   options.named_items = flags.GetBool("names", false);
   const std::string provider = flags.GetString("provider", "bitmap");
   if (provider == "bitmap") {
@@ -232,9 +244,8 @@ StatusOr<MinerOptions> MinerOptionsFromFlags(const FlagParser& flags) {
                             flags.GetDouble("cell-fraction", 0.26));
   CORRMINE_ASSIGN_OR_RETURN(options.confidence_level,
                             flags.GetDouble("confidence-level", 0.95));
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t max_level,
-                            flags.GetUint64("max-level", 0));
-  options.max_level = static_cast<int>(max_level);
+  CORRMINE_ASSIGN_OR_RETURN(options.max_level,
+                            GetIntFlag(flags, "max-level", 0));
   CORRMINE_ASSIGN_OR_RETURN(options.chi2.min_expected_cell,
                             flags.GetDouble("min-expected", 0.0));
   if (flags.GetBool("progress", false)) {
@@ -287,22 +298,14 @@ Status PrintMineResult(const FlagParser& flags, const MiningResult& result,
   return Status::OK();
 }
 
-/// Honors --stats-json/--stats against `registry`. `cached` may be null.
+/// Honors --stats-json/--stats against `registry`.
 Status EmitMineStats(const FlagParser& flags, const MiningResult& result,
-                     const CachedCountProvider* cached,
-                     MetricsRegistry& registry) {
+                     const MetricsRegistry& registry) {
   std::string stats_path = flags.GetString("stats-json", "");
   bool print_stats = flags.GetBool("stats", false);
-  if (stats_path.empty() && !print_stats) return Status::OK();
-  CachedCountProvider::CacheStats cache_stats;
-  if (cached) {
-    cache_stats = cached->stats();
-    cached->PublishMetrics(&registry);
-  }
   if (!stats_path.empty()) {
-    CORRMINE_RETURN_NOT_OK(WriteStatsJson(
-        stats_path,
-        RenderStatsJson(result, cached ? &cache_stats : nullptr, registry)));
+    CORRMINE_RETURN_NOT_OK(
+        WriteStatsJson(stats_path, RenderStatsJson(result, registry)));
     std::cout << "stats written to " << stats_path << "\n";
   }
   if (print_stats) std::cerr << registry.DumpMetrics();
@@ -383,8 +386,8 @@ Status RunMineOutOfCore(const FlagParser& flags) {
   ProfileOutGuard profile_guard(flags.GetString("profile-out", ""),
                                 flags.GetBool("pmu", false));
   for (const char* incompatible :
-       {"names", "prefix-cache", "resume-from", "append", "border-out",
-        "provider", "shards"}) {
+       {"names", "resume-from", "append", "border-out", "provider",
+        "shards"}) {
     if (flags.HasFlag(incompatible)) {
       return Status::InvalidArgument(
           std::string("--out-of-core cannot be combined with --") +
@@ -396,8 +399,8 @@ Status RunMineOutOfCore(const FlagParser& flags) {
   }
   OutOfCoreMinerOptions options;
   CORRMINE_ASSIGN_OR_RETURN(options.miner, MinerOptionsFromFlags(flags));
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t threads, flags.GetUint64("threads", 1));
-  options.miner.num_threads = static_cast<int>(threads);
+  CORRMINE_ASSIGN_OR_RETURN(options.miner.num_threads,
+                            GetIntFlag(flags, "threads", 1));
   CORRMINE_ASSIGN_OR_RETURN(
       options.memory_budget_bytes,
       flags.GetUint64("memory-budget", uint64_t{256} << 20));
@@ -422,7 +425,7 @@ Status RunMineOutOfCore(const FlagParser& flags) {
             << stats.spilled_encoded_bytes << "/"
             << stats.spilled_payload_bytes << " bytes\n";
   CORRMINE_RETURN_NOT_OK(PrintMineResult(flags, result, nullptr));
-  return EmitMineStats(flags, result, nullptr, MetricsRegistry::Global());
+  return EmitMineStats(flags, result, MetricsRegistry::Global());
 }
 
 Status RunMine(const FlagParser& flags) {
@@ -514,9 +517,8 @@ Status RunMine(const FlagParser& flags) {
   } else if (algo == "walk") {
     RandomWalkOptions walk;
     walk.miner = options;
-    CORRMINE_ASSIGN_OR_RETURN(uint64_t walks,
-                              flags.GetUint64("walks", 1000));
-    walk.num_walks = static_cast<int>(walks);
+    CORRMINE_ASSIGN_OR_RETURN(walk.num_walks,
+                              GetIntFlag(flags, "walks", 1000));
     CORRMINE_ASSIGN_OR_RETURN(result, session.MineRandomWalk(walk));
   } else {
     return Status::InvalidArgument("unknown --algo: " + algo);
@@ -530,7 +532,7 @@ Status RunMine(const FlagParser& flags) {
               << state->counts.size() << " memoized counts)\n";
   }
 
-  return EmitMineStats(flags, result, session.cache(), session.metrics());
+  return EmitMineStats(flags, result, session.metrics());
 }
 
 Status RunDependencies(const FlagParser& flags) {
@@ -594,9 +596,8 @@ Status RunCheck(const FlagParser& flags) {
   Itemset s(std::move(items));
 
   stats::PermutationTestOptions options;
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t rounds,
-                            flags.GetUint64("rounds", 1000));
-  options.rounds = static_cast<int>(rounds);
+  CORRMINE_ASSIGN_OR_RETURN(options.rounds,
+                            GetIntFlag(flags, "rounds", 1000));
   CORRMINE_ASSIGN_OR_RETURN(
       auto result, stats::PermutationIndependenceTest(db, s, options));
   std::cout << "itemset " << s.ToString() << " over " << db.num_baskets()

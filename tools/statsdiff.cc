@@ -7,7 +7,7 @@
 //       [--counters P1,P2,...]    also require exact equality for runtime
 //                                 counters/gauges whose name starts with one
 //                                 of the given prefixes (e.g.
-//                                 "miner.,count_provider.,cache.", or
+//                                 "miner.,count_provider.", or
 //                                 "kernel." for the counting-kernel word
 //                                 counters, which are kernel-invariant)
 //   statsdiff --validate-trace <trace.json>
