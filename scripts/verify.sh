@@ -4,12 +4,14 @@
 # stage (the pure-observer sentinel across off/sampling/PMU/both plus
 # collapsed-stack validation), the full test suite with the metrics layer
 # compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
-# and a ThreadSanitizer run over the concurrency-sensitive suites (the
-# parallel mining engine, its pool, and the count providers). Run from the
-# repository root:
+# a ThreadSanitizer run over the concurrency-sensitive suites (the
+# parallel mining engine, its pool, and the count providers), and an
+# AddressSanitizer run over the suites that feed the input decoders. Run
+# from the repository root:
 #
 #   scripts/verify.sh                  # everything
 #   SKIP_TSAN=1 scripts/verify.sh      # skip the TSan stage
+#   SKIP_ASAN=1 scripts/verify.sh      # skip the ASan stage
 #   SKIP_METRICS_OFF=1 scripts/verify.sh  # skip the metrics-off stage
 #   SKIP_STATSDIFF=1 scripts/verify.sh    # skip the statsdiff/trace stages
 #   SKIP_PROFILE=1 scripts/verify.sh      # skip the profiling stage (the
@@ -326,6 +328,21 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   (cd build-tsan &&
    ctest --output-on-failure \
      -R '^(thread_pool_test|miner_test|batch_tables_test|sharded_database_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
+fi
+
+if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
+  echo "== ASan: input decoder suites =="
+  # The CMB1 decoder (io/cmb1_decoder.h) is pointer arithmetic over
+  # untrusted bytes: an out-of-bounds read there passes every suite that
+  # only checks Status values. These suites feed it truncated, corrupt and
+  # window-straddling files, and the CBS1 snapshots its varint reader.
+  cmake -B build-asan -S . -DCORRMINE_SANITIZE=address >/dev/null
+  cmake --build build-asan -j \
+    --target binary_io_test sharded_database_test session_test \
+    outofcore_test border_state_test io_test >/dev/null
+  (cd build-asan &&
+   ctest --output-on-failure \
+     -R '^(binary_io_test|sharded_database_test|session_test|outofcore_test|border_state_test|io_test)$')
 fi
 
 echo "verify: OK"

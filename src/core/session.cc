@@ -1,13 +1,12 @@
 #include "core/session.h"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "io/binary_io.h"
 #include "io/sharded_loader.h"
 #include "io/transaction_io.h"
 
@@ -25,6 +24,19 @@ Status ValidateSessionOptions(const SessionOptions& options) {
   return Status::OK();
 }
 
+/// Reads `path` into the session's shard layout: named-item text is
+/// interned first, every other file goes through the sniffing loader.
+StatusOr<ShardedTransactionDatabase> LoadSessionDatabase(
+    const std::string& path, size_t shards, const SessionOptions& options) {
+  if (options.named_items) {
+    CORRMINE_ASSIGN_OR_RETURN(std::string text, io::ReadFileToString(path));
+    CORRMINE_ASSIGN_OR_RETURN(TransactionDatabase db,
+                              io::ParseNamedTransactions(text));
+    return ShardedTransactionDatabase::Partition(db, shards);
+  }
+  return io::LoadTransactionFileSharded(path, shards, options.num_items_hint);
+}
+
 }  // namespace
 
 MiningSession::MiningSession(MiningSession&&) noexcept = default;
@@ -37,23 +49,26 @@ MiningSession::MiningSession(ShardedTransactionDatabase db,
       provider_kind_(options.provider),
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
-  TraceScope span("session.open", -1,
-                  static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(db_.num_baskets()));
-  ProfileScope profile("io.load");
-  switch (provider_kind_) {
-    case SessionProvider::kBitmap:
-      sharded_provider_ = std::make_unique<ShardedCountProvider>(db_);
-      active_provider_ = sharded_provider_.get();
-      break;
-    case SessionProvider::kCompressed:
-      compressed_provider_ = std::make_unique<CompressedCountProvider>(db_);
-      active_provider_ = compressed_provider_.get();
-      break;
-    case SessionProvider::kScan:
-      scan_provider_ = std::make_unique<ShardedScanCountProvider>(db_);
-      active_provider_ = scan_provider_.get();
-      break;
+  {
+    PhaseTimer build_timer(&metrics(), "session.build_index");
+    TraceScope build_span("session.build_index", -1,
+                          static_cast<int64_t>(db_.num_shards()),
+                          static_cast<int64_t>(db_.num_baskets()));
+    ProfileScope build_profile("session.build_index");
+    switch (provider_kind_) {
+      case SessionProvider::kBitmap:
+        sharded_provider_ = std::make_unique<ShardedCountProvider>(db_);
+        active_provider_ = sharded_provider_.get();
+        break;
+      case SessionProvider::kCompressed:
+        compressed_provider_ = std::make_unique<CompressedCountProvider>(db_);
+        active_provider_ = compressed_provider_.get();
+        break;
+      case SessionProvider::kScan:
+        scan_provider_ = std::make_unique<ShardedScanCountProvider>(db_);
+        active_provider_ = scan_provider_.get();
+        break;
+    }
   }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   metrics().GetGauge("mem.peak_rss_bytes")
@@ -65,21 +80,18 @@ StatusOr<MiningSession> MiningSession::Open(const std::string& path,
   CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   const size_t shards =
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  if (options.named_items) {
-    std::ifstream file(path);
-    if (!file) return Status::IOError("cannot open " + path);
-    std::ostringstream content;
-    content << file.rdbuf();
-    if (file.bad()) return Status::IOError("error reading " + path);
-    CORRMINE_ASSIGN_OR_RETURN(TransactionDatabase db,
-                              io::ParseNamedTransactions(content.str()));
-    return MiningSession(ShardedTransactionDatabase::Partition(db, shards),
-                         options);
+  StatusOr<ShardedTransactionDatabase> db = Status::Internal("not loaded");
+  {
+    PhaseTimer load_timer(options.metrics != nullptr
+                              ? options.metrics
+                              : &MetricsRegistry::Global(),
+                          "io.load");
+    TraceScope load_span("io.load", -1, static_cast<int64_t>(shards));
+    ProfileScope load_profile("io.load");
+    db = LoadSessionDatabase(path, shards, options);
   }
-  CORRMINE_ASSIGN_OR_RETURN(
-      ShardedTransactionDatabase db,
-      io::LoadTransactionFileSharded(path, shards, options.num_items_hint));
-  return MiningSession(std::move(db), options);
+  CORRMINE_RETURN_NOT_OK(db.status());
+  return MiningSession(std::move(*db), options);
 }
 
 StatusOr<MiningSession> MiningSession::FromDatabase(

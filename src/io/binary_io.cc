@@ -1,10 +1,16 @@
 #include "io/binary_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <fstream>
-#include <memory>
-#include <sstream>
+#include <optional>
 #include <utility>
 
+#include "io/cmb1_decoder.h"
 #include "io/format_detect.h"
 
 namespace corrmine::io {
@@ -27,20 +33,18 @@ void AppendVarint(std::string* out, uint64_t value) {
 }
 
 StatusOr<uint64_t> ReadVarint(const std::string& bytes, size_t* pos) {
+  const char* p = bytes.data() + std::min(*pos, bytes.size());
   uint64_t value = 0;
-  int shift = 0;
-  while (true) {
-    if (*pos >= bytes.size()) {
+  switch (DecodeVarint(&p, bytes.data() + bytes.size(), &value)) {
+    case VarintStep::kOk:
+      break;
+    case VarintStep::kNeedMore:
       return Status::Corruption("truncated varint");
-    }
-    uint8_t byte = static_cast<uint8_t>(bytes[(*pos)++]);
-    if (shift >= 63 && (byte & 0x7f) > 1) {
+    case VarintStep::kOverflow:
       return Status::Corruption("varint overflow");
-    }
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
   }
+  *pos = static_cast<size_t>(p - bytes.data());
+  return value;
 }
 
 std::string EncodeBinaryTransactions(const TransactionDatabase& db) {
@@ -60,88 +64,70 @@ std::string EncodeBinaryTransactions(const TransactionDatabase& db) {
   return out;
 }
 
-Status DecodeBinaryTransactionSegment(
-    const std::string& bytes, size_t* pos, ItemId* num_items,
-    uint64_t* num_baskets,
-    const std::function<Status(std::vector<ItemId>)>& sink) {
-  if (bytes.size() < *pos + kMagicSize ||
-      bytes.compare(*pos, kMagicSize, kMagic, kMagicSize) != 0) {
-    return Status::Corruption("missing CMB1 magic");
-  }
-  *pos += kMagicSize;
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t item_space, ReadVarint(bytes, pos));
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t baskets, ReadVarint(bytes, pos));
-  if (item_space == 0 || item_space > UINT32_MAX) {
-    return Status::Corruption("invalid item-space size");
-  }
-  *num_items = static_cast<ItemId>(item_space);
-  *num_baskets = baskets;
-
-  for (uint64_t b = 0; b < baskets; ++b) {
-    CORRMINE_ASSIGN_OR_RETURN(uint64_t size, ReadVarint(bytes, pos));
-    if (size > item_space) {
-      return Status::Corruption("basket size exceeds item space");
-    }
-    std::vector<ItemId> basket;
-    if (sink != nullptr) basket.reserve(size);
-    uint64_t current = 0;
-    for (uint64_t i = 0; i < size; ++i) {
-      CORRMINE_ASSIGN_OR_RETURN(uint64_t delta, ReadVarint(bytes, pos));
-      if (i > 0 && delta == 0) {
-        return Status::Corruption("non-increasing item delta");
-      }
-      current = i == 0 ? delta : current + delta;
-      if (current >= item_space) {
-        return Status::Corruption("item id out of range");
-      }
-      if (sink != nullptr) basket.push_back(static_cast<ItemId>(current));
-    }
-    if (sink != nullptr) {
-      CORRMINE_RETURN_NOT_OK(sink(std::move(basket)));
-    }
-  }
-  return Status::OK();
-}
-
 Status DecodeBinaryTransactionsInto(
     const std::string& bytes, ItemId* num_items,
     const std::function<Status(std::vector<ItemId>)>& sink) {
-  size_t pos = 0;
-  uint64_t num_baskets = 0;
-  CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-      bytes, &pos, num_items, &num_baskets, sink));
-  if (pos != bytes.size()) {
-    return Status::Corruption("trailing bytes after final basket");
-  }
-  return Status::OK();
+  Cmb1Decoder decoder;
+  return DecodeCmb1(
+      bytes, /*single_segment=*/true, &decoder,
+      [&](size_t) {
+        *num_items = decoder.segment_items();
+        return Status::OK();
+      },
+      [&](std::vector<ItemId>& basket) { return sink(std::move(basket)); });
 }
 
 StatusOr<TransactionDatabase> DecodeBinaryTransactions(
     const std::string& bytes) {
-  // The database is created lazily inside the sink because the item-space
-  // size only becomes known once the header has been validated.
-  std::unique_ptr<TransactionDatabase> db;
-  ItemId num_items = 0;
-  CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionsInto(
-      bytes, &num_items, [&](std::vector<ItemId> basket) -> Status {
-        if (!db) db = std::make_unique<TransactionDatabase>(num_items);
+  // The item-space size is only known once the header has been decoded.
+  std::optional<TransactionDatabase> db;
+  Cmb1Decoder decoder;
+  CORRMINE_RETURN_NOT_OK(DecodeCmb1(
+      bytes, /*single_segment=*/true, &decoder,
+      [&](size_t) {
+        db.emplace(decoder.segment_items());
+        return Status::OK();
+      },
+      [&](std::vector<ItemId>& basket) {
         return db->AddBasket(std::move(basket));
       }));
-  if (!db) db = std::make_unique<TransactionDatabase>(num_items);
   return std::move(*db);
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open " + path);
   }
-  std::ostringstream content;
-  content << file.rdbuf();
-  if (file.bad()) {
-    return Status::IOError("error reading " + path);
+  struct stat info {};
+  if (::fstat(fd, &info) != 0 || S_ISDIR(info.st_mode)) {
+    ::close(fd);
+    return Status::IOError("cannot read " + path + ": not a file");
   }
-  return content.str();
+  // A regular file is read into a buffer sized once from its length. Pipes,
+  // devices and files that report no length grow the buffer as they go.
+  const bool sized = S_ISREG(info.st_mode) && info.st_size > 0;
+  std::string bytes(sized ? static_cast<size_t>(info.st_size) : 64 * 1024,
+                    '\0');
+  size_t filled = 0;
+  while (true) {
+    if (filled == bytes.size()) {
+      if (sized) break;
+      bytes.resize(bytes.size() * 2);
+    }
+    const ssize_t got =
+        ::read(fd, bytes.data() + filled, bytes.size() - filled);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      ::close(fd);
+      return Status::IOError("error reading " + path);
+    }
+    if (got == 0) break;
+    filled += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  bytes.resize(filled);
+  return bytes;
 }
 
 Status WriteStringToFile(const std::string& bytes, const std::string& path) {

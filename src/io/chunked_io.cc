@@ -1,10 +1,9 @@
 #include "io/chunked_io.h"
 
-#include <algorithm>
 #include <fstream>
-#include <utility>
 
 #include "io/binary_io.h"
+#include "io/cmb1_decoder.h"
 #include "io/format_detect.h"
 
 namespace corrmine::io {
@@ -12,54 +11,18 @@ namespace corrmine::io {
 StatusOr<std::vector<TransactionChunkInfo>> ListTransactionChunks(
     const std::string& bytes) {
   std::vector<TransactionChunkInfo> chunks;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    TransactionChunkInfo info;
-    info.offset = pos;
-    CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-        bytes, &pos, &info.num_items, &info.num_baskets, nullptr));
-    info.size = pos - info.offset;
-    chunks.push_back(info);
-  }
-  if (chunks.empty()) {
-    return Status::Corruption("missing CMB1 magic");
-  }
+  Cmb1Decoder decoder;
+  CORRMINE_RETURN_NOT_OK(DecodeCmb1(
+      bytes, /*single_segment=*/false, &decoder,
+      [&](size_t offset) {
+        if (!chunks.empty()) chunks.back().size = offset - chunks.back().offset;
+        chunks.push_back({offset, 0, decoder.segment_items(),
+                          decoder.segment_baskets()});
+        return Status::OK();
+      },
+      [](std::vector<ItemId>&) { return Status::OK(); }));
+  chunks.back().size = bytes.size() - chunks.back().offset;
   return chunks;
-}
-
-Status DecodeChunkedTransactionsInto(
-    const std::string& bytes, ItemId* num_items,
-    const std::function<Status(size_t chunk_index, ItemId chunk_items,
-                               uint64_t chunk_baskets)>& chunk_begin,
-    const std::function<Status(std::vector<ItemId>)>& sink) {
-  ItemId max_items = 0;
-  size_t pos = 0;
-  size_t chunk_index = 0;
-  bool any = false;
-  while (pos < bytes.size()) {
-    // Two passes per segment: a validating skip to learn the header before
-    // any basket reaches the sink, then the decode proper. Segment parsing
-    // is varint walking, far cheaper than the basket materialization.
-    size_t peek = pos;
-    ItemId chunk_items = 0;
-    uint64_t chunk_baskets = 0;
-    CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-        bytes, &peek, &chunk_items, &chunk_baskets, nullptr));
-    if (chunk_begin != nullptr) {
-      CORRMINE_RETURN_NOT_OK(
-          chunk_begin(chunk_index, chunk_items, chunk_baskets));
-    }
-    CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-        bytes, &pos, &chunk_items, &chunk_baskets, sink));
-    max_items = std::max(max_items, chunk_items);
-    ++chunk_index;
-    any = true;
-  }
-  if (!any) {
-    return Status::Corruption("missing CMB1 magic");
-  }
-  *num_items = max_items;
-  return Status::OK();
 }
 
 Status AppendBinaryTransactionChunk(const TransactionDatabase& chunk,

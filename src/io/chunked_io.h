@@ -1,7 +1,6 @@
 #ifndef CORRMINE_IO_CHUNKED_IO_H_
 #define CORRMINE_IO_CHUNKED_IO_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,22 +31,12 @@ struct TransactionChunkInfo {
   uint64_t num_baskets = 0; ///< Baskets in this segment.
 };
 
-/// Parses segment headers (with full bounds validation — every record is
-/// walked, none decoded into memory) and returns one entry per segment in
-/// file order. Errors on any corruption, including zero segments.
+/// Validates every record in one pass (none is kept) and returns one entry
+/// per segment in file order. Errors on any corruption, including zero
+/// segments. The loaders (io/sharded_loader.h) decode a chunked file in the
+/// same single pass, widening the item space at each segment header.
 StatusOr<std::vector<TransactionChunkInfo>> ListTransactionChunks(
     const std::string& bytes);
-
-/// Streaming decode over every segment: `*num_items` receives the max of
-/// the segment item spaces, `chunk_begin` (nullable) fires at each segment
-/// header before its baskets, `sink` gets every basket in file order.
-/// `*num_items` is only valid after the decode returns OK — callers that
-/// need it before the first basket should ListTransactionChunks first.
-Status DecodeChunkedTransactionsInto(
-    const std::string& bytes, ItemId* num_items,
-    const std::function<Status(size_t chunk_index, ItemId chunk_items,
-                               uint64_t chunk_baskets)>& chunk_begin,
-    const std::function<Status(std::vector<ItemId>)>& sink);
 
 /// Appends `chunk` as a new segment at the end of `path`, creating the
 /// file when absent. An existing file must already be (chunked) binary —

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -24,16 +25,14 @@ size_t AlignUp(size_t value, size_t align) {
 /// Varint reader over the mapped bytes (ReadVarint wants a std::string).
 StatusOr<uint64_t> ReadVarintMem(const uint8_t* data, size_t len,
                                  size_t* pos) {
+  const char* begin = reinterpret_cast<const char*>(data);
+  const char* p = begin + std::min(*pos, len);
   uint64_t value = 0;
-  int shift = 0;
-  while (*pos < len && shift < 64) {
-    const uint8_t byte = data[*pos];
-    ++*pos;
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
+  if (DecodeVarint(&p, begin + len, &value) != VarintStep::kOk) {
+    return Status::Corruption("CCS: truncated varint in directory");
   }
-  return Status::Corruption("CCS: truncated varint in directory");
+  *pos = static_cast<size_t>(p - begin);
+  return value;
 }
 
 size_t RawPayloadBytes(const CountingColumn::ContainerView& view) {

@@ -22,6 +22,10 @@ StatusOr<TransactionFileFormat> DetectTransactionFileFormat(
   }
   char head[sizeof(kBinaryTransactionMagic)] = {0};
   file.read(head, sizeof(head));
+  if (file.bad()) {
+    // Opening a directory succeeds; reading it does not.
+    return Status::IOError("cannot read " + path);
+  }
   return DetectTransactionFormat(
       std::string_view(head, static_cast<size_t>(file.gcount())));
 }

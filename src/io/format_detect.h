@@ -26,7 +26,7 @@ enum class TransactionFileFormat {
 TransactionFileFormat DetectTransactionFormat(std::string_view head);
 
 /// File-based variant: reads up to 4 bytes of `path` and classifies them.
-/// Errors only if the file cannot be opened.
+/// Errors only if the file cannot be opened or read (a directory).
 StatusOr<TransactionFileFormat> DetectTransactionFileFormat(
     const std::string& path);
 

@@ -1,34 +1,69 @@
 #include "io/result_io.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
 #include "common/string_util.h"
+#include "io/binary_io.h"
 
 namespace corrmine::io {
 
+namespace {
+
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/// Appends `value` as printf's "%.17g" would: to_chars in the general
+/// format with a precision is specified as printf with that precision.
+void AppendDouble(std::string* out, double value) {
+  char buf[32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17)
+                       .ptr);
+}
+
+}  // namespace
+
 std::string SerializeMiningResult(const MiningResult& result) {
-  std::string out = "# corrmine result v1\n";
-  char buf[256];
+  // Reserve the widest possible output once: at most 128 bytes per level or
+  // rule line before its items and 11 per item.
+  size_t items = 0;
+  for (const CorrelationRule& rule : result.significant) {
+    items += rule.itemset.size();
+  }
+  std::string out;
+  out.reserve(32 + 128 * (result.levels.size() + result.significant.size()) +
+              11 * items);
+  out += "# corrmine result v1\n";
   for (const LevelStats& level : result.levels) {
-    std::snprintf(buf, sizeof(buf),
-                  "level %d %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 "\n",
-                  level.level, level.possible_itemsets, level.candidates,
-                  level.discards, level.significant, level.not_significant);
-    out += buf;
+    out += "level ";
+    AppendInt(&out, level.level);
+    for (const uint64_t field :
+         {level.possible_itemsets, level.candidates, level.discards,
+          level.significant, level.not_significant}) {
+      out += ' ';
+      AppendInt(&out, field);
+    }
+    out += '\n';
   }
   for (const CorrelationRule& rule : result.significant) {
-    std::snprintf(buf, sizeof(buf), "rule %.17g %.17g %" PRId64 " %u %.17g",
-                  rule.chi2.statistic, rule.chi2.p_value, rule.chi2.dof,
-                  rule.major_dependence.mask,
-                  rule.major_dependence.interest);
-    out += buf;
+    out += "rule ";
+    AppendDouble(&out, rule.chi2.statistic);
+    out += ' ';
+    AppendDouble(&out, rule.chi2.p_value);
+    out += ' ';
+    AppendInt(&out, rule.chi2.dof);
+    out += ' ';
+    AppendInt(&out, rule.major_dependence.mask);
+    out += ' ';
+    AppendDouble(&out, rule.major_dependence.interest);
     for (ItemId item : rule.itemset) {
       out += ' ';
-      out += std::to_string(item);
+      AppendInt(&out, item);
     }
     out += '\n';
   }
@@ -105,16 +140,8 @@ StatusOr<MiningResult> ParseMiningResult(const std::string& text) {
 }
 
 StatusOr<MiningResult> ReadMiningResult(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open " + path);
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  if (file.bad()) {
-    return Status::IOError("error reading " + path);
-  }
-  return ParseMiningResult(content.str());
+  CORRMINE_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+  return ParseMiningResult(text);
 }
 
 }  // namespace corrmine::io

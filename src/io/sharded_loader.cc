@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "io/binary_io.h"
-#include "io/chunked_io.h"
+#include "io/cmb1_decoder.h"
 #include "io/format_detect.h"
 #include "io/transaction_io.h"
 
@@ -15,48 +15,28 @@ namespace corrmine::io {
 
 namespace {
 
-/// Global item space of a (possibly multi-segment) binary file: the max of
-/// the per-segment headers, floored to 1 so an empty file still yields a
-/// valid database.
-ItemId ChunkedItemSpace(const std::vector<TransactionChunkInfo>& chunks) {
-  ItemId num_items = 1;
-  for (const TransactionChunkInfo& chunk : chunks) {
-    num_items = std::max(num_items, chunk.num_items);
-  }
-  return num_items;
-}
-
-StatusOr<ShardedTransactionDatabase> LoadBinarySharded(
-    const std::string& path, size_t num_shards) {
+/// Loads a (possibly multi-segment) binary file in one decode pass. The
+/// database is made at the first segment header and widened at each later
+/// one, so delta chunks appended by `ingest` load as the concatenation of
+/// their segments over the max of their item spaces, and records stream
+/// straight into it — no intermediate database.
+template <typename Database, typename MakeDatabase>
+StatusOr<Database> LoadBinary(const std::string& path,
+                              MakeDatabase make_database) {
   CORRMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  // The segment headers carry the item spaces, so one cheap header walk
-  // fixes the global space and records then stream straight into their
-  // shards — no intermediate database. Multi-segment files (delta chunks
-  // appended by `ingest`) load as the concatenation of their segments.
-  CORRMINE_ASSIGN_OR_RETURN(std::vector<TransactionChunkInfo> chunks,
-                            ListTransactionChunks(bytes));
-  ShardedTransactionDatabase db(ChunkedItemSpace(chunks), num_shards);
-  ItemId num_items = 0;
-  CORRMINE_RETURN_NOT_OK(DecodeChunkedTransactionsInto(
-      bytes, &num_items, nullptr,
-      [&](std::vector<ItemId> basket) -> Status {
-        return db.AddBasket(std::move(basket));
+  std::optional<Database> db;
+  Cmb1Decoder decoder;
+  CORRMINE_RETURN_NOT_OK(DecodeCmb1(
+      bytes, /*single_segment=*/false, &decoder,
+      [&](size_t) {
+        if (db) return db->GrowItemSpace(decoder.max_items());
+        db.emplace(make_database(decoder.max_items()));
+        return Status::OK();
+      },
+      [&](std::vector<ItemId>& basket) {
+        return db->AddBasket(std::move(basket));
       }));
-  return db;
-}
-
-StatusOr<TransactionDatabase> LoadBinaryMonolithic(const std::string& path) {
-  CORRMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  CORRMINE_ASSIGN_OR_RETURN(std::vector<TransactionChunkInfo> chunks,
-                            ListTransactionChunks(bytes));
-  TransactionDatabase db(ChunkedItemSpace(chunks));
-  ItemId num_items = 0;
-  CORRMINE_RETURN_NOT_OK(DecodeChunkedTransactionsInto(
-      bytes, &num_items, nullptr,
-      [&](std::vector<ItemId> basket) -> Status {
-        return db.AddBasket(std::move(basket));
-      }));
-  return db;
+  return std::move(*db);
 }
 
 StatusOr<ShardedTransactionDatabase> LoadTextSharded(
@@ -104,7 +84,8 @@ StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
   CORRMINE_ASSIGN_OR_RETURN(TransactionFileFormat format,
                             DetectTransactionFileFormat(path));
   if (format == TransactionFileFormat::kBinary) {
-    return LoadBinaryMonolithic(path);
+    return LoadBinary<TransactionDatabase>(
+        path, [](ItemId num_items) { return TransactionDatabase(num_items); });
   }
   return ReadTransactionFile(path, num_items_hint);
 }
@@ -115,7 +96,10 @@ StatusOr<ShardedTransactionDatabase> LoadTransactionFileSharded(
   CORRMINE_ASSIGN_OR_RETURN(TransactionFileFormat format,
                             DetectTransactionFileFormat(path));
   if (format == TransactionFileFormat::kBinary) {
-    return LoadBinarySharded(path, num_shards);
+    return LoadBinary<ShardedTransactionDatabase>(
+        path, [num_shards](ItemId num_items) {
+          return ShardedTransactionDatabase(num_items, num_shards);
+        });
   }
   return LoadTextSharded(path, num_shards, num_items_hint);
 }

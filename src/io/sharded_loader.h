@@ -18,8 +18,9 @@ StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
 
 /// Chunked reader: auto-detects the format and streams `path` directly into
 /// a K-shard database, round-robin by record order, without materializing
-/// the monolithic row store in between. Binary files stream record-by-record
-/// (the header fixes the item space upfront); text files buffer raw id
+/// the monolithic row store in between. Binary files decode in one pass,
+/// record by record (each segment header widens the item space); text files
+/// buffer raw id
 /// vectors until the maximum id is known, then distribute — either way
 /// exactly one copy of the basket data is ever alive. `num_shards` follows
 /// the ResolveShardCount convention (0 = one per hardware thread).

@@ -15,7 +15,8 @@ namespace corrmine::io {
 /// matter the file size. Formats are sniffed like every other loader
 /// (io/format_detect.h): text files are parsed line-by-line; CMB1 binary
 /// files — including chunked multi-segment tails from `ingest --append` —
-/// are decoded through a bounded rolling window.
+/// run the same decoder as the whole-file loaders (io/cmb1_decoder.h) over
+/// a 64 KiB rolling window, so both readers reject exactly the same files.
 ///
 /// `num_items` receives the item-space size on success: the maximum of
 /// the per-segment header values for binary files (authoritative — it may
@@ -24,8 +25,8 @@ namespace corrmine::io {
 /// per basket in file order; a non-OK sink status aborts the stream.
 ///
 /// `bytes_consumed` (optional) is kept current before every sink call:
-/// input bytes decoded so far, within one read-buffer refill for binary
-/// files and exact for text. Paired with the file size it gives the
+/// input bytes decoded so far, exact for binary files (the file size once
+/// the stream ends OK) and for text. Paired with the file size it gives the
 /// pipelined out-of-core spill pass a deterministic progress fraction —
 /// a pure function of the input prefix, never of wall-clock or threads.
 Status StreamTransactionFile(

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "io/binary_io.h"
 
 namespace corrmine::io {
 
@@ -81,16 +82,8 @@ StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
 
 StatusOr<TransactionDatabase> ReadTransactionFile(const std::string& path,
                                                   ItemId num_items_hint) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open " + path);
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  if (file.bad()) {
-    return Status::IOError("error reading " + path);
-  }
-  return ParseTransactions(content.str(), num_items_hint);
+  CORRMINE_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+  return ParseTransactions(text, num_items_hint);
 }
 
 Status WriteTransactionFile(const TransactionDatabase& db,

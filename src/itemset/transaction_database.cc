@@ -1,6 +1,7 @@
 #include "itemset/transaction_database.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.h"
 #include "itemset/bitmap.h"
@@ -33,8 +34,13 @@ TransactionDatabase::TransactionDatabase(ItemId num_items)
     : num_items_(num_items), item_counts_(num_items, 0) {}
 
 Status TransactionDatabase::AddBasket(std::vector<ItemId> items) {
-  std::sort(items.begin(), items.end());
-  items.erase(std::unique(items.begin(), items.end()), items.end());
+  // Decoded CMB1 rows arrive strictly increasing; only other rows (text
+  // input, generators, user deltas) pay for the sort and dedup.
+  if (std::adjacent_find(items.begin(), items.end(),
+                         std::greater_equal<ItemId>()) != items.end()) {
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+  }
   if (!items.empty() && items.back() >= num_items_) {
     return Status::OutOfRange("basket item id " +
                               std::to_string(items.back()) +

@@ -44,8 +44,8 @@ class TransactionDatabase {
   /// only contain ids below it.
   explicit TransactionDatabase(ItemId num_items);
 
-  /// Appends a basket; items are sorted/deduplicated. Errors if any item id
-  /// is out of range.
+  /// Appends a basket; items are sorted/deduplicated unless already
+  /// strictly increasing. Errors if any item id is out of range.
   Status AddBasket(std::vector<ItemId> items);
 
   /// Widens the item space to `num_items` (delta chunks may introduce ids

@@ -40,6 +40,23 @@ foreach(arg "--max-level;4294967299" "--max-level;2147483648"
   endif()
 endforeach()
 
+# A ten-byte varint whose last byte carries bits past 2^64 is corrupt to
+# every CMB1 reader: the out-of-core stream must refuse the file exactly
+# like the in-memory load. Bytes: CMB1, item space 4, one basket whose size
+# is the overlong varint (low bits 2), then deltas 1, 1.
+string(ASCII 67 77 66 49 4 1 130 128 128 128 128 128 128 128 128 2 1 1
+       overlong)
+file(WRITE ${WORKDIR}/overlong.bin "${overlong}")
+foreach(mode "" "--out-of-core")
+  execute_process(
+    COMMAND ${CLI} mine ${WORKDIR}/overlong.bin --support-count 1 ${mode}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "Corruption")
+    message(FATAL_ERROR
+            "mine ${mode} should reject an overlong varint: ${rc} ${err}")
+  endif()
+endforeach()
+
 # Exact-test of one itemset.
 execute_process(
   COMMAND ${CLI} check ${WORKDIR}/smoke.txt --items 0,1 --rounds 50

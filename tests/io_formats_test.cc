@@ -1,6 +1,11 @@
 // Tests for the tokenizer, CSV reader and result serialization.
 
+#include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +165,66 @@ TEST(ResultIoTest, FileRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->significant.size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(ResultIoTest, RuleLinesMatchPrintfFormatting) {
+  // The rule format is printf's: "%.17g" doubles and decimal integers. The
+  // writer formats with std::to_chars, which must reproduce it byte for
+  // byte — on signed zeros, denormals, infinities, NaNs and random bit
+  // patterns across every exponent.
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.5, 0.1, 1e17, 1e-5, 123.456, 1.25e-7,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 30000; ++i) {
+    const uint64_t bits = rng();
+    double value = 0;
+    std::memcpy(&value, &bits, sizeof(value));
+    values.push_back(value);
+    values.push_back(unit(rng) * 1000.0);
+  }
+  MiningResult result;
+  LevelStats level;
+  level.level = 2;
+  level.possible_itemsets = UINT64_MAX;
+  level.candidates = 40;
+  result.levels.push_back(level);
+  std::string expected = "# corrmine result v1\n";
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "level %d %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
+                " %" PRIu64 "\n",
+                level.level, level.possible_itemsets, level.candidates,
+                level.discards, level.significant, level.not_significant);
+  expected += buf;
+  for (size_t i = 0; i + 2 < values.size(); i += 3) {
+    CorrelationRule rule;
+    const auto item = static_cast<ItemId>(i);
+    rule.itemset = Itemset{item, item + 1, UINT32_MAX};
+    rule.chi2.statistic = values[i];
+    rule.chi2.p_value = values[i + 1];
+    rule.chi2.dof = i % 2 == 0 ? 1 : INT64_MAX;
+    rule.major_dependence.mask = static_cast<uint32_t>(i) | 0x80000000u;
+    rule.major_dependence.interest = values[i + 2];
+    std::snprintf(buf, sizeof(buf),
+                  "rule %.17g %.17g %" PRId64 " %u %.17g %u %u %u\n",
+                  rule.chi2.statistic, rule.chi2.p_value, rule.chi2.dof,
+                  rule.major_dependence.mask,
+                  rule.major_dependence.interest, item, item + 1,
+                  UINT32_MAX);
+    expected += buf;
+    result.significant.push_back(std::move(rule));
+  }
+  EXPECT_EQ(SerializeMiningResult(result), expected);
 }
 
 TEST(ResultIoTest, RejectsGarbage) {

@@ -1,5 +1,7 @@
 #include "common/metrics.h"
 
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -8,7 +10,9 @@
 #include "core/chi_squared_miner.h"
 #include "core/chi_squared_test.h"
 #include "core/contingency_table.h"
+#include "core/session.h"
 #include "datagen/quest_generator.h"
+#include "io/binary_io.h"
 #include "itemset/count_provider.h"
 
 namespace corrmine {
@@ -176,6 +180,28 @@ TEST(MinerMetricsTest, RegistryCountersMatchLevelStats) {
   // a finished run always carries the process high-water mark.
   ASSERT_EQ(snap.gauges.count("mem.peak_rss_bytes"), 1u);
   EXPECT_GT(snap.gauges.at("mem.peak_rss_bytes"), 0);
+}
+
+TEST(SessionMetricsTest, OpenTimesLoadAndIndexBuildOnce) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  auto db = datagen::GenerateQuestData(SmallQuest());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::string path = ::testing::TempDir() + "/metrics_session.bin";
+  ASSERT_TRUE(io::WriteBinaryTransactionFile(*db, path).ok());
+  MetricsRegistry registry;
+  SessionOptions options;
+  options.num_shards = 2;
+  options.metrics = &registry;
+  auto session = MiningSession::Open(path, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // Set-up is two phases, each with one name across histogram, trace and
+  // PMU: the decode (io.load) and the provider build (session.build_index).
+  MetricsRegistry::Snapshot snap = registry.Snap();
+  EXPECT_EQ(snap.counters.at("io.load.calls"), 1u);
+  EXPECT_EQ(snap.counters.at("session.build_index.calls"), 1u);
+  EXPECT_EQ(snap.histograms.at("io.load.ns").count, 1u);
+  EXPECT_EQ(snap.histograms.at("session.build_index.ns").count, 1u);
+  std::remove(path.c_str());
 }
 
 // --- §3.3 low-expectation masking accounting ---------------------------
