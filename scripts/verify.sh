@@ -204,10 +204,11 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
   # The §12 exactness contract end to end through the CLI: mining with
   # --out-of-core under a partition-forcing budget must produce the rule
   # file byte-for-byte and a clean deterministic-stats diff against the
-  # in-memory mine, at 1 and 8 threads. Counter families are deliberately
-  # NOT compared: the out-of-core pipeline runs extra per-partition mines
-  # and streaming count passes by design, so only the deterministic
-  # section (rules, levels, dataset identity) is pinned.
+  # in-memory mine, at 1 and 8 threads. The miner and count-provider
+  # counter families must match too: the out-of-core walk is the one
+  # in-memory walk over another provider, so it runs once and asks the
+  # same questions in the same batches (item counts, then one sweep per
+  # level).
   ODIR=build/outofcore-out
   rm -rf "$ODIR" && mkdir -p "$ODIR"
   OFLAGS=(--support-count 3000 --cell-fraction 0.26 --max-level 3)
@@ -225,6 +226,8 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
     cmp "$ODIR/rules_mem.txt" "$ODIR/rules_ooc_t${threads}.txt"
     build/tools/statsdiff "$ODIR/stats_mem.json" \
       "$ODIR/stats_ooc_t${threads}.json"
+    build/tools/statsdiff "$ODIR/stats_mem.json" \
+      "$ODIR/stats_ooc_t${threads}.json" --counters miner.,count_provider.
   done
 
   echo "== out-of-core sentinel: serial vs parallel admission =="
@@ -232,9 +235,9 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
   # deterministic pipeline stats. Two probes:
   #
   # 1. threads=1 (admitted=1 by construction, identical partitioning) vs
-  #    threads=8 (default admission): the schedule-independent out-of-core
-  #    counters — partition count, candidate union, memo traffic — must
-  #    match exactly. The outofcore.admitted_partitions gauge legitimately
+  #    threads=8 (default sweep width): the schedule-independent
+  #    out-of-core counters — partition count, swept queries — must match
+  #    exactly. The outofcore.admitted_partitions gauge legitimately
   #    differs, so the prefixes name the invariant families rather than
   #    "outofcore.".
   build/tools/statsdiff "$ODIR/stats_ooc_t1.json" \
@@ -294,12 +297,12 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
     echo "== bench stage: out-of-core memory gate =="
     # The §12 budget contract: bench_outofcore streams a dataset >= 10x
-    # its --memory-budget through the spill pipeline (CHECKing exactness
-    # against an in-memory mine AND against a forced-serial run
-    # internally); benchgate then enforces peak RSS <= 1.1x budget and
-    # the v2 spill-compression ratio <= 0.7x raw — both core-independent
-    # — plus, on machines with >= 4 usable cores, the pipelined pass-1
-    # speedup floor (report-only below) — and refreshes
+    # its --memory-budget through the spill and the per-level sweeps
+    # (CHECKing exactness against an in-memory mine AND against a
+    # forced-serial run internally); benchgate then enforces peak RSS
+    # <= 1.1x budget and the v2 spill-compression ratio <= 0.7x raw —
+    # both core-independent — plus, on machines with >= 4 usable cores,
+    # the sweep speedup floor (report-only below) — and refreshes
     # BENCH_outofcore.json.
     cmake --build build -j --target bench_outofcore benchgate >/dev/null
     build/bench/bench_outofcore | tee "$BDIR/outofcore.txt" \

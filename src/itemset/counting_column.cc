@@ -608,20 +608,23 @@ void AppendVarintU16(std::string* out, uint32_t value) {
   out->push_back(static_cast<char>(value));
 }
 
+// A u16 payload value needs at most three 7-bit groups; a fourth byte is
+// an overflowing or overlong encoding.
 Status ReadVarintU16(const uint8_t* data, size_t len, size_t* pos,
                      uint32_t* value) {
   uint32_t v = 0;
-  int shift = 0;
-  while (*pos < len && shift <= 28) {
+  for (int shift = 0; shift < 21; shift += 7) {
+    if (*pos >= len) {
+      return Status::Corruption("CCS2: truncated varint payload");
+    }
     const uint8_t byte = data[(*pos)++];
     v |= static_cast<uint32_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
       *value = v;
       return Status::OK();
     }
-    shift += 7;
   }
-  return Status::Corruption("CCS2: truncated varint payload");
+  return Status::Corruption("CCS2: varint payload longer than 3 bytes");
 }
 
 }  // namespace

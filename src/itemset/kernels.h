@@ -137,8 +137,8 @@ struct BlockedCountPlan {
 
   /// Groups `queries` by their (size-1)-prefix: consecutive queries with
   /// the same prefix form one group, so a prefix-sorted stream (what every
-  /// library caller sends: the miner, Apriori, out-of-core pass 2, memo
-  /// misses) yields one group per prefix run. Any other order still counts
+  /// library caller sends: the miner, Apriori, the out-of-core sweeps,
+  /// memo misses) yields one group per prefix run. Any other order still counts
   /// exactly, in more and smaller groups. Queries must be non-empty
   /// itemsets; duplicates are allowed and each slot still gets its answer.
   static BlockedCountPlan Build(std::span<const Itemset> queries);

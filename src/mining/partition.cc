@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <cstdio>
-#include <deque>
 #include <filesystem>
+#include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -18,7 +15,6 @@
 #include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/border_repair.h"
 #include "io/column_store.h"
 #include "io/stream_reader.h"
 #include "itemset/count_provider.h"
@@ -97,77 +93,41 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsPartition(
 
 namespace {
 
-/// Decorator for the pass-1 partition mines: records every count query the
-/// level-wise walk issues, deduplicated, in first-issue order. The order
-/// matters: partition mines run concurrently under the admission
-/// controller and the caller merges each partition's recording in
-/// partition order under a global cap, so replaying first-issue order
-/// makes the merged candidate union identical for any thread count or
-/// admission width. Uses the uncounted inner entry points so the
-/// count_provider.* counters reflect the miner's own call pattern, not
-/// the decoration.
-class RecordingCountProvider : public CountProvider {
+/// The out-of-core walk's count provider. Each of the miner's batches (one
+/// per level) is answered without ever holding the dataset:
+///
+///   - single items from the exact item counts the spill accumulated;
+///   - every larger query by one sweep over the partition files. Up to
+///     `admitted` partitions count at a time; each is mapped, counted with
+///     the compressed provider and unmapped, and the per-slot partial sums
+///     reduce in slot order — exact integers, identical for any schedule.
+///
+/// The batch hook cannot return a Status, so the first shard that fails to
+/// open or map latches its error here: that batch answers zeros, later
+/// sweeps are skipped, and the caller discards the walk's result. Counts
+/// through the uncounted inner entry point, so the count_provider.*
+/// counters tick exactly as they do for the in-memory mine. Not
+/// thread-safe: the miner issues batches from its coordinating thread.
+class SweepCountProvider : public CountProvider {
  public:
-  /// `cap` bounds the recorded set: once reached, further queries are
-  /// simply not recorded (they become memo misses, answered exactly by the
-  /// final walk's streaming fallback) so the warm-up structures cannot
-  /// outgrow the memory budget on candidate-explosion workloads.
-  RecordingCountProvider(const CountProvider& inner, size_t cap)
-      : inner_(inner), cap_(cap) {}
-
-  uint64_t num_baskets() const override { return inner_.num_baskets(); }
-
-  /// The recording in first-issue order, surrendered to the merger.
-  std::vector<Itemset> TakeRecorded() { return std::move(ordered_); }
-
- protected:
-  uint64_t CountAllPresentImpl(const Itemset& s) const override {
-    Record(s);
-    uint64_t count = 0;
-    inner_.CountAllPresentBatchUncounted(std::span<const Itemset>(&s, 1),
-                                         std::span<uint64_t>(&count, 1),
-                                         nullptr);
-    return count;
-  }
-
-  void CountAllPresentBatchImpl(std::span<const Itemset> queries,
-                                std::span<uint64_t> counts,
-                                ThreadPool* pool) const override {
-    for (const Itemset& q : queries) {
-      if (seen_.size() >= cap_) break;
-      Record(q);
-    }
-    inner_.CountAllPresentBatchUncounted(queries, counts, pool);
-  }
-
- private:
-  void Record(const Itemset& q) const {
-    if (seen_.size() >= cap_) return;
-    if (seen_.insert(q).second) ordered_.push_back(q);
-  }
-
-  const CountProvider& inner_;
-  const size_t cap_;
-  // The miner issues queries from the walking thread only; inner
-  // parallelism lives below the provider boundary, so plain containers
-  // suffice. mutable: the recording is bookkeeping under const counting.
-  mutable std::unordered_set<Itemset, ItemsetHasher> seen_;
-  mutable std::vector<Itemset> ordered_;
-};
-
-/// Exact global counts by streaming the CCS1 partition files: each batch
-/// maps one partition at a time, counts against it with the compressed
-/// provider, and unmaps before the next — resident cost stays near one
-/// partition. This is the MemoCountProvider fallback in the final walk, so
-/// even queries the pass-1 warm-up never saw are answered exactly (at the
-/// price of one extra streaming sweep per missed batch).
-class PartitionStreamCountProvider : public CountProvider {
- public:
-  PartitionStreamCountProvider(const std::vector<std::string>* paths,
-                               uint64_t num_baskets)
-      : paths_(paths), num_baskets_(num_baskets) {}
+  /// `paths` and `item_counts` are borrowed and must outlive the provider.
+  SweepCountProvider(const std::vector<std::string>& paths,
+                     const std::vector<uint64_t>& item_counts,
+                     uint64_t num_baskets, size_t admitted)
+      : paths_(paths),
+        item_counts_(item_counts),
+        num_baskets_(num_baskets),
+        admitted_(admitted) {}
 
   uint64_t num_baskets() const override { return num_baskets_; }
+
+  /// The first sweep failure; OK when every sweep counted.
+  const Status& error() const { return error_; }
+  /// Queries answered from the item counts.
+  uint64_t item_queries() const { return item_queries_; }
+  /// Queries the sweeps counted, and the wall seconds spent inside sweeps.
+  uint64_t swept_queries() const { return swept_queries_; }
+  double sweep_seconds() const { return sweep_seconds_; }
 
  protected:
   uint64_t CountAllPresentImpl(const Itemset& s) const override {
@@ -180,24 +140,93 @@ class PartitionStreamCountProvider : public CountProvider {
   void CountAllPresentBatchImpl(std::span<const Itemset> queries,
                                 std::span<uint64_t> counts,
                                 ThreadPool* pool) const override {
-    std::fill(counts.begin(), counts.end(), uint64_t{0});
-    std::vector<uint64_t> partial(queries.size());
-    for (const std::string& path : *paths_) {
-      StatusOr<std::unique_ptr<io::MappedColumnShard>> shard =
-          io::MappedColumnShard::Open(path);
-      CORRMINE_CHECK(shard.ok())
-          << "out-of-core spill file vanished mid-mine: "
-          << shard.status().message();
-      CompressedCountProvider provider(
-          std::vector<const ColumnSource*>{shard.value().get()});
-      provider.CountAllPresentBatchUncounted(queries, partial, pool);
-      for (size_t i = 0; i < counts.size(); ++i) counts[i] += partial[i];
+    size_t singles = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (queries[i].size() != 1) continue;
+      const ItemId item = queries[i].item(0);
+      counts[i] = item < item_counts_.size() ? item_counts_[item] : 0;
+      ++singles;
+    }
+    item_queries_ += singles;
+    if (singles == queries.size()) return;
+    if (singles == 0) {
+      Sweep(queries, counts, pool);
+      return;
+    }
+    // A batch that mixes sizes: sweep only its larger queries.
+    std::vector<size_t> positions;
+    std::vector<Itemset> larger;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (queries[i].size() == 1) continue;
+      positions.push_back(i);
+      larger.push_back(queries[i]);
+    }
+    std::vector<uint64_t> larger_counts(larger.size());
+    Sweep(larger, larger_counts, pool);
+    for (size_t j = 0; j < positions.size(); ++j) {
+      counts[positions[j]] = larger_counts[j];
     }
   }
 
  private:
-  const std::vector<std::string>* paths_;
-  uint64_t num_baskets_;
+  void Sweep(std::span<const Itemset> queries, std::span<uint64_t> counts,
+             ThreadPool* pool) const {
+    std::fill(counts.begin(), counts.end(), uint64_t{0});
+    if (!error_.ok()) return;
+    const auto start = std::chrono::steady_clock::now();
+    TraceScope span("outofcore.sweep", -1, -1,
+                    static_cast<int64_t>(queries.size()));
+    const size_t num_parts = paths_.size();
+    const size_t grain = (num_parts + admitted_ - 1) / admitted_;
+    const size_t slot_bound = ParallelForSlotBound(pool, num_parts, grain);
+    std::vector<std::vector<uint64_t>> slot_totals(
+        slot_bound, std::vector<uint64_t>(queries.size(), 0));
+    std::vector<std::vector<uint64_t>> slot_partial(
+        slot_bound, std::vector<uint64_t>(queries.size(), 0));
+    const Status status = ParallelForSlots(
+        pool, num_parts, grain,
+        [&](size_t slot, size_t begin, size_t end) -> Status {
+          ProfileScope profile("partition.sweep");
+          for (size_t p = begin; p < end; ++p) {
+            TraceScope part_span("outofcore.count_partition", -1,
+                                 static_cast<int64_t>(p),
+                                 static_cast<int64_t>(queries.size()));
+            CORRMINE_ASSIGN_OR_RETURN(
+                std::unique_ptr<io::MappedColumnShard> shard,
+                io::MappedColumnShard::Open(paths_[p]));
+            CompressedCountProvider provider(
+                std::vector<const ColumnSource*>{shard.get()});
+            provider.CountAllPresentBatchUncounted(queries,
+                                                   slot_partial[slot], pool);
+            std::vector<uint64_t>& acc = slot_totals[slot];
+            for (size_t i = 0; i < acc.size(); ++i) {
+              acc[i] += slot_partial[slot][i];
+            }
+          }
+          return Status::OK();
+        });
+    if (!status.ok()) {
+      error_ = status;
+      return;
+    }
+    for (const std::vector<uint64_t>& acc : slot_totals) {
+      for (size_t i = 0; i < counts.size(); ++i) counts[i] += acc[i];
+    }
+    swept_queries_ += queries.size();
+    sweep_seconds_ += std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  }
+
+  const std::vector<std::string>& paths_;
+  const std::vector<uint64_t>& item_counts_;
+  const uint64_t num_baskets_;
+  const size_t admitted_;
+  // Bookkeeping under const counting, written by the coordinating thread.
+  mutable Status error_;
+  mutable uint64_t item_queries_ = 0;
+  mutable uint64_t swept_queries_ = 0;
+  mutable double sweep_seconds_ = 0.0;
 };
 
 }  // namespace
@@ -243,9 +272,8 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
           : std::max<uint64_t>(options.memory_budget_bytes / 6,
                                uint64_t{1} << 20);
 
-  // Thread plumbing mirrors MineCorrelations: one pool spans all passes so
-  // thread-count semantics (0 = hardware) resolve exactly once. Resolved
-  // before the spill because pass-1 mines pipeline into it.
+  // Thread plumbing mirrors MineCorrelations: one pool serves the walk and
+  // its sweeps, so thread-count semantics (0 = hardware) resolve once.
   const int threads = ThreadPool::ResolveThreadCount(options.miner.num_threads);
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options.miner.pool;
@@ -257,12 +285,11 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   base.num_threads = threads;
   base.pool = pool;
 
-  // Admission controller: cap concurrent partitions so admitted x
+  // Sweep width: cap the partitions counted concurrently so admitted x
   // per-partition budget stays inside half the memory budget (the other
-  // half covers the spill accumulator and the warm-up structures). At the
-  // default partition budget this admits min(threads, 3); a partition
-  // budget equal to the memory budget forces admitted = 1 — exactly the
-  // serial map-count-unmap behavior this path degrades to without a pool.
+  // half covers the base process and the walk). At the default partition
+  // budget this admits min(threads, 3); a partition budget equal to the
+  // memory budget forces admitted = 1 — one partition mapped at a time.
   const size_t admitted =
       pool == nullptr
           ? size_t{1}
@@ -272,7 +299,7 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   registry.GetGauge("outofcore.admitted_partitions")
       ->Set(static_cast<int64_t>(admitted));
 
-  // Spill files are removed on EVERY exit path (including mid-pass error
+  // Spill files are removed on EVERY exit path (including mid-walk error
   // returns) unless the caller asked to keep them; paths register before
   // the write so partial files from failed writes are removed too.
   struct SpillGuard {
@@ -291,121 +318,20 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   guard.dir = spill_dir;
   guard.keep = options.keep_spill;
 
-  // --- Spill + pass 1, pipelined: one streaming pass over the input
-  // builds CCS v2 partition files, and each file's partition mine is
-  // submitted as a scheduler task the moment it closes, so pass-1 counting
-  // overlaps spill I/O. The caller merges finished recordings strictly in
-  // partition order (blocking admission until the merge frontier frees a
-  // slot), which makes the merged candidate union — and therefore every
-  // downstream deterministic stat — independent of thread count and
-  // admission width.
-  //
-  // A recorded query costs ~300 bytes across the warm-up structures (set
-  // node, sorted candidate copy, count slots, memo node); cap the union so
-  // they stay a bounded fraction of the budget. Queries past the cap fall
-  // back to exact streaming counts in the final walk.
-  const size_t query_cap = std::max<uint64_t>(
-      4096, options.memory_budget_bytes / 512);
-
-  struct PartitionTask {
-    size_t index = 0;
-    std::string path;
-    uint64_t rows = 0;
-    uint64_t min_count = 1;
-    ItemId num_items = 0;
-    Status status;
-    std::vector<Itemset> recorded;  // first-issue order, capped
-    bool done = false;
-  };
-
-  std::deque<PartitionTask> tasks;  // deque: stable element addresses
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t in_flight = 0;   // submitted, not yet merged
-  size_t next_merge = 0;  // merge frontier (partition order)
-  Status pass1_error;     // first failure in partition order
-  std::unordered_set<Itemset, ItemsetHasher> recorded_union;
-
-  // One partition's pass-1 mine: map the shard, mine at the task's scaled
-  // support, keep the capped query recording. Runs on a worker under
-  // admission, or inline on the caller at admitted = 1.
-  const auto mine_partition = [&base, query_cap](PartitionTask* t) {
-    ProfileScope pass1_profile("partition.pass1");
-    TraceScope span("outofcore.mine_partition", -1,
-                    static_cast<int>(t->index), static_cast<int>(t->rows));
-    if (t->num_items == 0) return;  // all-empty baskets: nothing to record
-    StatusOr<std::unique_ptr<io::MappedColumnShard>> shard =
-        io::MappedColumnShard::Open(t->path);
-    if (!shard.ok()) {
-      t->status = shard.status();
-      return;
-    }
-    CompressedCountProvider provider(
-        std::vector<const ColumnSource*>{shard.value().get()});
-    RecordingCountProvider recording(provider, query_cap);
-    MinerOptions local = base;
-    local.keep_frontier = false;
-    local.progress = nullptr;
-    local.support.min_count = t->min_count;
-    const StatusOr<MiningResult> mined =
-        MineCorrelations(recording, t->num_items, local);
-    if (!mined.ok()) {
-      t->status = mined.status();
-      return;
-    }
-    t->recorded = recording.TakeRecorded();
-  };
-
-  // Folds every finished task at the merge frontier into the global union
-  // (capped) and frees its admission slot. Caller thread only; mu held.
-  const auto merge_ready = [&]() {
-    while (next_merge < tasks.size() && tasks[next_merge].done) {
-      PartitionTask& t = tasks[next_merge];
-      if (pass1_error.ok() && !t.status.ok()) pass1_error = t.status;
-      for (Itemset& q : t.recorded) {
-        if (recorded_union.size() >= query_cap) break;
-        recorded_union.insert(std::move(q));
-      }
-      t.recorded = {};
-      ++next_merge;
-      --in_flight;
-    }
-  };
-
-  // Blocks the caller (helping with queued work, never parking idle while
-  // tasks exist) until all submitted partition mines are merged.
-  const auto drain_pass1 = [&]() {
-    if (pool == nullptr) {
-      std::unique_lock<std::mutex> lock(mu);
-      merge_ready();
-      return;
-    }
-    pool->HelpUntil(mu, cv, [&]() {
-      merge_ready();
-      return next_merge == tasks.size();
-    });
-  };
-
+  // --- Spill: one streaming pass over the input builds a CCS v2 file per
+  // partition budget of rows and counts every item exactly on the way.
   std::vector<std::string> part_paths;
-  std::vector<uint64_t> part_rows;
+  std::vector<uint64_t> item_counts;
   std::vector<std::vector<uint32_t>> rows_by_item;
   uint64_t local_rows = 0;
   uint64_t local_bytes = 0;
   uint64_t total_rows = 0;
   uint64_t spilled_raw = 0;
   uint64_t spilled_encoded = 0;
-  uint64_t bytes_consumed = 0;
-  uint64_t input_file_bytes = 0;
-  {
-    std::error_code size_ec;
-    const auto file_size = std::filesystem::file_size(path, size_ec);
-    if (!size_ec) input_file_bytes = static_cast<uint64_t>(file_size);
-  }
 
   const auto close_partition = [&]() -> Status {
     if (local_rows == 0) return Status::OK();
     const size_t index = part_paths.size();
-    const ItemId part_items = static_cast<ItemId>(rows_by_item.size());
     TraceScope span("outofcore.spill_partition", -1, static_cast<int>(index),
                     static_cast<int>(local_rows));
     CompressedVerticalIndex vindex(local_rows, std::move(rows_by_item));
@@ -418,216 +344,71 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
         io::WriteColumnShardFile(vindex, part_path, {}, &wstats));
     spilled_raw += wstats.raw_payload_bytes;
     spilled_encoded += wstats.payload_bytes;
-    part_paths.push_back(part_path);
-    part_rows.push_back(local_rows);
-
-    // Scaled pass-1 support without knowing the final row count yet: a
-    // total estimated from the byte fraction consumed so far. It is a
-    // pure function of the input prefix and file size — deterministic
-    // across thread counts — and only a warm-up heuristic: the final walk
-    // is exact whatever threshold the partition mines used.
-    uint64_t est_total_rows = total_rows;
-    if (input_file_bytes > bytes_consumed && bytes_consumed > 0) {
-      est_total_rows = std::max<uint64_t>(
-          total_rows,
-          static_cast<uint64_t>(static_cast<double>(total_rows) *
-                                static_cast<double>(input_file_bytes) /
-                                static_cast<double>(bytes_consumed)));
-    }
-
-    tasks.emplace_back();
-    PartitionTask* task = &tasks.back();
-    task->index = index;
-    task->path = part_path;
-    task->rows = local_rows;
-    task->num_items = part_items;
-    task->min_count = std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::floor(
-               static_cast<double>(base.support.min_count) *
-               static_cast<double>(local_rows) /
-               static_cast<double>(est_total_rows))));
+    part_paths.push_back(std::move(part_path));
     local_rows = 0;
     local_bytes = 0;
-
-    if (pool == nullptr || admitted == 1) {
-      // Degraded/serial admission: mine at close on this thread — still
-      // one shard mapped at a time, exactly the pre-pipeline residency.
-      std::unique_lock<std::mutex> lock(mu);
-      ++in_flight;
-      merge_ready();
-      if (pass1_error.ok()) {
-        lock.unlock();
-        mine_partition(task);
-        lock.lock();
-      }
-      task->done = true;
-      merge_ready();
-      return pass1_error;
-    }
-
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      merge_ready();
-      if (pass1_error.ok() && in_flight >= admitted) {
-        lock.unlock();
-        pool->HelpUntil(mu, cv, [&]() {
-          merge_ready();
-          return !pass1_error.ok() || in_flight < admitted;
-        });
-        lock.lock();
-      }
-      if (!pass1_error.ok()) {
-        // A merged partition failed: drain what is still running, then
-        // abort the stream (the guard removes the spill files).
-        lock.unlock();
-        pool->HelpUntil(mu, cv, [&]() {
-          merge_ready();
-          return next_merge + 1 == tasks.size();
-        });
-        {
-          std::unique_lock<std::mutex> drain_lock(mu);
-          ++in_flight;               // balance the merge-time decrement
-          tasks.back().done = true;  // never submitted; merge it empty
-          merge_ready();
-        }
-        return pass1_error;
-      }
-      ++in_flight;
-    }
-    pool->Submit([task, &mine_partition, &mu, &cv]() {
-      mine_partition(task);
-      // Notify while holding the lock: the waiter must reacquire `mu` to
-      // observe `done` and return, which keeps `cv` alive until this
-      // notify_all has completed (it is destroyed at function exit).
-      std::lock_guard<std::mutex> lock(mu);
-      task->done = true;
-      cv.notify_all();
-    });
     return Status::OK();
   };
 
-  const auto spill_pass1_start = std::chrono::steady_clock::now();
+  const auto spill_start = std::chrono::steady_clock::now();
   ItemId num_items = 0;
-  Status spill_status;
   {
     ProfileScope spill_profile("partition.spill");
-    spill_status = io::StreamTransactionFile(
-        path, &num_items,
-        [&](std::vector<ItemId> basket) -> Status {
-          for (const ItemId item : basket) {
-            if (item >= rows_by_item.size()) {
-              rows_by_item.resize(static_cast<size_t>(item) + 1);
+    CORRMINE_RETURN_NOT_OK(io::StreamTransactionFile(
+        path, &num_items, [&](std::vector<ItemId> basket) -> Status {
+          // Text baskets may repeat or reorder ids; a column holds each
+          // row once, and the item counts must agree with it.
+          if (std::adjacent_find(basket.begin(), basket.end(),
+                                 std::greater_equal<ItemId>()) !=
+              basket.end()) {
+            std::sort(basket.begin(), basket.end());
+            basket.erase(std::unique(basket.begin(), basket.end()),
+                         basket.end());
+          }
+          if (!basket.empty() && basket.back() >= rows_by_item.size()) {
+            rows_by_item.resize(static_cast<size_t>(basket.back()) + 1);
+            if (item_counts.size() < rows_by_item.size()) {
+              item_counts.resize(rows_by_item.size(), 0);
             }
+          }
+          for (const ItemId item : basket) {
             rows_by_item[item].push_back(static_cast<uint32_t>(local_rows));
+            ++item_counts[item];
           }
           local_bytes += basket.size() * sizeof(uint32_t);
           ++local_rows;
           ++total_rows;
           return local_bytes >= partition_row_bytes ? close_partition()
                                                     : Status::OK();
-        },
-        &bytes_consumed);
-    if (spill_status.ok()) spill_status = close_partition();
+        }));
+    CORRMINE_RETURN_NOT_OK(close_partition());
   }
-  // Pass-boundary peak-RSS samples (here and after each pass below): the
-  // budget gate in bench_outofcore cares *when* the high-water mark
-  // happened, not just its final value. Under the pipeline the spill
-  // sample is taken when the stream ends (pass-1 tasks may still run).
+  const double spill_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    spill_start)
+          .count();
+  // Phase-boundary peak-RSS samples (here and after the walk): the budget
+  // gate in bench_outofcore cares *when* the high-water mark happened,
+  // not just its final value.
   registry.GetGauge("mem.peak_rss_spill_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
-
-  // Every in-flight mine references the locals above, so drain BEFORE any
-  // error return — a corrupt stream tail or failed shard write must not
-  // leave workers running over destroyed state (the guard then removes
-  // whatever was spilled).
-  drain_pass1();
-  if (!spill_status.ok()) return spill_status;
   if (total_rows == 0) {
     return Status::FailedPrecondition("mining an empty database");
   }
-  if (!pass1_error.ok()) return pass1_error;
-  const double spill_pass1_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    spill_pass1_start)
-          .count();
-  registry.GetGauge("mem.peak_rss_pass1_bytes")
-      ->Set(static_cast<int64_t>(PeakRssBytes()));
 
-  // --- Pass 2: count the whole candidate union against every partition
-  // with exact global counts into the memo. Partitions count concurrently
-  // (admitted-many chunks, one shard mapped per running chunk); each slot
-  // accumulates into its own partial array and the slot arrays reduce in
-  // slot order afterwards — exact uint64 sums, so the totals are
-  // identical for any schedule. Sorted candidate order makes the memo
-  // content independent of hash order.
-  std::vector<Itemset> candidates(recorded_union.begin(),
-                                  recorded_union.end());
-  recorded_union = {};
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Itemset& a, const Itemset& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
-  std::vector<uint64_t> totals(candidates.size(), 0);
-  const auto pass2_start = std::chrono::steady_clock::now();
-  {
-    ProfileScope pass2_profile("partition.pass2");
-    const size_t num_parts = part_paths.size();
-    const size_t grain = (num_parts + admitted - 1) / admitted;
-    const size_t slot_bound = ParallelForSlotBound(pool, num_parts, grain);
-    std::vector<std::vector<uint64_t>> slot_totals(
-        slot_bound, std::vector<uint64_t>(candidates.size(), 0));
-    std::vector<std::vector<uint64_t>> slot_partial(
-        slot_bound, std::vector<uint64_t>(candidates.size(), 0));
-    CORRMINE_RETURN_NOT_OK(ParallelForSlots(
-        pool, num_parts, grain,
-        [&](size_t slot, size_t begin, size_t end) -> Status {
-          ProfileScope slot_profile("partition.pass2");
-          for (size_t p = begin; p < end; ++p) {
-            TraceScope span("outofcore.count_partition", -1,
-                            static_cast<int>(p),
-                            static_cast<int>(candidates.size()));
-            CORRMINE_ASSIGN_OR_RETURN(
-                std::unique_ptr<io::MappedColumnShard> shard,
-                io::MappedColumnShard::Open(part_paths[p]));
-            CompressedCountProvider provider(
-                std::vector<const ColumnSource*>{shard.get()});
-            provider.CountAllPresentBatchUncounted(candidates,
-                                                   slot_partial[slot], pool);
-            std::vector<uint64_t>& acc = slot_totals[slot];
-            for (size_t i = 0; i < acc.size(); ++i) {
-              acc[i] += slot_partial[slot][i];
-            }
-          }
-          return Status::OK();
-        }));
-    for (const std::vector<uint64_t>& acc : slot_totals) {
-      for (size_t i = 0; i < totals.size(); ++i) totals[i] += acc[i];
-    }
-  }
-  const double pass2_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    pass2_start)
-          .count();
-  registry.GetGauge("mem.peak_rss_pass2_bytes")
+  // --- Walk: the Figure 1 walk under the caller's unmodified mining
+  // options, over exact counts — it asks exactly the in-memory walk's
+  // questions, and each level's batch costs one sweep of the partitions.
+  SweepCountProvider sweeps(part_paths, item_counts, total_rows, admitted);
+  StatusOr<MiningResult> result = MineCorrelations(sweeps, num_items, base);
+  if (!sweeps.error().ok()) return sweeps.error();
+  registry.GetGauge("mem.peak_rss_walk_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
-  std::unordered_map<Itemset, uint64_t, ItemsetHasher> memo;
-  memo.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    memo.emplace(candidates[i], totals[i]);
-  }
-
-  // --- Final: the real walk, over memoized exact counts with a streaming
-  // fallback, under the caller's unmodified mining options.
-  PartitionStreamCountProvider fallback(&part_paths, total_rows);
-  MemoCountProvider memo_provider(&memo, fallback);
-  StatusOr<MiningResult> result = MineCorrelations(memo_provider, num_items,
-                                                   base);
 
   registry.GetCounter("outofcore.partitions")->Add(part_paths.size());
-  registry.GetCounter("outofcore.candidate_queries")->Add(candidates.size());
-  registry.GetCounter("outofcore.memo_misses")
-      ->Add(memo_provider.memo_misses());
+  registry.GetCounter("outofcore.candidate_queries")
+      ->Add(sweeps.swept_queries());
+  registry.GetCounter("outofcore.memo_misses")->Add(sweeps.swept_queries());
   registry.GetGauge("mem.spilled_payload_bytes")
       ->Set(static_cast<int64_t>(spilled_raw));
   registry.GetGauge("column.spill_bytes")
@@ -646,11 +427,11 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
     stats->spilled_payload_bytes = spilled_raw;
     stats->spilled_encoded_bytes = spilled_encoded;
     stats->admitted = static_cast<int>(admitted);
-    stats->spill_pass1_seconds = spill_pass1_seconds;
-    stats->pass2_seconds = pass2_seconds;
-    stats->candidate_queries = candidates.size();
-    stats->memo_hits = memo_provider.memo_hits();
-    stats->memo_misses = memo_provider.memo_misses();
+    stats->spill_pass1_seconds = spill_seconds;
+    stats->pass2_seconds = sweeps.sweep_seconds();
+    stats->candidate_queries = sweeps.swept_queries();
+    stats->memo_hits = sweeps.item_queries();
+    stats->memo_misses = sweeps.swept_queries();
   }
 
   const uint64_t peak = PeakRssBytes();

@@ -41,25 +41,24 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsPartition(
 
 /// Options of the out-of-core correlation miner (DESIGN.md §12).
 struct OutOfCoreMinerOptions {
-  /// The mining configuration the final walk runs under — the result is
+  /// The mining configuration the walk runs under — the result is
   /// byte-identical to MineCorrelations(in-memory provider, miner) on any
   /// size where both run.
   MinerOptions miner;
 
-  /// Target resident-set budget. Partitions are sized so the spill pass,
-  /// the per-partition mines, and the streaming count pass each stay well
-  /// inside it; enforced observationally against mem.peak_rss_bytes
-  /// (benchgate: peak <= 1.1x budget).
+  /// Target resident-set budget. Partitions are sized so the spill and
+  /// the sweeps each stay well inside it; enforced observationally against
+  /// mem.peak_rss_bytes (benchgate: peak <= 1.1x budget).
   uint64_t memory_budget_bytes = uint64_t{256} << 20;
 
   /// Bytes of basket rows buffered before a partition closes (--partition
   /// -budget). 0 derives memory_budget_bytes / 6 floored at 1 MiB — the
   /// close-time transient briefly holds row vectors, built columns and the
-  /// serialized file (~3x the row bytes), and the admission controller
-  /// needs headroom to overlap partitions. Explicit values are taken
-  /// verbatim (no floor, so tests can force many tiny partitions) but must
-  /// not exceed memory_budget_bytes; setting it equal to the memory budget
-  /// forces admitted = 1, i.e. serial partition mining.
+  /// serialized file (~3x the row bytes), and a sweep needs headroom to
+  /// count several partitions at once. Explicit values are taken verbatim
+  /// (no floor, so tests can force many tiny partitions) but must not
+  /// exceed memory_budget_bytes; setting it equal to the memory budget
+  /// forces admitted = 1, i.e. sweeps that count one partition at a time.
   uint64_t partition_budget_bytes = 0;
 
   /// Directory for the CCS partition shard files (created if missing).
@@ -71,11 +70,12 @@ struct OutOfCoreMinerOptions {
 };
 
 /// Accounting of one out-of-core run (also published as "outofcore.*"
-/// counters and the mem.memory_budget_bytes gauge).
+/// counters and the mem.memory_budget_bytes gauge). The field names
+/// predate the per-level sweep and are kept for existing readers.
 struct OutOfCoreStats {
   uint64_t num_baskets = 0;
   ItemId num_items = 0;
-  /// RAM-sized CCS partitions spilled (and mined) in pass one.
+  /// RAM-sized CCS partitions the spill wrote.
   uint64_t partitions = 0;
   /// Raw (encoding-0 equivalent) payload bytes across partitions — what a
   /// v1 spill of the same columns would cost.
@@ -83,50 +83,44 @@ struct OutOfCoreStats {
   /// Encoded payload bytes actually written (v2 min-byte rule); the
   /// column.spill_ratio_x1000 gauge is encoded/raw.
   uint64_t spilled_encoded_bytes = 0;
-  /// Concurrent partitions the admission controller allowed in pass 1/2
-  /// (1 = serial, the degraded mode).
+  /// Sweep width: partitions counted concurrently in a sweep (1 = one at
+  /// a time, the serial mode).
   int admitted = 1;
-  /// Wall seconds of the overlapped spill+pass-1 window and of pass 2.
+  /// Wall seconds of the spill.
   double spill_pass1_seconds = 0.0;
+  /// Wall seconds inside sweeps, summed over the levels.
   double pass2_seconds = 0.0;
-  /// Distinct count queries the partition mines touched (the memo
-  /// warm-up verified in the streaming pass).
+  /// Queries the sweeps counted: every candidate of every level, one
+  /// count each.
   uint64_t candidate_queries = 0;
-  /// Memo traffic of the final walk: misses are the queries that cost an
-  /// extra streaming pass batch.
+  /// Queries answered from the spill's item counts (one per item).
   uint64_t memo_hits = 0;
+  /// Queries the item counts could not answer: candidate_queries again.
   uint64_t memo_misses = 0;
 };
 
-/// Two-pass partition correlation mining over a dataset that need not fit
-/// in memory (SON-style, composed with the border machinery):
+/// Level-synchronous correlation mining over a dataset that need not fit
+/// in memory:
 ///
-///   spill   — stream `path` once, building hybrid counting columns for
-///             RAM-sized horizontal partitions and writing each as an
-///             mmap-backed CCS v2 shard file;
-///   pass 1  — pipelined with the spill: as each shard file closes, its
-///             partition mine (at proportionally scaled support,
-///             recording every count query the level-wise walk issues) is
-///             submitted to the scheduler, overlapping mining with spill
-///             I/O. An admission controller caps concurrent partitions so
-///             admitted x partition budget stays inside the memory
-///             budget; recordings merge in partition order, so the
-///             candidate union is identical for any thread count;
-///   pass 2  — count the partitions (admitted-many concurrently, per-slot
-///             partial arrays reduced deterministically), answering the
-///             whole candidate union with exact global counts into a
-///             memo;
-///   final   — re-walk MineCorrelations over a MemoCountProvider whose
-///             fallback batch-counts against the mapped partitions, so
-///             even queries the warm-up missed are answered exactly.
+///   spill — stream `path` once, building hybrid counting columns for
+///           RAM-sized horizontal partitions and writing each as an
+///           mmap-backed CCS v2 shard file, while counting every item
+///           exactly;
+///   walk  — run MineCorrelations (the Figure 1 walk) over a provider
+///           that answers single items from those counts and each level's
+///           candidate batch with one sweep over the partition files: up
+///           to `admitted` partitions are mapped, counted and unmapped at
+///           a time, and the per-slot partial sums reduce in slot order.
 ///
-/// The final walk sees exact counts for every query, so rules, level
-/// stats and the frontier are byte-identical to the in-memory miner by
-/// construction. At admitted = 1 partitions are mapped, counted and
-/// unmapped strictly one at a time — the high-water mark stays near base
-/// + one partition; wider admission trades bounded extra residency for
-/// pass-1/pass-2 parallelism. On error, spill files are removed unless
-/// keep_spill is set — failed runs leave the spill dir empty.
+/// The walk sees exact counts for exactly the questions the in-memory walk
+/// asks, so rules, level stats and the frontier are byte-identical to the
+/// in-memory miner by construction. The sweep width is
+/// clamp(memory budget / (2 x partition budget), 1, threads); at
+/// admitted = 1 partitions are counted strictly one at a time and the
+/// high-water mark stays near base + one partition. A partition file that
+/// fails to open or map during a sweep fails the call with that Status.
+/// On any error, spill files are removed unless keep_spill is set —
+/// failed runs leave the spill dir empty.
 StatusOr<MiningResult> MineCorrelationsOutOfCore(
     const std::string& path, const OutOfCoreMinerOptions& options,
     OutOfCoreStats* stats = nullptr);

@@ -287,6 +287,17 @@ TEST(CountingColumnTest, U16DeltaVarintRejectsCorruption) {
                                     data, encoded.size(), offsets.size() + 1,
                                     &decoded)
                    .ok());
+  // A u16 varint never needs a 4th byte: 2^32 + 5 must not wrap to 5,
+  // and an overlong 4-byte encoding of 5 is rejected too.
+  const uint8_t overflowing[] = {0x85, 0x80, 0x80, 0x80, 0x10, 0x03};
+  EXPECT_FALSE(DecodeU16DeltaVarint(CountingColumn::ContainerKind::kArray,
+                                    overflowing, sizeof(overflowing), 2,
+                                    &decoded)
+                   .ok());
+  const uint8_t overlong[] = {0x85, 0x80, 0x80, 0x00, 0x03};
+  EXPECT_FALSE(DecodeU16DeltaVarint(CountingColumn::ContainerKind::kArray,
+                                    overlong, sizeof(overlong), 2, &decoded)
+                   .ok());
   // A zero delta in a non-first position breaks strict monotonicity.
   const uint8_t zero_delta[] = {3, 0, 0};
   EXPECT_FALSE(DecodeU16DeltaVarint(CountingColumn::ContainerKind::kArray,

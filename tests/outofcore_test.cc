@@ -1,6 +1,7 @@
-// Out-of-core mining acceptance: the two-pass partition miner must produce
+// Out-of-core mining acceptance: the spill-and-sweep miner must produce
 // byte-identical results to the in-memory miner on every dataset where both
-// run, across thread counts and partition-forcing memory budgets.
+// run, across thread counts and partition-forcing memory budgets, and must
+// ask exactly the in-memory walk's count questions.
 
 #include <gtest/gtest.h>
 
@@ -85,14 +86,18 @@ TEST_F(OutOfCoreTest, MatchesInMemoryAcrossThreadsAndBudgets) {
   ASSERT_TRUE(expected_or.ok());
   const std::string expected = Fingerprint(*expected_or);
   ASSERT_FALSE(expected_or->significant.empty());
+  // The walk reaches level 3, so every configuration below runs two sweeps.
+  uint64_t expected_candidates = 0;
+  for (const LevelStats& level : expected_or->levels) {
+    expected_candidates += level.candidates;
+  }
+  ASSERT_EQ(expected_or->levels.size(), 2u);
 
-  // Budgets chosen so the spill pass produces one partition (the min 1 MiB
-  // partition floor swallows this dataset) and, with the tiny budget,
-  // multiple partitions via a sub-floor override is impossible — so force
-  // partitioning through the spill threshold by mining a dataset bigger
-  // than the floor below. Deterministic stats (partition count, candidate
-  // union size) must be a function of the budget alone — identical at any
-  // thread count, since recordings merge in partition order.
+  // Both budgets leave this dataset in one partition (the 1 MiB partition
+  // floor swallows it); MultiplePartitionsStayExact and PartitionBudgetKnob
+  // force several. Deterministic stats (partition count, swept queries)
+  // must be a function of the budget alone — identical at any thread
+  // count.
   for (const uint64_t budget : {uint64_t{8} << 20, uint64_t{512} << 20}) {
     OutOfCoreStats baseline;
     bool have_baseline = false;
@@ -109,8 +114,13 @@ TEST_F(OutOfCoreTest, MatchesInMemoryAcrossThreadsAndBudgets) {
           << "threads " << threads << ", budget " << budget;
       EXPECT_EQ(stats.num_baskets, 6000u);
       EXPECT_GE(stats.partitions, 1u);
-      EXPECT_GT(stats.candidate_queries, 0u);
       EXPECT_GE(stats.admitted, 1);
+      // One count per question the in-memory walk asks: single items come
+      // from the spill's item counts, every candidate from one sweep.
+      EXPECT_EQ(stats.candidate_queries, expected_candidates)
+          << "threads " << threads << ", budget " << budget;
+      EXPECT_EQ(stats.memo_misses, expected_candidates);
+      EXPECT_EQ(stats.memo_hits, session_or->num_items());
       if (!have_baseline) {
         baseline = stats;
         have_baseline = true;
@@ -180,9 +190,9 @@ TEST_F(OutOfCoreTest, PartitionBudgetKnob) {
 
 TEST_F(OutOfCoreTest, FailedRunLeavesSpillDirEmpty) {
   // A valid segment followed by a garbage tail: the spill pass closes
-  // several partitions (tiny explicit partition budget), submits their
-  // mines, then hits the stream error — the guard must still remove every
-  // spilled file and the directory itself.
+  // several partitions (tiny explicit partition budget), then hits the
+  // stream error — the guard must still remove every spilled file and the
+  // directory itself.
   auto db_or = datagen::GenerateQuestData({.num_transactions = 6000,
                                            .num_items = 300,
                                            .avg_transaction_size = 12.0,
@@ -223,6 +233,45 @@ TEST_F(OutOfCoreTest, FailedRunLeavesSpillDirEmpty) {
   }
   EXPECT_GE(kept, 2u) << "expected several closed partitions before the "
                          "stream error";
+}
+
+TEST_F(OutOfCoreTest, SweepFailureReturnsStatus) {
+  // A partition file that vanishes between levels: the level-3 sweep
+  // cannot map it. The walk must not abort the process; the mine returns
+  // the sweep's error instead of a result, and the guard still empties
+  // the spill dir.
+  auto db_or = datagen::GenerateQuestData({.num_transactions = 6000,
+                                           .num_items = 300,
+                                           .avg_transaction_size = 12.0,
+                                           .seed = 2024});
+  ASSERT_TRUE(db_or.ok());
+  const std::string input = (dir_ / "quest.bin").string();
+  ASSERT_TRUE(io::WriteBinaryTransactionFile(*db_or, input).ok());
+
+  OutOfCoreMinerOptions options;
+  options.miner.support.min_count = 300;
+  options.miner.support.cell_fraction = 0.26;
+  options.miner.max_level = 3;
+  options.memory_budget_bytes = uint64_t{64} << 20;
+  options.partition_budget_bytes = uint64_t{64} << 10;
+  options.spill_dir = (dir_ / "spill_vanish").string();
+  bool removed = false;
+  options.miner.progress = [&](const MinerProgress& progress) {
+    if (progress.level != 2) return;
+    std::error_code ec;
+    std::filesystem::remove(
+        std::filesystem::path(options.spill_dir) / "part-1.ccs", ec);
+    removed = !ec;
+  };
+  for (const int threads : {1, 4}) {
+    options.miner.num_threads = threads;
+    removed = false;
+    auto result_or = MineCorrelationsOutOfCore(input, options);
+    ASSERT_TRUE(removed) << "threads " << threads;
+    EXPECT_FALSE(result_or.ok()) << "threads " << threads;
+    EXPECT_FALSE(std::filesystem::exists(options.spill_dir))
+        << "failed sweep left spill files behind";
+  }
 }
 
 TEST_F(OutOfCoreTest, MultiplePartitionsStayExact) {
@@ -266,18 +315,14 @@ TEST_F(OutOfCoreTest, MultiplePartitionsStayExact) {
   EXPECT_EQ(Fingerprint(*result_or), Fingerprint(*expected_or));
   EXPECT_GE(stats.partitions, 2u) << "dataset did not force partitioning";
   EXPECT_GT(stats.spilled_payload_bytes, 0u);
-  // Peak-RSS gauges land at every pass boundary so an operator can see
-  // which phase of a spilling run owned the memory high-water mark.
+  // Peak-RSS gauges land at both phase boundaries so an operator can see
+  // whether the spill or the walk owned the memory high-water mark.
   if (kMetricsEnabled) {
     EXPECT_GT(registry.GetGauge("mem.peak_rss_spill_bytes")->Value(), 0);
-    EXPECT_GT(registry.GetGauge("mem.peak_rss_pass1_bytes")->Value(), 0);
-    EXPECT_GT(registry.GetGauge("mem.peak_rss_pass2_bytes")->Value(), 0);
-    // RSS is monotone over the run, so each boundary reading dominates
-    // the one before it.
-    EXPECT_GE(registry.GetGauge("mem.peak_rss_pass1_bytes")->Value(),
+    // RSS is monotone over the run, so the walk's reading dominates the
+    // spill's.
+    EXPECT_GE(registry.GetGauge("mem.peak_rss_walk_bytes")->Value(),
               registry.GetGauge("mem.peak_rss_spill_bytes")->Value());
-    EXPECT_GE(registry.GetGauge("mem.peak_rss_pass2_bytes")->Value(),
-              registry.GetGauge("mem.peak_rss_pass1_bytes")->Value());
   }
   // keep_spill leaves the CCS1 partitions on disk.
   size_t spill_files = 0;
@@ -290,11 +335,13 @@ TEST_F(OutOfCoreTest, MultiplePartitionsStayExact) {
 }
 
 TEST_F(OutOfCoreTest, TextInputAndAppendedBinarySegments) {
-  // Text input: streamed line-by-line; num_items = max id + 1.
+  // Text input: streamed line-by-line; num_items = max id + 1. The last
+  // basket repeats and reorders ids, which the spill must normalize the
+  // way the in-memory loader does.
   const std::string text_path = (dir_ / "tiny.txt").string();
   {
     std::ofstream out(text_path);
-    out << "# comment\n0 1 2\n1 2\n0 2\n2 3\n0 1\n1 2 3\n";
+    out << "# comment\n0 1 2\n1 2\n0 2\n2 3\n0 1\n1 2 3\n3 1 3\n";
   }
   MinerOptions miner;
   miner.support.min_count = 1;

@@ -81,11 +81,10 @@ constexpr char kUsage[] =
     "                             is byte-identical for every provider\n"
     "      --out-of-core          never load the dataset: stream it into\n"
     "                             RAM-sized compressed CCS spill\n"
-    "                             partitions, pipeline the partition\n"
-    "                             mines with the spill under a\n"
-    "                             budget-aware admission controller, then\n"
-    "                             verify exact counts in one streaming\n"
-    "                             pass (DESIGN.md §12). Output is\n"
+    "                             partitions while counting every item,\n"
+    "                             then run the level-wise walk with one\n"
+    "                             sweep over the partitions per level\n"
+    "                             (DESIGN.md §12). Output is\n"
     "                             byte-identical to the in-memory mine;\n"
     "                             honors --threads and the mining flags,\n"
     "                             excludes --provider/--shards/--names/\n"
@@ -95,12 +94,13 @@ constexpr char kUsage[] =
     "                             sized so peak RSS stays near it\n"
     "      --partition-budget B   bytes of basket rows per spill partition\n"
     "                             (default memory-budget/6, min 1 MiB).\n"
-    "                             Must not exceed --memory-budget; the\n"
-    "                             admission controller runs about\n"
+    "                             Must not exceed --memory-budget; a\n"
+    "                             sweep counts about\n"
     "                             memory-budget / (2 x partition-budget)\n"
-    "                             partition mines concurrently, so setting\n"
-    "                             it equal to --memory-budget forces\n"
-    "                             serial (admitted = 1) mining\n"
+    "                             partitions concurrently, so setting it\n"
+    "                             equal to --memory-budget forces sweeps\n"
+    "                             that count one partition at a time\n"
+    "                             (admitted = 1)\n"
     "      --spill-dir DIR        out-of-core partition directory\n"
     "                             (default <file>.spill, removed after\n"
     "                             the run unless --keep-spill)\n"
@@ -419,9 +419,8 @@ Status RunMineOutOfCore(const FlagParser& flags) {
       MineCorrelationsOutOfCore(flags.positional()[1], options, &stats));
   std::cerr << "[out-of-core] " << stats.num_baskets << " baskets, "
             << stats.num_items << " items, " << stats.partitions
-            << " partitions (admitted " << stats.admitted << "), "
-            << stats.candidate_queries << " candidate queries, "
-            << stats.memo_misses << " memo misses, spill "
+            << " partitions (sweep width " << stats.admitted << "), "
+            << stats.candidate_queries << " swept queries, spill "
             << stats.spilled_encoded_bytes << "/"
             << stats.spilled_payload_bytes << " bytes\n";
   CORRMINE_RETURN_NOT_OK(PrintMineResult(flags, result, nullptr));
