@@ -34,11 +34,10 @@ inline std::string FormatJsonNumber(double v) {
 ///   BENCH_METRICS {"bench":"<name>", ...registry snapshot...}
 /// Every bench binary calls this at exit, so scripted sweeps can diff the
 /// instrumentation (cache hits, candidates, pool activity) across runs
-/// without parsing the human-readable tables. With CORRMINE_METRICS=OFF
-/// the line still prints, with all-zero values.
+/// without parsing the human-readable tables.
 inline void EmitMetricsLine(const char* bench_name) {
-  // ToJson always renders "{\"metrics_compiled\":...}"; splice the bench
-  // name in as the object's first key.
+  // ToJson always renders "{\"counters\":...}"; splice the bench name in
+  // as the object's first key.
   std::string snapshot = MetricsRegistry::Global().ToJson();
   std::printf("BENCH_METRICS {\"bench\":\"%s\",%s\n", bench_name,
               snapshot.c_str() + 1);

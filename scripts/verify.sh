@@ -2,9 +2,8 @@
 # Tier-1 verification plus hardening passes: the stats regression sentinel
 # across a threads x shards matrix, a trace-validation stage, a profiling
 # stage (the pure-observer sentinel across off/sampling/PMU/both plus
-# collapsed-stack validation), the full test suite with the metrics layer
-# compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
-# a ThreadSanitizer run over the concurrency-sensitive suites (the
+# collapsed-stack validation), a ThreadSanitizer run over the
+# concurrency-sensitive suites (the
 # parallel mining engine, its pool, and the count providers), and an
 # AddressSanitizer run over the suites that feed the input decoders. Run
 # from the repository root:
@@ -12,7 +11,6 @@
 #   scripts/verify.sh                  # everything
 #   SKIP_TSAN=1 scripts/verify.sh      # skip the TSan stage
 #   SKIP_ASAN=1 scripts/verify.sh      # skip the ASan stage
-#   SKIP_METRICS_OFF=1 scripts/verify.sh  # skip the metrics-off stage
 #   SKIP_STATSDIFF=1 scripts/verify.sh    # skip the statsdiff/trace stages
 #   SKIP_PROFILE=1 scripts/verify.sh      # skip the profiling stage (the
 #                                         # pure-observer sentinel plus
@@ -208,7 +206,8 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
   # counter families must match too: the out-of-core walk is the one
   # in-memory walk over another provider, so it runs once and asks the
   # same questions in the same batches (item counts, then one sweep per
-  # level).
+  # level). The 8-thread run also records a Chrome trace (spill, sweep and
+  # per-partition count phases on the pool workers), which must validate.
   ODIR=build/outofcore-out
   rm -rf "$ODIR" && mkdir -p "$ODIR"
   OFLAGS=(--support-count 3000 --cell-fraction 0.26 --max-level 3)
@@ -218,9 +217,13 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
     --out "$ODIR/rules_mem.txt" \
     --stats-json "$ODIR/stats_mem.json" >/dev/null
   for threads in 1 8; do
+    trace_flags=()
+    if [[ "$threads" == 8 ]]; then
+      trace_flags=(--trace-out "$ODIR/ooc_t8.trace.json")
+    fi
     build/tools/corrmine_cli mine "$ODIR/fixture.cmb" "${OFLAGS[@]}" \
       --out-of-core --memory-budget $((8 * 1024 * 1024)) \
-      --threads "$threads" \
+      --threads "$threads" "${trace_flags[@]}" \
       --out "$ODIR/rules_ooc_t${threads}.txt" \
       --stats-json "$ODIR/stats_ooc_t${threads}.json" >/dev/null
     cmp "$ODIR/rules_mem.txt" "$ODIR/rules_ooc_t${threads}.txt"
@@ -229,6 +232,7 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
     build/tools/statsdiff "$ODIR/stats_mem.json" \
       "$ODIR/stats_ooc_t${threads}.json" --counters miner.,count_provider.
   done
+  build/tools/statsdiff --validate-trace "$ODIR/ooc_t8.trace.json"
 
   echo "== out-of-core sentinel: serial vs parallel admission =="
   # The admission controller must be invisible in the answer AND in the
@@ -310,13 +314,6 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     build/tools/benchgate --out BENCH_outofcore.json \
       "$BDIR/outofcore.txt"
   fi
-fi
-
-if [[ "${SKIP_METRICS_OFF:-0}" != "1" ]]; then
-  echo "== metrics compiled out: build + ctest =="
-  cmake -B build-nometrics -S . -DCORRMINE_METRICS=OFF >/dev/null
-  cmake --build build-nometrics -j >/dev/null
-  (cd build-nometrics && ctest --output-on-failure -j)
 fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then

@@ -8,26 +8,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace corrmine {
 
 /// Observability substrate for the mining pipeline (see DESIGN.md §6):
-/// named counters, gauges and histograms registered in a MetricsRegistry,
-/// plus scoped PhaseTimer trace spans. The hot-path operations (Counter::Add,
-/// Histogram::Observe) are a single relaxed atomic on a thread-striped shard,
-/// so instrumented inner loops stay contention-free.
-///
-/// Compile-out: configuring with -DCORRMINE_METRICS=OFF defines
-/// CORRMINE_METRICS_DISABLED, which turns every mutation and every clock
-/// read into an inline no-op — the registry API keeps existing so call
-/// sites compile identically, but snapshots report zeros and
-/// `kMetricsEnabled` lets tests skip counter assertions.
-#ifdef CORRMINE_METRICS_DISABLED
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
+/// named counters, gauges and histograms registered in a MetricsRegistry.
+/// Phases are timed by common/phase.h. The hot-path operations
+/// (Counter::Add, Histogram::Observe) are a single relaxed atomic on a
+/// thread-striped shard, so instrumented inner loops stay contention-free.
 
 /// Monotonic counter sharded across cache lines: concurrent workers land on
 /// different shards (thread-striped), reads sum them. Totals are exact; only
@@ -35,12 +23,7 @@ inline constexpr bool kMetricsEnabled = true;
 class Counter {
  public:
   void Add(uint64_t delta = 1) {
-    if constexpr (kMetricsEnabled) {
-      shards_[ShardIndex()].value.fetch_add(delta,
-                                            std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    shards_[ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
   }
 
   uint64_t Value() const {
@@ -67,13 +50,7 @@ class Counter {
 /// Last-write-wins signed value (cache sizes, configuration echoes).
 class Gauge {
  public:
-  void Set(int64_t value) {
-    if constexpr (kMetricsEnabled) {
-      value_.store(value, std::memory_order_relaxed);
-    } else {
-      (void)value;
-    }
-  }
+  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
 
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -107,14 +84,6 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
 };
 
-/// One completed PhaseTimer scope, for the trace-span tail kept by the
-/// registry. Times are ns since the registry's construction.
-struct TraceSpan {
-  std::string name;
-  uint64_t start_ns = 0;
-  uint64_t duration_ns = 0;
-};
-
 /// Owns the named metrics of one process (or one test). Library code
 /// instruments against Global(); tests that need isolation construct their
 /// own and pass it down (MinerOptions::metrics). Handles returned by the
@@ -122,8 +91,6 @@ struct TraceSpan {
 /// values in place, it never invalidates pointers.
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-
   /// The process-wide default registry.
   static MetricsRegistry& Global();
 
@@ -133,67 +100,28 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// Appends a completed trace span; the buffer keeps the first
-  /// kMaxTraceSpans spans and counts the overflow. No-op when disabled.
-  void RecordSpan(const std::string& name, uint64_t start_ns,
-                  uint64_t duration_ns);
-
-  /// Nanoseconds since this registry was constructed (steady clock);
-  /// 0 when metrics are compiled out.
-  uint64_t NowNanos() const;
-
   struct Snapshot {
     std::map<std::string, uint64_t> counters;
     std::map<std::string, int64_t> gauges;
     std::map<std::string, Histogram::Data> histograms;
-    std::vector<TraceSpan> spans;
-    uint64_t spans_dropped = 0;
   };
   Snapshot Snap() const;
 
   /// Compact single-line JSON of the snapshot (schema in DESIGN.md §6).
   std::string ToJson() const;
 
-  /// Human-readable multi-line report of every metric and phase.
+  /// Human-readable multi-line report of every metric.
   std::string DumpMetrics() const;
 
-  /// Zeroes every counter/gauge/histogram and drops the trace buffer.
-  /// Existing handles stay valid. Intended for tests and between
-  /// independent runs in one process.
+  /// Zeroes every counter/gauge/histogram. Existing handles stay valid.
+  /// Intended for tests and between independent runs in one process.
   void Reset();
-
-  static constexpr size_t kMaxTraceSpans = 4096;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::vector<TraceSpan> spans_;
-  uint64_t spans_dropped_ = 0;
-  uint64_t epoch_ns_ = 0;  // steady_clock at construction.
-};
-
-/// Scoped wall-clock span: on destruction (or Stop()) records the elapsed
-/// time into histogram "<name>.ns" and counter "<name>.calls" of the
-/// registry, and appends a TraceSpan. Compiles to nothing when metrics are
-/// disabled — no clock reads.
-class PhaseTimer {
- public:
-  PhaseTimer(MetricsRegistry* registry, std::string name);
-  ~PhaseTimer() { Stop(); }
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  /// Records now instead of at scope exit; later calls are no-ops.
-  void Stop();
-
- private:
-  MetricsRegistry* registry_;
-  std::string name_;
-  uint64_t start_ns_ = 0;
-  bool stopped_ = false;
 };
 
 }  // namespace corrmine

@@ -42,22 +42,14 @@ PmuCounts& PmuCounts::operator+=(const PmuCounts& other) {
   return *this;
 }
 
-#if defined(CORRMINE_METRICS_DISABLED)
-
-const PmuProbe& ProbePmu() {
-  static const PmuProbe probe{false,
-                              "metrics compiled out (CORRMINE_METRICS=OFF)"};
-  return probe;
-}
-
-#elif !defined(__linux__)
+#if !defined(__linux__)
 
 const PmuProbe& ProbePmu() {
   static const PmuProbe probe{false, "perf_event_open requires Linux"};
   return probe;
 }
 
-#else  // Linux, metrics on
+#else  // Linux
 
 namespace {
 
@@ -224,6 +216,6 @@ PmuCounts PmuGroup::Read() const {
   return counts;
 }
 
-#endif  // platform/config dispatch
+#endif  // __linux__
 
 }  // namespace corrmine

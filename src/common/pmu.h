@@ -5,16 +5,14 @@
 #include <cstdint>
 #include <string>
 
-#include "common/metrics.h"
-
 namespace corrmine {
 
 /// Hardware performance-counter access (DESIGN.md §13), the PMU half of the
 /// profiling subsystem. A PmuGroup opens one perf_event_open group — cycles
 /// (leader), instructions, LLC loads/misses, branch misses, and the
 /// task-clock software counter — bound to the calling thread, and reads all
-/// of them atomically with one PERF_FORMAT_GROUP read. ProfileScope
-/// (common/profiler.h) reads a group at phase entry/exit and attributes the
+/// of them atomically with one PERF_FORMAT_GROUP read. Phase
+/// (common/phase.h) reads a group at phase entry/exit and attributes the
 /// delta to the phase.
 ///
 /// Degradation contract: perf_event_open is routinely denied in containers
@@ -56,19 +54,6 @@ struct PmuProbe {
 /// call from any thread, never throws, never logs.
 const PmuProbe& ProbePmu();
 
-#ifdef CORRMINE_METRICS_DISABLED
-
-/// No-op shell: zero state, zero syscalls, same call-site shape. The
-/// metrics-off build must not even open file descriptors.
-class PmuGroup {
- public:
-  PmuGroup() {}
-  bool valid() const { return false; }
-  PmuCounts Read() const { return PmuCounts{}; }
-};
-
-#else  // PMU layer compiled in
-
 /// One per-thread perf_event group. Construction opens the counters for the
 /// calling thread (invalid when the probe failed — construction still never
 /// errors); Read() must be called from the owning thread. Counters free-run
@@ -94,8 +79,6 @@ class PmuGroup {
   std::array<int, kEvents> fds_;       // -1 = event not opened
   std::array<uint64_t, kEvents> ids_;  // PERF_FORMAT_ID per opened slot
 };
-
-#endif  // CORRMINE_METRICS_DISABLED
 
 }  // namespace corrmine
 

@@ -15,6 +15,11 @@
 #define CORRMINE_PROFILER_HAVE_SIGPROF 1
 #endif
 
+#if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
+#include <ucontext.h>
+#define CORRMINE_PROFILER_HAVE_UCONTEXT_REGS 1
+#endif
+
 #if defined(__GLIBC__) || defined(__APPLE__)
 #include <cxxabi.h>
 #include <dlfcn.h>
@@ -33,15 +38,40 @@ bool g_handler_installed = false;
 
 /// SIGPROF entry point. Everything it reaches must be async-signal-safe:
 /// errno save/restore here, atomics and pre-allocated memory inside.
-void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* /*ctx*/) {
+void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* ctx) {
   const int saved_errno = errno;
-  Profiler::Global().HandleSampleSignal();
+  Profiler::Global().HandleSampleSignal(ctx);
   errno = saved_errno;
 }
 #endif
 
-/// Maximum plausible distance from the current stack pointer to the stack
-/// base; frame pointers outside [sp, sp + kMaxStackBytes) terminate the
+/// Reads the interrupted thread's program counter, frame pointer and stack
+/// pointer out of a signal's ucontext. False on targets whose register
+/// layout is not known here.
+#ifdef CORRMINE_PROFILER_HAVE_UCONTEXT_REGS
+bool InterruptedRegisters(void* ucontext, uintptr_t* pc, uintptr_t* fp,
+                          uintptr_t* sp) {
+  if (ucontext == nullptr) return false;
+  const mcontext_t& mc = static_cast<const ucontext_t*>(ucontext)->uc_mcontext;
+#if defined(__x86_64__)
+  *pc = static_cast<uintptr_t>(mc.gregs[REG_RIP]);
+  *fp = static_cast<uintptr_t>(mc.gregs[REG_RBP]);
+  *sp = static_cast<uintptr_t>(mc.gregs[REG_RSP]);
+#else
+  *pc = static_cast<uintptr_t>(mc.pc);
+  *fp = static_cast<uintptr_t>(mc.regs[29]);
+  *sp = static_cast<uintptr_t>(mc.sp);
+#endif
+  return true;
+}
+#else
+bool InterruptedRegisters(void*, uintptr_t*, uintptr_t*, uintptr_t*) {
+  return false;
+}
+#endif
+
+/// Maximum plausible distance from the walk's starting stack pointer to
+/// the stack base; frame pointers outside [sp, sp + kMaxStackBytes) terminate the
 /// walk. Matches common 8 MB default stacks.
 constexpr uintptr_t kMaxStackBytes = 8u << 20;
 
@@ -72,17 +102,19 @@ void AppendRate(std::ostringstream* out, const char* key, uint64_t num,
   *out << buf;
 }
 
-/// Symbolizes one return address for the collapsed-stack export. Spaces
-/// and semicolons are structural in the collapsed format, so they are
+/// Symbolizes one frame for the collapsed-stack export: the interrupted
+/// instruction itself when `exact`, else a return address. Spaces and
+/// semicolons are structural in the collapsed format, so they are
 /// rewritten; unresolvable addresses keep their hex form (still useful
 /// with an external symbolizer).
-std::string SymbolizePc(uintptr_t pc) {
+std::string SymbolizePc(uintptr_t pc, bool exact) {
   std::string name;
 #ifdef CORRMINE_PROFILER_HAVE_DLADDR
   Dl_info info;
-  // The stored pc is a return address: subtract one byte so calls at the
-  // very end of a function do not resolve to the function that follows.
-  if (dladdr(reinterpret_cast<void*>(pc - 1), &info) != 0 &&
+  // A return address is looked up one byte back so calls at the very end
+  // of a function do not resolve to the function that follows.
+  const uintptr_t lookup = exact ? pc : pc - 1;
+  if (dladdr(reinterpret_cast<void*>(lookup), &info) != 0 &&
       info.dli_sname != nullptr) {
     int status = 0;
     char* demangled =
@@ -115,10 +147,6 @@ Profiler& Profiler::Global() {
 }
 
 void Profiler::Start(const ProfilerOptions& options) {
-  if constexpr (!kMetricsEnabled) {
-    (void)options;
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     phases_.clear();
@@ -176,7 +204,6 @@ void Profiler::Start(const ProfilerOptions& options) {
 }
 
 void Profiler::Stop() {
-  if constexpr (!kMetricsEnabled) return;
 #ifdef CORRMINE_PROFILER_HAVE_SIGPROF
   if (sampling_active_.load(std::memory_order_acquire)) {
     struct itimerval off;
@@ -193,7 +220,6 @@ void Profiler::Stop() {
 }
 
 void Profiler::RecordPhase(const char* phase, const PmuCounts& delta) {
-  if constexpr (!kMetricsEnabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   PhaseProfile& profile = phases_[phase];
   profile.scopes += 1;
@@ -201,7 +227,6 @@ void Profiler::RecordPhase(const char* phase, const PmuCounts& delta) {
 }
 
 PmuGroup* Profiler::ThreadGroup() {
-  if constexpr (!kMetricsEnabled) return nullptr;
   struct Cached {
     PmuGroup* group = nullptr;
     uint64_t session = 0;
@@ -227,18 +252,30 @@ PmuGroup* Profiler::ThreadGroup() {
   return cached.group;
 }
 
-void Profiler::HandleSampleSignal() {
+void Profiler::HandleSampleSignal(void* ucontext) {
   if (!sampling_active_.load(std::memory_order_acquire)) return;
   SampleSlot* slots = sample_slots_;
   if (slots == nullptr) return;
 
-  // Bounds-checked frame-pointer walk. Requires -fno-omit-frame-pointer
-  // (set by CMake when CORRMINE_METRICS is ON); with omitted frame
-  // pointers the checks fail fast and the sample counts as unresolved.
+  // The leaf is the interrupted instruction, and the walk starts at the
+  // interrupted frame; where the ucontext layout is unknown the walk
+  // starts at this handler's own frame instead (its leaf frames are then
+  // the handler and the signal trampoline).
   uintptr_t pcs[kMaxFrames];
   int depth = 0;
-  uintptr_t fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  const uintptr_t sp = fp;
+  uintptr_t pc = 0;
+  uintptr_t fp = 0;
+  uintptr_t sp = 0;
+  const bool exact_leaf = InterruptedRegisters(ucontext, &pc, &fp, &sp);
+  if (exact_leaf) {
+    pcs[depth++] = pc;
+  } else {
+    fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+    sp = fp;
+  }
+  // Bounds-checked frame-pointer walk. Requires -fno-omit-frame-pointer
+  // (set by the top-level CMakeLists.txt); with omitted frame pointers the
+  // checks fail fast and the sample keeps only its leaf.
   while (depth < kMaxFrames) {
     if (fp < sp || fp >= sp + kMaxStackBytes) break;
     if ((fp & (sizeof(uintptr_t) - 1)) != 0) break;
@@ -256,6 +293,7 @@ void Profiler::HandleSampleSignal() {
   if (claim < kSampleRingCapacity) {
     SampleSlot& slot = slots[claim & sample_mask_];
     slot.depth = depth;
+    slot.exact_leaf = exact_leaf;
     for (int i = 0; i < depth; ++i) slot.pcs[i] = pcs[i];
     // Publish: exporters only trust slots whose seq matches claim + 1.
     slot.seq.store(claim + 1, std::memory_order_release);
@@ -340,7 +378,9 @@ std::string Profiler::RenderCollapsedStacks() const {
   if (sample_slots_ == nullptr) return std::string();
   const uint64_t total = sample_cursor_.load(std::memory_order_acquire);
   const uint64_t end = std::min<uint64_t>(total, kSampleRingCapacity);
-  std::unordered_map<uintptr_t, std::string> symbol_cache;
+  // One cache per frame kind: an exact leaf PC and a return address of the
+  // same value may name different functions.
+  std::unordered_map<uintptr_t, std::string> symbol_cache[2];
   std::map<std::string, uint64_t> folded;
   for (uint64_t i = 0; i < end; ++i) {
     const SampleSlot& slot = sample_slots_[i & sample_mask_];
@@ -354,9 +394,11 @@ std::string Profiler::RenderCollapsedStacks() const {
       // Walk order is leaf-first; collapsed format is root-first.
       for (int f = slot.depth - 1; f >= 0; --f) {
         const uintptr_t pc = slot.pcs[f];
-        auto it = symbol_cache.find(pc);
-        if (it == symbol_cache.end()) {
-          it = symbol_cache.emplace(pc, SymbolizePc(pc)).first;
+        const bool exact = f == 0 && slot.exact_leaf;
+        auto& cache = symbol_cache[exact ? 1 : 0];
+        auto it = cache.find(pc);
+        if (it == cache.end()) {
+          it = cache.emplace(pc, SymbolizePc(pc, exact)).first;
         }
         if (!line.empty()) line += ';';
         line += it->second;

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/pmu.h"
 #include "common/status.h"
 
@@ -18,8 +17,9 @@ namespace corrmine {
 /// Phase-attributed profiling subsystem (DESIGN.md §13), two coordinated
 /// collectors behind one Start/Stop session:
 ///
-///  * PMU attribution — each instrumented phase (ProfileScope) reads a
-///    per-thread perf_event group at entry and exit and charges the delta
+///  * PMU attribution — each instrumented phase (Phase, common/phase.h)
+///    reads a per-thread perf_event group at entry and exit and charges the
+///    delta
 ///    (cycles, instructions, LLC loads/misses, branch misses, task-clock)
 ///    to the phase name, so stats-JSON's "profile" section answers *why* a
 ///    phase is slow (IPC, miss rates) rather than just how long it took.
@@ -31,8 +31,7 @@ namespace corrmine {
 ///
 /// Both collectors are pure observers: the deterministic stats section is
 /// byte-identical with profiling on or off (pinned by statsdiff in
-/// verify.sh), everything compiles to no-ops under -DCORRMINE_METRICS=OFF,
-/// and PMU denial (seccomp/paranoid containers) degrades to
+/// verify.sh), and PMU denial (seccomp/paranoid containers) degrades to
 /// `pmu.available:false` + reason with every caller unperturbed.
 
 struct ProfilerOptions {
@@ -48,17 +47,13 @@ struct ProfilerOptions {
 
 /// Aggregated PMU attribution for one phase name.
 struct PhaseProfile {
-  uint64_t scopes = 0;  ///< ProfileScope entries recorded into this phase.
+  uint64_t scopes = 0;  ///< Phase scopes recorded into this phase.
   PmuCounts counts;
 };
 
 /// Process-wide profiler singleton. Start/Stop bound a session, mirroring
-/// Tracer; like Tracer, they must not race with active ProfileScopes (the
-/// CLI starts before the run and stops after it returns). In the
-/// metrics-off build the full API remains callable — Start/Stop no-op,
-/// snapshots are empty, and RenderProfileJson still produces a valid
-/// section reporting everything disabled — so stats_json and the CLI
-/// compile identically in both modes.
+/// Tracer; like Tracer, they must not race with active Phase scopes (the
+/// CLI starts before the run and stops after it returns).
 class Profiler {
  public:
   /// Shared sample ring capacity (samples across all threads). At the
@@ -80,17 +75,18 @@ class Profiler {
     return sampling_active_.load(std::memory_order_acquire);
   }
 
-  /// Merges one phase-scoped counter delta (ProfileScope destructor).
+  /// Merges one phase-scoped counter delta (Phase::Stop).
   void RecordPhase(const char* phase, const PmuCounts& delta);
 
   /// The calling thread's counter group for the current session, opened
   /// lazily; nullptr when the PMU collector is off or unavailable.
   PmuGroup* ThreadGroup();
 
-  /// Called from the SIGPROF handler. Async-signal-safe: frame-pointer
-  /// walk plus atomics into the pre-allocated sample ring; never locks or
-  /// allocates.
-  void HandleSampleSignal();
+  /// Called from the SIGPROF handler with its ucontext (may be null).
+  /// Async-signal-safe: records the interrupted PC as the leaf, walks the
+  /// interrupted frame pointers, and publishes into the pre-allocated
+  /// sample ring with atomics; never locks or allocates.
+  void HandleSampleSignal(void* ucontext);
 
   uint64_t samples_recorded() const;
   uint64_t samples_dropped() const;
@@ -99,7 +95,7 @@ class Profiler {
 
   /// One-line JSON object for stats-JSON's "profile" section:
   /// {"pmu":{...},"phases":{...},"sampling":{...}}. Valid in every
-  /// configuration, including metrics-off and never-started.
+  /// configuration, including never-started.
   std::string RenderProfileJson() const;
 
   /// Collapsed-stack document ("frame;frame;... count" lines, root
@@ -119,6 +115,8 @@ class Profiler {
   struct SampleSlot {
     std::atomic<uint64_t> seq{0};
     int depth = 0;
+    /// pcs[0] is the interrupted instruction, not a return address.
+    bool exact_leaf = false;
     uintptr_t pcs[kMaxFrames];
   };
 
@@ -141,51 +139,6 @@ class Profiler {
   std::map<std::string, PhaseProfile> phases_;
   std::vector<std::unique_ptr<PmuGroup>> groups_;
 };
-
-#ifdef CORRMINE_METRICS_DISABLED
-
-/// No-op shell: sizeof == 1, no clocks, no syscalls (pinned by
-/// profiler_off_test).
-class ProfileScope {
- public:
-  explicit ProfileScope(const char* /*phase*/) {}
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-};
-
-#else  // profiling compiled in
-
-/// RAII phase attribution: reads the calling thread's PMU group at
-/// construction and destruction and charges the delta to `phase` (which
-/// must have static storage duration). When the PMU collector is inactive
-/// the constructor is one relaxed load.
-class ProfileScope {
- public:
-  explicit ProfileScope(const char* phase) {
-    Profiler& profiler = Profiler::Global();
-    if (!profiler.pmu_active()) return;
-    PmuGroup* group = profiler.ThreadGroup();
-    if (group == nullptr) return;
-    group_ = group;
-    phase_ = phase;
-    entry_ = group->Read();
-  }
-
-  ~ProfileScope() {
-    if (group_ == nullptr) return;
-    Profiler::Global().RecordPhase(phase_, group_->Read() - entry_);
-  }
-
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  PmuGroup* group_ = nullptr;
-  const char* phase_ = nullptr;
-  PmuCounts entry_;
-};
-
-#endif  // CORRMINE_METRICS_DISABLED
 
 }  // namespace corrmine
 

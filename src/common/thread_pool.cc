@@ -218,16 +218,9 @@ void ThreadPool::RunTask(std::function<void()> task) {
   queue_depth_->Set(pending_.fetch_sub(1, std::memory_order_relaxed) - 1);
   {
     TraceScope task_span("pool.task");
-    if constexpr (kMetricsEnabled) {
-      auto start = std::chrono::steady_clock::now();
-      task();
-      morsel_ns_->Observe(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-    } else {
-      task();
-    }
+    const uint64_t start = SteadyNowNanos();
+    task();
+    morsel_ns_->Observe(SteadyNowNanos() - start);
   }
   tasks_executed_->Add();
 }
@@ -251,18 +244,11 @@ void ThreadPool::HelpUntil(std::mutex& mu, std::condition_variable& cv,
     // timeout re-runs the claim scan, so work submitted between our scan
     // and the wait (whose notify we may have missed) cannot strand us.
     std::unique_lock<std::mutex> lock(mu);
-    if constexpr (kMetricsEnabled) {
-      auto idle_start = std::chrono::steady_clock::now();
-      cv.wait_for(lock, std::chrono::milliseconds(1), done);
-      const uint64_t waited = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - idle_start)
-              .count());
-      idle_ns_->Add(waited);
-      wait_ns_->Observe(waited);
-    } else {
-      cv.wait_for(lock, std::chrono::milliseconds(1), done);
-    }
+    const uint64_t idle_start = SteadyNowNanos();
+    cv.wait_for(lock, std::chrono::milliseconds(1), done);
+    const uint64_t waited = SteadyNowNanos() - idle_start;
+    idle_ns_->Add(waited);
+    wait_ns_->Observe(waited);
     if (done()) return;
   }
 }
@@ -285,23 +271,14 @@ void ThreadPool::WorkerLoop(int index) {
     std::unique_lock<std::mutex> lock(sleep_mu_);
     if (shutting_down_) break;
     if (work_epoch_ != epoch) continue;
-    if constexpr (kMetricsEnabled) {
-      auto idle_start = std::chrono::steady_clock::now();
-      work_available_.wait(lock, [this, epoch] {
-        return shutting_down_ || work_epoch_ != epoch;
-      });
-      const uint64_t waited = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - idle_start)
-              .count());
-      idle_ns_->Add(waited);
-      wait_ns_->Observe(waited);
-      TraceInstant("pool.wait", -1, -1, static_cast<int64_t>(waited));
-    } else {
-      work_available_.wait(lock, [this, epoch] {
-        return shutting_down_ || work_epoch_ != epoch;
-      });
-    }
+    const uint64_t idle_start = SteadyNowNanos();
+    work_available_.wait(lock, [this, epoch] {
+      return shutting_down_ || work_epoch_ != epoch;
+    });
+    const uint64_t waited = SteadyNowNanos() - idle_start;
+    idle_ns_->Add(waited);
+    wait_ns_->Observe(waited);
+    TraceInstant("pool.wait", -1, -1, static_cast<int64_t>(waited));
   }
   // Shutdown drain: anything claimable still runs. A failed scan here
   // happens after shutting_down_ was published, so every pre-shutdown

@@ -14,13 +14,6 @@ namespace corrmine {
 
 namespace {
 
-uint64_t SteadyNowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 size_t RoundUpPow2(size_t n) {
   size_t p = 8;
   while (p < n) p <<= 1;
@@ -97,10 +90,6 @@ Tracer& Tracer::Global() {
 }
 
 void Tracer::Start(size_t events_per_thread) {
-  if constexpr (!kMetricsEnabled) {
-    (void)events_per_thread;
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   rings_.clear();
   events_per_thread_ = events_per_thread;
@@ -111,10 +100,7 @@ void Tracer::Start(size_t events_per_thread) {
 
 void Tracer::Stop() { active_.store(false, std::memory_order_release); }
 
-uint64_t Tracer::NowNanos() const {
-  if constexpr (!kMetricsEnabled) return 0;
-  return SteadyNowNanos() - epoch_ns_;
-}
+uint64_t Tracer::NowNanos() const { return SteadyNowNanos() - epoch_ns_; }
 
 namespace {
 
@@ -153,7 +139,6 @@ TraceRing* Tracer::ThreadRingIfCached() {
 }
 
 uint64_t Tracer::DroppedEvents() const {
-  if constexpr (!kMetricsEnabled) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t dropped = 0;
   for (const std::unique_ptr<TraceRing>& ring : rings_) {
@@ -242,6 +227,13 @@ Status Tracer::WriteChromeJson(const std::string& path) const {
   out.flush();
   if (!out) return Status::Internal("failed writing trace file: " + path);
   return Status::OK();
+}
+
+uint64_t SteadyNowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 uint64_t PeakRssBytes() {

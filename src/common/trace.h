@@ -8,23 +8,22 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/status.h"
 
 namespace corrmine {
 
-/// Execution tracing substrate (DESIGN.md §8), layered on the same
-/// compile-out switch as common/metrics.h: per-thread lock-free ring
+/// Execution tracing substrate (DESIGN.md §8): per-thread lock-free ring
 /// buffers of span begin/end and instant events, exported in the Chrome
 /// Trace Event Format so a `--trace-out` file loads directly in Perfetto
 /// or chrome://tracing.
 ///
 /// Collection is opt-in at runtime: an inactive tracer costs one relaxed
 /// atomic load per call site and reads no clocks, so instrumented hot
-/// paths stay cheap in the (default) untraced configuration. Under
-/// -DCORRMINE_METRICS=OFF every entry point below compiles to an inline
-/// no-op, exactly like the metrics layer — call sites build identically in
-/// both modes.
+/// paths stay cheap in the (default) untraced configuration. Phases that
+/// run once per call, level or partition are recorded by Phase
+/// (common/phase.h), which feeds this tracer, the metrics registry and the
+/// PMU attribution under one name; TraceScope below is the trace-only span
+/// for per-task work inside parallel regions.
 
 /// Chrome trace phases the exporter understands. Spans are recorded as
 /// separate begin/end events (not complete "X" events) so a scope's
@@ -106,8 +105,7 @@ class Tracer {
 
   /// Begins a collection session: resets the time base, drops buffers from
   /// any previous session, and sizes each thread's ring at
-  /// `events_per_thread` (rounded up to a power of two). No-op when the
-  /// metrics layer is compiled out.
+  /// `events_per_thread` (rounded up to a power of two).
   void Start(size_t events_per_thread = kDefaultEventsPerThread);
 
   /// Ends the session. Buffered events stay readable until the next Start.
@@ -151,8 +149,7 @@ class Tracer {
   std::string ToChromeJson() const;
 
   /// Writes ToChromeJson() to `path` (overwriting). Works — producing an
-  /// empty but valid document — even when the metrics layer is compiled
-  /// out or the tracer never started.
+  /// empty but valid document — even when the tracer never started.
   Status WriteChromeJson(const std::string& path) const;
 
  private:
@@ -168,23 +165,12 @@ class Tracer {
   std::vector<std::unique_ptr<TraceRing>> rings_;
 };
 
-#ifdef CORRMINE_METRICS_DISABLED
-
-/// No-op shells: same call-site shape, zero code and zero clock reads.
-class TraceScope {
- public:
-  explicit TraceScope(const char* /*name*/, int64_t /*level*/ = -1,
-                      int64_t /*shard*/ = -1, int64_t /*value*/ = -1) {}
-};
-
-inline void TraceInstant(const char* /*name*/, int64_t /*level*/ = -1,
-                         int64_t /*shard*/ = -1, int64_t /*value*/ = -1) {}
-
-#else  // tracing compiled in
-
-/// RAII span: begin event at construction, end event at destruction, both
-/// into the calling thread's ring. When the tracer is inactive the
-/// constructor is one relaxed load and no clock is read.
+/// Trace-only RAII span for per-task work inside parallel regions
+/// (pool.task, sharded.count_block, column.count_block), where a registry
+/// lookup per task would make every worker wait on the registry mutex.
+/// Begin event at construction, end event at destruction, both into the
+/// calling thread's ring. When the tracer is inactive the constructor is
+/// one relaxed load and no clock is read.
 class TraceScope {
  public:
   explicit TraceScope(const char* name, int64_t level = -1,
@@ -221,11 +207,11 @@ inline void TraceInstant(const char* name, int64_t level = -1,
                                          shard, value});
 }
 
-#endif  // CORRMINE_METRICS_DISABLED
+/// Nanoseconds on the steady clock (arbitrary epoch).
+uint64_t SteadyNowNanos();
 
 /// Peak resident set size of this process in bytes (getrusage), 0 where
-/// unsupported. Not gated on the metrics switch — callers feed it into a
-/// Gauge, which no-ops when compiled out.
+/// unsupported.
 uint64_t PeakRssBytes();
 
 }  // namespace corrmine

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/phase.h"
 #include "common/thread_pool.h"
 
 namespace corrmine {
@@ -113,7 +114,7 @@ StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
   CORRMINE_RETURN_NOT_OK(ValidateBatchArgs(candidates, db.num_baskets(),
                                            db.num_items(), num_threads));
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "batch_tables.build");
+  Phase phase(registry, "batch_tables.build");
   registry.GetCounter("batch_tables.candidates")->Add(candidates.size());
   registry.GetCounter("batch_tables.baskets")->Add(db.num_baskets());
 
@@ -151,7 +152,7 @@ StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
   CORRMINE_RETURN_NOT_OK(ValidateBatchArgs(candidates, db.num_baskets(),
                                            db.num_items(), num_threads));
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "batch_tables.build");
+  Phase phase(registry, "batch_tables.build");
   registry.GetCounter("batch_tables.candidates")->Add(candidates.size());
   registry.GetCounter("batch_tables.baskets")->Add(db.num_baskets());
 

@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "common/metrics.h"
+#include "common/phase.h"
 
 namespace corrmine {
 
 CorrelationBorder::CorrelationBorder(std::vector<Itemset> correlated_sets) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "border.build");
+  Phase phase(registry, "border.build");
   registry.GetCounter("border.input_sets")->Add(correlated_sets.size());
   // Sort by size so any proper subset precedes its supersets; keep a set
   // only if no already-kept set is contained in it.

@@ -1,7 +1,6 @@
 #include "core/chi_squared_miner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -12,7 +11,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/profiler.h"
+#include "common/phase.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "hash/itemset_set.h"
@@ -262,21 +261,13 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       options.metrics ? *options.metrics : MetricsRegistry::Global();
   registry.GetCounter("miner.runs")->Add();
   MinerCounters counters(&registry);
-  PhaseTimer run_timer(&registry, "miner.mine");
-  TraceScope run_span("miner.mine", -1, -1,
-                      static_cast<int64_t>(num_items));
-  ProfileScope run_profile("miner.mine");
+  Phase run_phase(registry, "miner.mine", -1, -1,
+                  static_cast<int64_t>(num_items));
   // Which counting kernel served this run, as a trace marker (value =
   // KernelIsa). Deliberately kept out of the deterministic stats — the
   // kernel is machine-dependent while the counts it produces are not.
   TraceInstant("kernel.selected", -1, -1,
                static_cast<int64_t>(ActiveKernels().isa));
-  // The progress heartbeat needs wall clock even when the metrics layer is
-  // compiled out, so it reads std::chrono directly — but only when a
-  // callback is installed.
-  const auto run_start = options.progress
-                             ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
 
   // Pool ownership: one pool per mining run, reused across levels — unless
   // the caller (typically a MiningSession) lends one, in which case it is
@@ -347,10 +338,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
   std::vector<LevelTable> tables;
 
   for (int level = 2; level <= max_level; ++level) {
-    PhaseTimer level_timer(&registry, "miner.level");
-    TraceScope level_span("miner.level", level, -1,
-                          static_cast<int64_t>(cand.size()));
-    ProfileScope level_profile("miner.level");
+    Phase level_phase(registry, "miner.level", level, -1,
+                      static_cast<int64_t>(cand.size()));
     LevelStats stats;
     stats.level = level;
     stats.possible_itemsets = BinomialCount(num_items, level);
@@ -364,6 +353,9 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     // enumerated (overlapped with this level's evaluation).
     const bool gen_next = level < max_level;
     std::vector<Itemset> next_cand;
+    // This level's evaluate and generate durations for the heartbeat.
+    uint64_t evaluate_ns = 0;
+    uint64_t generate_ns = 0;
 
     // Steps 6-7, batched per level: CAND is materialized whole and counted
     // by ONE CountAllPresentBatch, one query per candidate in the join's
@@ -385,10 +377,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
                    static_cast<int64_t>(cand.size()));
       std::vector<uint64_t> cand_counts(cand.size());
       {
-        PhaseTimer count_timer(&registry, "miner.count_batch");
-        TraceScope count_span("miner.count_batch", level, -1,
-                              static_cast<int64_t>(cand.size()));
-        ProfileScope count_profile("miner.count_batch");
+        Phase count_phase(registry, "miner.count_batch", level, -1,
+                          static_cast<int64_t>(cand.size()));
         provider.CountAllPresentBatch(cand, cand_counts, pool);
       }
 
@@ -410,10 +400,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
 
       Status eval_status;
       {
-        PhaseTimer eval_timer(&registry, "miner.evaluate");
-        TraceScope eval_span("miner.evaluate", level, -1,
-                             static_cast<int64_t>(cand.size()));
-        ProfileScope eval_profile("miner.evaluate");
+        Phase eval_phase(registry, "miner.evaluate", level, -1,
+                         static_cast<int64_t>(cand.size()));
         // Per-slot evaluation scratch: the 2^k all-present vector each chunk
         // assembles tables from, sized once per level and reused across
         // every chunk that slot runs.
@@ -490,6 +478,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
         // error one, or the early exit would free storage under a live
         // task.
         if (gen_next) joiner.Drain(pool);
+        evaluate_ns = eval_phase.Stop();
       }
       CORRMINE_RETURN_NOT_OK(eval_status);
 
@@ -498,10 +487,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       // NOTSIG set) in parallel over runs. Filtered runs concatenate in
       // run order — the sequential candidate stream, byte for byte.
       if (gen_next) {
-        PhaseTimer gen_timer(&registry, "miner.generate");
-        TraceScope gen_span("miner.generate", level, -1,
-                            static_cast<int64_t>(next.members.size()));
-        ProfileScope gen_profile("miner.generate");
+        Phase gen_phase(registry, "miner.generate", level, -1,
+                        static_cast<int64_t>(next.members.size()));
         joiner.CloseRun(pool, next.members.size());
         joiner.Drain(pool);
         CORRMINE_RETURN_NOT_OK(ParallelFor(
@@ -526,6 +513,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
         for (std::vector<Itemset>& run : joiner.joins) {
           std::move(run.begin(), run.end(), std::back_inserter(next_cand));
         }
+        generate_ns = gen_phase.Stop();
       }
     }
 
@@ -546,10 +534,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       heartbeat.candidates = stats.candidates;
       heartbeat.frontier = next.members.size();
       heartbeat.significant_total = result.significant.size();
-      heartbeat.elapsed_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        run_start)
-              .count();
+      heartbeat.evaluate_ns = evaluate_ns;
+      heartbeat.generate_ns = generate_ns;
       options.progress(heartbeat);
     }
     if (exhausted) break;

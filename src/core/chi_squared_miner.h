@@ -26,8 +26,11 @@ struct MinerProgress {
   uint64_t frontier = 0;
   /// Minimal correlated sets found so far, all levels.
   uint64_t significant_total = 0;
-  /// Wall-clock seconds since MineCorrelations started.
-  double elapsed_seconds = 0.0;
+  /// Wall-clock nanoseconds of this level's evaluation and of the next
+  /// level's candidate generation (0 when no level follows): the values
+  /// the level observed into "miner.evaluate.ns" and "miner.generate.ns".
+  uint64_t evaluate_ns = 0;
+  uint64_t generate_ns = 0;
 };
 
 /// Options for the chi-squared/support mining algorithm (Figure 1 of the

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/profiler.h"
+#include "common/phase.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "io/binary_io.h"
@@ -50,11 +50,9 @@ MiningSession::MiningSession(ShardedTransactionDatabase db,
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
   {
-    PhaseTimer build_timer(&metrics(), "session.build_index");
-    TraceScope build_span("session.build_index", -1,
-                          static_cast<int64_t>(db_.num_shards()),
-                          static_cast<int64_t>(db_.num_baskets()));
-    ProfileScope build_profile("session.build_index");
+    Phase build_phase(metrics(), "session.build_index", -1,
+                      static_cast<int64_t>(db_.num_shards()),
+                      static_cast<int64_t>(db_.num_baskets()));
     switch (provider_kind_) {
       case SessionProvider::kBitmap:
         sharded_provider_ = std::make_unique<ShardedCountProvider>(db_);
@@ -82,12 +80,9 @@ StatusOr<MiningSession> MiningSession::Open(const std::string& path,
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
   StatusOr<ShardedTransactionDatabase> db = Status::Internal("not loaded");
   {
-    PhaseTimer load_timer(options.metrics != nullptr
-                              ? options.metrics
-                              : &MetricsRegistry::Global(),
-                          "io.load");
-    TraceScope load_span("io.load", -1, static_cast<int64_t>(shards));
-    ProfileScope load_profile("io.load");
+    Phase load_phase(options.metrics != nullptr ? *options.metrics
+                                                : MetricsRegistry::Global(),
+                     "io.load", -1, static_cast<int64_t>(shards));
     db = LoadSessionDatabase(path, shards, options);
   }
   CORRMINE_RETURN_NOT_OK(db.status());
@@ -139,9 +134,9 @@ void MiningSession::PublishMemoryGauges() const {
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
-  TraceScope span("session.append", -1,
-                  static_cast<int64_t>(chunk.num_baskets()),
-                  static_cast<int64_t>(chunk.num_items()));
+  Phase phase(metrics(), "session.append", -1,
+              static_cast<int64_t>(chunk.num_baskets()),
+              static_cast<int64_t>(chunk.num_items()));
   if (chunk.num_items() > db_.num_items()) {
     CORRMINE_RETURN_NOT_OK(db_.GrowItemSpace(chunk.num_items()));
   }
@@ -156,8 +151,9 @@ Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
 }
 
 StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
-  TraceScope span("session.mine", -1, static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(threads_));
+  Phase phase(metrics(), "session.mine", -1,
+              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   if (options.metrics == nullptr) options.metrics = metrics_;
@@ -168,9 +164,9 @@ StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
 
 StatusOr<MiningResult> MiningSession::MineRandomWalk(
     RandomWalkOptions options) const {
-  TraceScope span("session.mine_random_walk", -1,
-                  static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(threads_));
+  Phase phase(metrics(), "session.mine_random_walk", -1,
+              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(threads_));
   options.miner.num_threads = threads_;
   options.miner.pool = pool_.get();
   if (options.miner.metrics == nullptr) options.miner.metrics = metrics_;
@@ -181,9 +177,9 @@ StatusOr<MiningResult> MiningSession::MineRandomWalk(
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
     AprioriOptions options) const {
-  TraceScope span("session.mine_frequent", -1,
-                  static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(threads_));
+  Phase phase(metrics(), "session.mine_frequent", -1,
+              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   auto result = MineFrequentItemsets(provider(), db_.num_items(), options);
@@ -193,9 +189,9 @@ StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequentEclat(
     EclatOptions options) const {
-  TraceScope span("session.mine_frequent_eclat", -1,
-                  static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(threads_));
+  Phase phase(metrics(), "session.mine_frequent_eclat", -1,
+              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   auto result = MineFrequentItemsetsEclat(db_, options);

@@ -56,8 +56,9 @@ std::string RenderDeterministicStats(const MiningResult& result);
 ///     "trace": {"dropped_events": N},
 ///     "runtime": {...one line, registry snapshot...}
 ///   }
-/// When metrics are compiled out (CORRMINE_METRICS=OFF) the runtime section
-/// reports zeros; the deterministic section is unaffected.
+/// The runtime object is MetricsRegistry::ToJson(): {"counters":{...},
+/// "gauges":{...},"histograms":{...}}, with every Phase (common/phase.h)
+/// present as its "<name>.calls" counter and "<name>.ns" histogram.
 std::string RenderStatsJson(const MiningResult& result,
                             const MetricsRegistry& registry);
 

@@ -184,7 +184,7 @@ void ExecuteBlockedGroups(const BlockedCountPlan& plan, size_t group_begin,
 
 /// Adds one execution's accounting to the global "kernel.blocked_groups /
 /// blocked_queries / and_words / block_and_words / popcount_words"
-/// counters. Thread-safe; a no-op under CORRMINE_METRICS=OFF.
+/// counters. Thread-safe.
 void BumpKernelCounters(const BlockedExecStats& stats);
 
 /// Work accounting for hybrid-column intersections (CountingColumn), in
@@ -216,8 +216,7 @@ struct ColumnOpStats {
 
 /// Adds one execution's accounting to the global "kernel.column_groups /
 /// column_queries / column_dense_words / column_array_elems /
-/// column_probe_elems / column_run_elems" counters. Thread-safe; a no-op
-/// under CORRMINE_METRICS=OFF.
+/// column_probe_elems / column_run_elems" counters. Thread-safe.
 void BumpColumnKernelCounters(const ColumnOpStats& stats);
 
 }  // namespace corrmine

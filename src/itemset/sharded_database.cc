@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -168,9 +167,8 @@ void ShardedCountProvider::CountAllPresentBatchImpl(
       num_shards, std::vector<uint64_t>(num_queries, 0));
   // Per-shard wall time across this batch's (shard, block) tasks. Workers
   // on different shards add to different slots; same-shard blocks may race
-  // benignly on the relaxed add. Compiled out with the metrics layer.
-  std::vector<std::atomic<uint64_t>> shard_ns(kMetricsEnabled ? num_shards
-                                                              : 0);
+  // benignly on the relaxed add.
+  std::vector<std::atomic<uint64_t>> shard_ns(num_shards);
   // One executor arena per scheduler slot, shared across every (shard,
   // block) morsel that slot runs — the tile and accumulator buffers are
   // sized once instead of growing thread-locals on transient pool threads.
@@ -189,42 +187,31 @@ void ShardedCountProvider::CountAllPresentBatchImpl(
                                 static_cast<int64_t>(shard),
                                 static_cast<int64_t>(g_end - g_begin));
           BlockedExecStats exec_stats;
-          if constexpr (kMetricsEnabled) {
-            const auto t0 = std::chrono::steady_clock::now();
-            ExecuteBlockedGroups(plan, g_begin, g_end, indexes_[shard],
-                                 partial[shard], &exec_stats, &scratch[slot]);
-            shard_ns[shard].fetch_add(
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()),
-                std::memory_order_relaxed);
-          } else {
-            ExecuteBlockedGroups(plan, g_begin, g_end, indexes_[shard],
-                                 partial[shard], &exec_stats, &scratch[slot]);
-          }
+          const uint64_t t0 = SteadyNowNanos();
+          ExecuteBlockedGroups(plan, g_begin, g_end, indexes_[shard],
+                               partial[shard], &exec_stats, &scratch[slot]);
+          shard_ns[shard].fetch_add(SteadyNowNanos() - t0,
+                                    std::memory_order_relaxed);
           BumpKernelCounters(exec_stats);
         }
         return Status::OK();
       });
   CORRMINE_CHECK(status.ok()) << status.ToString();
-  if constexpr (kMetricsEnabled) {
-    // Shard-imbalance gauge: max/mean of the per-shard batch times, x1000.
-    // 1000 means perfectly even; a hot shard pushes it up proportionally.
-    uint64_t total_ns = 0;
-    uint64_t max_ns = 0;
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      const uint64_t ns = shard_ns[shard].load(std::memory_order_relaxed);
-      shard_batch_ns_->Observe(ns);
-      total_ns += ns;
-      max_ns = std::max(max_ns, ns);
-    }
-    if (total_ns > 0) {
-      const double mean =
-          static_cast<double>(total_ns) / static_cast<double>(num_shards);
-      batch_imbalance_->Set(
-          static_cast<int64_t>(1000.0 * static_cast<double>(max_ns) / mean));
-    }
+  // Shard-imbalance gauge: max/mean of the per-shard batch times, x1000.
+  // 1000 means perfectly even; a hot shard pushes it up proportionally.
+  uint64_t total_ns = 0;
+  uint64_t max_ns = 0;
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    const uint64_t ns = shard_ns[shard].load(std::memory_order_relaxed);
+    shard_batch_ns_->Observe(ns);
+    total_ns += ns;
+    max_ns = std::max(max_ns, ns);
+  }
+  if (total_ns > 0) {
+    const double mean =
+        static_cast<double>(total_ns) / static_cast<double>(num_shards);
+    batch_imbalance_->Set(
+        static_cast<int64_t>(1000.0 * static_cast<double>(max_ns) / mean));
   }
   // Exact integer fan-in in shard order: counts are sums of per-shard
   // counts, identical for any K and any schedule.

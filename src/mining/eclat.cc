@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/metrics.h"
+#include "common/phase.h"
 #include "common/thread_pool.h"
 #include "itemset/bitmap.h"
 
@@ -174,7 +175,7 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     pool = owned_pool.get();
   }
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "eclat.mine");
+  Phase phase(registry, "eclat.mine");
   std::vector<std::vector<FrequentItemset>> branch_results(
       frequent_items.size());
   std::vector<uint64_t> branch_intersections(frequent_items.size(), 0);
@@ -246,7 +247,7 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     pool = owned_pool.get();
   }
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "eclat.mine");
+  Phase phase(registry, "eclat.mine");
   std::vector<std::vector<FrequentItemset>> branch_results(
       frequent_ids.size());
   std::vector<uint64_t> branch_intersections(frequent_ids.size(), 0);

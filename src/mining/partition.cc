@@ -1,7 +1,6 @@
 #include "mining/partition.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <functional>
@@ -12,7 +11,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/profiler.h"
+#include "common/phase.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "io/column_store.h"
@@ -110,14 +109,17 @@ namespace {
 /// thread-safe: the miner issues batches from its coordinating thread.
 class SweepCountProvider : public CountProvider {
  public:
-  /// `paths` and `item_counts` are borrowed and must outlive the provider.
+  /// `paths`, `item_counts` and `registry` are borrowed and must outlive
+  /// the provider; the sweep phases are recorded into `registry`.
   SweepCountProvider(const std::vector<std::string>& paths,
                      const std::vector<uint64_t>& item_counts,
-                     uint64_t num_baskets, size_t admitted)
+                     uint64_t num_baskets, size_t admitted,
+                     MetricsRegistry& registry)
       : paths_(paths),
         item_counts_(item_counts),
         num_baskets_(num_baskets),
-        admitted_(admitted) {}
+        admitted_(admitted),
+        registry_(registry) {}
 
   uint64_t num_baskets() const override { return num_baskets_; }
 
@@ -173,9 +175,8 @@ class SweepCountProvider : public CountProvider {
              ThreadPool* pool) const {
     std::fill(counts.begin(), counts.end(), uint64_t{0});
     if (!error_.ok()) return;
-    const auto start = std::chrono::steady_clock::now();
-    TraceScope span("outofcore.sweep", -1, -1,
-                    static_cast<int64_t>(queries.size()));
+    Phase sweep_phase(registry_, "outofcore.sweep", -1, -1,
+                      static_cast<int64_t>(queries.size()));
     const size_t num_parts = paths_.size();
     const size_t grain = (num_parts + admitted_ - 1) / admitted_;
     const size_t slot_bound = ParallelForSlotBound(pool, num_parts, grain);
@@ -186,11 +187,10 @@ class SweepCountProvider : public CountProvider {
     const Status status = ParallelForSlots(
         pool, num_parts, grain,
         [&](size_t slot, size_t begin, size_t end) -> Status {
-          ProfileScope profile("partition.sweep");
           for (size_t p = begin; p < end; ++p) {
-            TraceScope part_span("outofcore.count_partition", -1,
-                                 static_cast<int64_t>(p),
-                                 static_cast<int64_t>(queries.size()));
+            Phase part_phase(registry_, "outofcore.count_partition", -1,
+                             static_cast<int64_t>(p),
+                             static_cast<int64_t>(queries.size()));
             CORRMINE_ASSIGN_OR_RETURN(
                 std::unique_ptr<io::MappedColumnShard> shard,
                 io::MappedColumnShard::Open(paths_[p]));
@@ -213,15 +213,14 @@ class SweepCountProvider : public CountProvider {
       for (size_t i = 0; i < counts.size(); ++i) counts[i] += acc[i];
     }
     swept_queries_ += queries.size();
-    sweep_seconds_ += std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
+    sweep_seconds_ += static_cast<double>(sweep_phase.Stop()) / 1e9;
   }
 
   const std::vector<std::string>& paths_;
   const std::vector<uint64_t>& item_counts_;
   const uint64_t num_baskets_;
   const size_t admitted_;
+  MetricsRegistry& registry_;
   // Bookkeeping under const counting, written by the coordinating thread.
   mutable Status error_;
   mutable uint64_t item_queries_ = 0;
@@ -332,8 +331,8 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   const auto close_partition = [&]() -> Status {
     if (local_rows == 0) return Status::OK();
     const size_t index = part_paths.size();
-    TraceScope span("outofcore.spill_partition", -1, static_cast<int>(index),
-                    static_cast<int>(local_rows));
+    Phase phase(registry, "outofcore.spill_partition", -1,
+                static_cast<int64_t>(index), static_cast<int64_t>(local_rows));
     CompressedVerticalIndex vindex(local_rows, std::move(rows_by_item));
     rows_by_item = {};
     std::string part_path =
@@ -350,10 +349,10 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
     return Status::OK();
   };
 
-  const auto spill_start = std::chrono::steady_clock::now();
   ItemId num_items = 0;
+  double spill_seconds = 0.0;
   {
-    ProfileScope spill_profile("partition.spill");
+    Phase spill_phase(registry, "outofcore.spill");
     CORRMINE_RETURN_NOT_OK(io::StreamTransactionFile(
         path, &num_items, [&](std::vector<ItemId> basket) -> Status {
           // Text baskets may repeat or reorder ids; a column holds each
@@ -382,11 +381,8 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
                                                     : Status::OK();
         }));
     CORRMINE_RETURN_NOT_OK(close_partition());
+    spill_seconds = static_cast<double>(spill_phase.Stop()) / 1e9;
   }
-  const double spill_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    spill_start)
-          .count();
   // Phase-boundary peak-RSS samples (here and after the walk): the budget
   // gate in bench_outofcore cares *when* the high-water mark happened,
   // not just its final value.
@@ -399,7 +395,8 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   // --- Walk: the Figure 1 walk under the caller's unmodified mining
   // options, over exact counts — it asks exactly the in-memory walk's
   // questions, and each level's batch costs one sweep of the partitions.
-  SweepCountProvider sweeps(part_paths, item_counts, total_rows, admitted);
+  SweepCountProvider sweeps(part_paths, item_counts, total_rows, admitted,
+                            registry);
   StatusOr<MiningResult> result = MineCorrelations(sweeps, num_items, base);
   if (!sweeps.error().ok()) return sweeps.error();
   registry.GetGauge("mem.peak_rss_walk_bytes")

@@ -317,13 +317,11 @@ TEST_F(OutOfCoreTest, MultiplePartitionsStayExact) {
   EXPECT_GT(stats.spilled_payload_bytes, 0u);
   // Peak-RSS gauges land at both phase boundaries so an operator can see
   // whether the spill or the walk owned the memory high-water mark.
-  if (kMetricsEnabled) {
-    EXPECT_GT(registry.GetGauge("mem.peak_rss_spill_bytes")->Value(), 0);
-    // RSS is monotone over the run, so the walk's reading dominates the
-    // spill's.
-    EXPECT_GE(registry.GetGauge("mem.peak_rss_walk_bytes")->Value(),
-              registry.GetGauge("mem.peak_rss_spill_bytes")->Value());
-  }
+  EXPECT_GT(registry.GetGauge("mem.peak_rss_spill_bytes")->Value(), 0);
+  // RSS is monotone over the run, so the walk's reading dominates the
+  // spill's.
+  EXPECT_GE(registry.GetGauge("mem.peak_rss_walk_bytes")->Value(),
+            registry.GetGauge("mem.peak_rss_spill_bytes")->Value());
   // keep_spill leaves the CCS1 partitions on disk.
   size_t spill_files = 0;
   for (const auto& entry :

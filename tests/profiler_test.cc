@@ -1,6 +1,6 @@
 // The profiling subsystem (common/profiler.h + common/pmu.h, DESIGN.md
 // §13): PmuCounts arithmetic, the one-shot availability probe and its
-// degradation contract, phase attribution through ProfileScope/RecordPhase,
+// degradation contract, phase attribution through Phase/RecordPhase,
 // the "profile" JSON section's structure, and the SIGPROF sampling
 // profiler's capture + collapsed-stack export. Every test passes whether
 // or not perf_event_open is available — graceful degradation IS the
@@ -16,11 +16,26 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "common/phase.h"
 #include "common/pmu.h"
 #include "common/trace.h"
 #include "io/json_reader.h"
 
 namespace corrmine {
+
+/// The sampling test's CPU burner. Not inlined, so the interrupted PCs
+/// fall inside it, and with external linkage, so dladdr names it from the
+/// dynamic symbol table.
+__attribute__((noinline)) uint64_t ProfilerTestSpin(uint64_t iterations) {
+  uint64_t sink = 0;
+  for (uint64_t i = 0; i < iterations; ++i) {
+    sink += i * 7;
+    asm volatile("" : "+r"(sink));
+  }
+  return sink;
+}
+
 namespace {
 
 /// Keeps a burn-loop accumulator observable so the loop is not optimized
@@ -73,7 +88,7 @@ TEST(PmuProbeTest, VerdictIsCachedAndExplained) {
 
 TEST(PmuGroupTest, TracksProbeVerdictAndReadsConsistently) {
   PmuGroup group;
-  if (!ProbePmu().available || !kMetricsEnabled) {
+  if (!ProbePmu().available) {
     // Where perf_event_open is denied the group must be inert: invalid,
     // zero reads, no crashes — callers never need to check first.
     EXPECT_FALSE(group.valid());
@@ -117,10 +132,6 @@ TEST_F(ProfilerTest, RecordPhaseAggregatesScopesAndCounts) {
   profiler.RecordPhase("test.phase", delta);
   profiler.Stop();
   auto phases = profiler.PhaseSnapshot();
-  if (!kMetricsEnabled) {
-    EXPECT_TRUE(phases.empty());
-    return;
-  }
   ASSERT_EQ(phases.count("test.phase"), 1u);
   EXPECT_EQ(phases["test.phase"].scopes, 2u);
   EXPECT_EQ(phases["test.phase"].counts.cycles, 2000u);
@@ -138,30 +149,21 @@ TEST_F(ProfilerTest, RecordPhaseAggregatesScopesAndCounts) {
   EXPECT_EQ(test_phase->Find("scopes")->number_value, 2.0);
 }
 
-TEST_F(ProfilerTest, ProfileScopeIsInertWithoutAnActivePmu) {
-  Profiler& profiler = Profiler::Global();
-  profiler.Start(ProfilerOptions{});  // No PMU requested.
-  {
-    ProfileScope scope("inert.phase");
-  }
-  profiler.Stop();
-  EXPECT_EQ(profiler.PhaseSnapshot().count("inert.phase"), 0u);
-}
-
-TEST_F(ProfilerTest, ProfileScopeAttributesWhenPmuAvailable) {
+TEST_F(ProfilerTest, PhaseAttributesPmuWhenAvailable) {
   Profiler& profiler = Profiler::Global();
   ProfilerOptions options;
   options.pmu = true;
   profiler.Start(options);
+  MetricsRegistry registry;
   {
-    ProfileScope scope("attributed.phase");
+    Phase phase(registry, "attributed.phase");
     uint64_t sink = 0;
     for (int i = 0; i < 1000000; ++i) sink += static_cast<uint64_t>(i);
     KeepAlive(sink);
   }
   profiler.Stop();
   auto phases = profiler.PhaseSnapshot();
-  if (!kMetricsEnabled || !ProbePmu().available) {
+  if (!ProbePmu().available) {
     // Degraded: the scope must cost nothing and record nothing.
     EXPECT_TRUE(phases.empty());
     return;
@@ -213,19 +215,25 @@ void BurnUntilSampled(uint64_t min_samples) {
 }
 
 TEST_F(ProfilerTest, SamplingCapturesStacksAndExportsCollapsedFormat) {
-  if (!kMetricsEnabled) {
-    Profiler::Global().Start(ProfilerOptions{false, true, 997});
-    EXPECT_FALSE(Profiler::Global().sampling_active());
-    EXPECT_EQ(Profiler::Global().samples_recorded(), 0u);
-    return;
-  }
   Profiler& profiler = Profiler::Global();
   ProfilerOptions options;
   options.sampling = true;
   options.sample_interval_usec = 500;
   profiler.Start(options);
   ASSERT_TRUE(profiler.sampling_active());
-  BurnUntilSampled(3);
+  // Nearly all the CPU time goes to ProfilerTestSpin; the loop around it
+  // only polls the sample count and the deadline. The volatile length
+  // keeps the compiler from cloning the spin into a constant-propagated
+  // local copy that dladdr cannot name.
+  static volatile uint64_t spin_iterations = 2000000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(4);
+  uint64_t sink = 0;
+  while (profiler.samples_recorded() < 20 &&
+         std::chrono::steady_clock::now() < deadline) {
+    sink += ProfilerTestSpin(spin_iterations);
+  }
+  KeepAlive(sink);
   profiler.Stop();
   EXPECT_FALSE(profiler.sampling_active());
   const uint64_t samples = profiler.samples_recorded();
@@ -238,6 +246,7 @@ TEST_F(ProfilerTest, SamplingCapturesStacksAndExportsCollapsedFormat) {
   std::istringstream lines(collapsed);
   std::string line;
   uint64_t total = 0;
+  uint64_t spin_leaf = 0;
   while (std::getline(lines, line)) {
     ASSERT_FALSE(line.empty());
     const size_t space = line.rfind(' ');
@@ -251,8 +260,18 @@ TEST_F(ProfilerTest, SamplingCapturesStacksAndExportsCollapsedFormat) {
     EXPECT_NE(frames.back(), ';') << line;
     EXPECT_EQ(frames.find(";;"), std::string::npos) << line;
     EXPECT_EQ(frames.find(' '), std::string::npos) << line;
+    // The leaf (last frame) is the interrupted function itself, not the
+    // signal handler or the signal trampoline.
+    const std::string leaf = frames.substr(frames.rfind(';') + 1);
+    if (leaf.find("ProfilerTestSpin") != std::string::npos) {
+      spin_leaf += std::strtoull(count.c_str(), nullptr, 10);
+    }
   }
   EXPECT_EQ(total, samples);  // Every captured sample folds into a stack.
+  EXPECT_GE(spin_leaf * 10, samples * 8)
+      << spin_leaf << " of " << samples
+      << " samples have ProfilerTestSpin as their leaf:\n"
+      << collapsed;
 
   const std::string path =
       ::testing::TempDir() + "/corrmine_profiler_test.folded";
@@ -264,7 +283,6 @@ TEST_F(ProfilerTest, SamplingCapturesStacksAndExportsCollapsedFormat) {
 }
 
 TEST_F(ProfilerTest, SamplesFoldIntoAnActiveTraceAsInstantEvents) {
-  if (!kMetricsEnabled) return;
   Tracer& tracer = Tracer::Global();
   tracer.Start();
   // Register this thread's ring BEFORE sampling starts: the handler only
@@ -296,7 +314,6 @@ TEST_F(ProfilerTest, SamplesFoldIntoAnActiveTraceAsInstantEvents) {
 }
 
 TEST_F(ProfilerTest, StartResetsSampleAndPhaseStateBetweenSessions) {
-  if (!kMetricsEnabled) return;
   Profiler& profiler = Profiler::Global();
   ProfilerOptions options;
   options.sampling = true;

@@ -184,7 +184,6 @@ TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
 }
 
 TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
-  if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TransactionDatabase db = SeededQuest(1997);
 
   // The batch-per-level contract (DESIGN.md §7) holds for EVERY provider

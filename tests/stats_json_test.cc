@@ -83,9 +83,8 @@ TEST(StatsJsonTest, FullDocumentCarriesProfileAndTraceSections) {
   MiningResult result;
   MetricsRegistry registry;
   std::string json = RenderStatsJson(result, registry);
-  // Present in every configuration — profiling off, PMU denied, metrics
-  // compiled out — because statsdiff --validate-profile checks structure
-  // unconditionally.
+  // Present in every configuration — profiling off, PMU denied — because
+  // statsdiff --validate-profile checks structure unconditionally.
   EXPECT_NE(json.find("\"profile\": {\"pmu\":{\"available\":"),
             std::string::npos)
       << json;
@@ -123,11 +122,7 @@ TEST(StatsJsonTest, TraceRingOverflowIsReportedInStatsJson) {
   const io::JsonValue* dropped = trace->Find("dropped_events");
   ASSERT_NE(dropped, nullptr);
   ASSERT_TRUE(dropped->is_number());
-  if (kMetricsEnabled) {
-    EXPECT_EQ(static_cast<uint64_t>(dropped->number_value), 200u - 8u);
-  } else {
-    EXPECT_EQ(dropped->number_value, 0);
-  }
+  EXPECT_EQ(static_cast<uint64_t>(dropped->number_value), 200u - 8u);
   // Reset so later suites in this process start drop-free.
   tracer.Start();
   tracer.Stop();

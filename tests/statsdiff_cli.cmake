@@ -1,7 +1,8 @@
 # End-to-end contract of the statsdiff regression sentinel (tools/
 # statsdiff.cc): identical runs diff clean, an injected deterministic-counter
-# drift fails with a nonzero exit, a real --trace-out file passes
-# --validate-trace, and a structurally broken trace fails it.
+# drift fails with a nonzero exit, so does an injected runtime-counter drift
+# under --counters, a real --trace-out file passes --validate-trace, and a
+# structurally broken trace fails it.
 #
 # Invoked as:
 #   cmake -DCLI=<corrmine_cli> -DSTATSDIFF=<statsdiff> -DWORKDIR=<dir>
@@ -71,7 +72,46 @@ if(pos EQUAL -1)
                       "section:\n${err}")
 endif()
 
-# 3. The recorded trace must satisfy the Chrome-format invariants.
+# 3. Injected drift in a runtime counter must fail under --counters: the
+#    runtime families are always compared, so bump miner.candidates in a
+#    copy of the baseline and require exit 1 naming it.
+string(REGEX MATCH "\"miner\\.candidates\":([0-9]+)" matched "${doc}")
+if(matched STREQUAL "")
+  message(FATAL_ERROR "no runtime miner.candidates counter found in:\n${doc}")
+endif()
+math(EXPR bumped "${CMAKE_MATCH_1} + 1")
+string(REPLACE "${matched}" "\"miner.candidates\":${bumped}"
+       runtime_drifted "${doc}")
+file(WRITE ${WORKDIR}/sdiff_runtime_drift.json "${runtime_drifted}")
+execute_process(
+  COMMAND ${STATSDIFF} ${WORKDIR}/sdiff_a.json
+          ${WORKDIR}/sdiff_runtime_drift.json --counters miner.
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "statsdiff missed an injected runtime counter drift "
+                      "(rc=${rc}):\n${err}")
+endif()
+string(FIND "${err}" "DRIFT runtime.counters.miner.candidates" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "drift report does not name the runtime "
+                      "counter:\n${err}")
+endif()
+
+#    A document with no runtime counters object cannot satisfy --counters:
+#    comparing nothing must not pass.
+string(REGEX REPLACE "\"runtime\": [^\n]*" "\"runtime\": {}"
+       no_runtime "${doc}")
+file(WRITE ${WORKDIR}/sdiff_no_runtime.json "${no_runtime}")
+execute_process(
+  COMMAND ${STATSDIFF} ${WORKDIR}/sdiff_a.json
+          ${WORKDIR}/sdiff_no_runtime.json --counters miner.
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "statsdiff --counters passed a document without "
+                      "runtime counters (rc=${rc}):\n${err}")
+endif()
+
+# 4. The recorded trace must satisfy the Chrome-format invariants.
 if(NOT EXISTS ${WORKDIR}/sdiff_trace.json)
   message(FATAL_ERROR "--trace-out wrote no file")
 endif()
@@ -82,7 +122,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "trace failed validation (rc=${rc}):\n${out}${err}")
 endif()
 
-# 4. A corrupted trace — an end event injected with no matching begin —
+# 5. A corrupted trace — an end event injected with no matching begin —
 #    must fail validation.
 file(WRITE ${WORKDIR}/sdiff_bad_trace.json
      "{\"traceEvents\":[\n"

@@ -3,8 +3,6 @@
 // Chrome Trace Event Format exporter's structural guarantees — balanced
 // begin/end per thread, per-thread monotonic timestamps, required fields —
 // checked by parsing the emitted JSON with the repository's own reader.
-// Everything degrades to valid-but-empty under CORRMINE_METRICS=OFF, and
-// this file asserts that too (it compiles and passes in both modes).
 
 #include "common/trace.h"
 
@@ -87,11 +85,6 @@ TEST_F(TracerTest, InactiveByDefaultAndScopesAreNoOps) {
 TEST_F(TracerTest, CollectSeesSpansAndInstants) {
   Tracer& tracer = Tracer::Global();
   tracer.Start();
-  if (!kMetricsEnabled) {
-    EXPECT_FALSE(tracer.active());
-    EXPECT_TRUE(tracer.Collect().empty());
-    return;
-  }
   ASSERT_TRUE(tracer.active());
   {
     TraceScope outer("outer", 2, -1, 42);
@@ -132,7 +125,6 @@ TEST_F(TracerTest, StartResetsThePreviousSession) {
   tracer.Start();
   { TraceScope scope("second.session"); }
   tracer.Stop();
-  if (!kMetricsEnabled) return;
   std::vector<Tracer::ThreadTrace> threads = tracer.Collect();
   ASSERT_EQ(threads.size(), 1u);
   for (const TraceEvent& event : threads[0].events) {
@@ -225,11 +217,7 @@ TEST_F(TracerTest, ChromeJsonValidatesAndIsBalanced) {
   tracer.Stop();
   size_t span_events = 0;
   ValidateChromeTrace(tracer.ToChromeJson(), &span_events);
-  if (kMetricsEnabled) {
-    EXPECT_EQ(span_events, 8u);  // run + 3 levels, begin and end each.
-  } else {
-    EXPECT_EQ(span_events, 0u);
-  }
+  EXPECT_EQ(span_events, 8u);  // run + 3 levels, begin and end each.
 }
 
 TEST_F(TracerTest, MultithreadedExportKeepsThreadsApartAndBalanced) {
@@ -249,13 +237,11 @@ TEST_F(TracerTest, MultithreadedExportKeepsThreadsApartAndBalanced) {
   { TraceScope main_scope("main.join"); }
   tracer.Stop();
 
-  if (kMetricsEnabled) {
-    // One track per worker plus the main thread, each fully buffered.
-    std::vector<Tracer::ThreadTrace> threads = tracer.Collect();
-    EXPECT_EQ(threads.size(), static_cast<size_t>(kThreads) + 1);
-    for (const Tracer::ThreadTrace& thread : threads) {
-      EXPECT_EQ(thread.dropped, 0u);
-    }
+  // One track per worker plus the main thread, each fully buffered.
+  std::vector<Tracer::ThreadTrace> threads = tracer.Collect();
+  EXPECT_EQ(threads.size(), static_cast<size_t>(kThreads) + 1);
+  for (const Tracer::ThreadTrace& thread : threads) {
+    EXPECT_EQ(thread.dropped, 0u);
   }
   ValidateChromeTrace(tracer.ToChromeJson(), nullptr);
 }
@@ -274,15 +260,13 @@ TEST_F(TracerTest, RingOverflowStillExportsAValidTrace) {
   }
   tracer.Stop();
 
-  if (kMetricsEnabled) {
-    std::vector<Tracer::ThreadTrace> threads = tracer.Collect();
-    ASSERT_EQ(threads.size(), 1u);
-    EXPECT_GT(threads[0].dropped, 0u);
-    EXPECT_LE(threads[0].events.size(), 16u);
-    // The drop total must be visible in the exported document too.
-    const std::string json = tracer.ToChromeJson();
-    EXPECT_NE(json.find("dropped_events"), std::string::npos);
-  }
+  std::vector<Tracer::ThreadTrace> threads = tracer.Collect();
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_GT(threads[0].dropped, 0u);
+  EXPECT_LE(threads[0].events.size(), 16u);
+  // The drop total must be visible in the exported document too.
+  const std::string json = tracer.ToChromeJson();
+  EXPECT_NE(json.find("dropped_events"), std::string::npos);
   ValidateChromeTrace(tracer.ToChromeJson(), nullptr);
 }
 
@@ -321,11 +305,7 @@ TEST_F(TracerTest, DroppedEventsSumsAcrossRingsAndResetsOnStart) {
   tracer.Start(/*events_per_thread=*/8);
   for (int i = 0; i < 100; ++i) TraceInstant("spam", -1, -1, i);
   tracer.Stop();
-  if (kMetricsEnabled) {
-    EXPECT_EQ(tracer.DroppedEvents(), 100u - 8u);
-  } else {
-    EXPECT_EQ(tracer.DroppedEvents(), 0u);
-  }
+  EXPECT_EQ(tracer.DroppedEvents(), 100u - 8u);
   // A fresh session drops the old rings — and their drop counts.
   tracer.Start();
   { TraceScope scope("calm"); }
@@ -338,10 +318,6 @@ TEST_F(TracerTest, ThreadRingIfCachedRequiresRegistrationAndSession) {
   // Inactive tracer: never returns a ring.
   EXPECT_EQ(tracer.ThreadRingIfCached(), nullptr);
   tracer.Start();
-  if (!kMetricsEnabled) {
-    EXPECT_EQ(tracer.ThreadRingIfCached(), nullptr);
-    return;
-  }
   // Active but this thread has not traced yet this session: still nullptr
   // (the async-signal-safe path must never register).
   EXPECT_EQ(tracer.ThreadRingIfCached(), nullptr);

@@ -163,7 +163,9 @@ constexpr char kUsage[] =
     "                             without profiling\n"
     "      --progress             heartbeat to stderr after each completed\n"
     "                             lattice level (candidates, frontier,\n"
-    "                             significant total, elapsed seconds)\n"
+    "                             significant total, and the seconds spent\n"
+    "                             evaluating the level and generating the\n"
+    "                             next one's candidates)\n"
     "      --report               render the analyst report instead of the\n"
     "                             raw rule table (honors --fdr)\n"
     "      --fdr Q                Benjamini-Hochberg FDR filter level\n"
@@ -254,8 +256,11 @@ StatusOr<MinerOptions> MinerOptionsFromFlags(const FlagParser& flags) {
     options.progress = [](const MinerProgress& p) {
       std::cerr << "[progress] level " << p.level << ": candidates "
                 << p.candidates << ", frontier " << p.frontier
-                << ", significant " << p.significant_total << ", elapsed "
-                << io::FormatDouble(p.elapsed_seconds, 2) << "s\n";
+                << ", significant " << p.significant_total << ", evaluate "
+                << io::FormatDouble(static_cast<double>(p.evaluate_ns) / 1e9, 2)
+                << "s, generate "
+                << io::FormatDouble(static_cast<double>(p.generate_ns) / 1e9, 2)
+                << "s\n";
     };
   }
   return options;
@@ -314,8 +319,7 @@ Status EmitMineStats(const FlagParser& flags, const MiningResult& result,
 
 /// Starts the tracer when --trace-out was given; the returned guard stops
 /// tracing and writes the Chrome-format file when it leaves scope (so the
-/// trace is flushed even on early error returns). Under CORRMINE_METRICS=OFF
-/// the tracer never activates and the file holds a valid empty trace.
+/// trace is flushed even on early error returns).
 class TraceOutGuard {
  public:
   explicit TraceOutGuard(std::string path) : path_(std::move(path)) {

@@ -277,25 +277,26 @@ int DiffStats(const std::string& baseline_path,
     }
   }
 
-  const io::JsonValue* rt_a = baseline.Find("runtime");
-  const io::JsonValue* rt_b = candidate.Find("runtime");
-  bool metrics_in_both = false;
-  if (rt_a != nullptr && rt_b != nullptr && rt_a->is_object() &&
-      rt_b->is_object()) {
-    const io::JsonValue* ca = rt_a->Find("metrics_compiled");
-    const io::JsonValue* cb = rt_b->Find("metrics_compiled");
-    metrics_in_both = ca != nullptr && cb != nullptr && ca->bool_value &&
-                      cb->bool_value;
+  // The runtime families are always compared. A sentinel that names
+  // counter prefixes must never pass by comparing nothing, so a document
+  // without a runtime counters object fails it.
+  auto runtime_family = [](const io::JsonValue& doc, const char* family) {
+    const io::JsonValue* runtime = doc.Find("runtime");
+    return runtime != nullptr ? runtime->Find(family) : nullptr;
+  };
+  if (!counter_prefixes.empty()) {
+    for (const io::JsonValue* doc : {&baseline, &candidate}) {
+      const io::JsonValue* counters = runtime_family(*doc, "counters");
+      if (counters == nullptr || !counters->is_object()) {
+        report.Fail(doc == &baseline ? baseline_path : candidate_path,
+                    "no runtime counters object to compare --counters on");
+      }
+    }
   }
-  if (metrics_in_both) {
-    DiffRuntimeFamily("counters", rt_a->Find("counters"),
-                      rt_b->Find("counters"), timing_tolerance,
+  for (const char* family : {"counters", "gauges"}) {
+    DiffRuntimeFamily(family, runtime_family(baseline, family),
+                      runtime_family(candidate, family), timing_tolerance,
                       counter_prefixes, &report);
-    DiffRuntimeFamily("gauges", rt_a->Find("gauges"), rt_b->Find("gauges"),
-                      timing_tolerance, counter_prefixes, &report);
-  } else if (!counter_prefixes.empty() || timing_tolerance >= 0) {
-    report.Note(
-        "runtime sections skipped (metrics not compiled in both documents)");
   }
 
   for (const std::string& note : report.notes) {
