@@ -1,6 +1,8 @@
 // Throughput of the counting kernels (DESIGN.md §9), two ways:
 //
-//  1. Microbenchmark: fused AND+popcount (and the k=4 multi-way AND) over
+//  1. Microbenchmark: fused AND+popcount, the k=4 multi-way AND, and the
+//     stripe executor's four-extension and_count_many (one prefix against
+//     four extensions, scored in logical words: 4 per prefix word) over
 //     L2-resident word buffers, once per runnable kernel. Scored in
 //     words/sec against the scalar kernel — the acceptance bar for the
 //     SIMD dispatch layer is >= 2x best-vs-scalar here.
@@ -42,8 +44,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 double SafeRatio(double a, double b) { return b > 0.0 ? a / b : 0.0; }
 
 /// 16384 words = 128 KiB per operand: big enough to stream, small enough
-/// that two operands stay L2-resident — the regime the blocked executor's
-/// tiles put the kernels in.
+/// that all five operands stay L2-resident — the regime the stripe
+/// executor puts the kernels in.
 constexpr size_t kWords = 16384;
 constexpr int kCallsPerRep = 64;
 constexpr int kReps = 5;
@@ -58,6 +60,7 @@ struct MicroResult {
   std::string name;
   double and_words_per_sec = 0;
   double multi_words_per_sec = 0;
+  double many_words_per_sec = 0;
 };
 
 struct MineResult {
@@ -77,10 +80,12 @@ int main() {
   std::vector<uint64_t> b = RandomWords(kWords, &rng);
   std::vector<uint64_t> c = RandomWords(kWords, &rng);
   std::vector<uint64_t> d = RandomWords(kWords, &rng);
+  std::vector<uint64_t> e = RandomWords(kWords, &rng);
   const uint64_t* multi_ops[4] = {a.data(), b.data(), c.data(), d.data()};
+  const uint64_t* extensions[4] = {b.data(), c.data(), d.data(), e.data()};
 
   std::vector<MicroResult> micro;
-  uint64_t and_checksum = 0, multi_checksum = 0;
+  uint64_t and_checksum = 0, multi_checksum = 0, many_checksum = 0;
   for (const CountingKernels* kernels : AvailableKernels()) {
     MicroResult r;
     r.name = kernels->name;
@@ -112,21 +117,40 @@ int main() {
     r.multi_words_per_sec =
         SafeRatio(static_cast<double>(kWords) * kCallsPerRep, multi_seconds);
 
+    uint64_t many_sink = 0;
+    double many_seconds = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto start = std::chrono::steady_clock::now();
+      for (int call = 0; call < kCallsPerRep; ++call) {
+        uint64_t counts[4];
+        kernels->and_count_many(a.data(), extensions, 4, kWords, counts);
+        many_sink += counts[0] + counts[1] + counts[2] + counts[3];
+      }
+      double seconds = SecondsSince(start);
+      if (rep == 0 || seconds < many_seconds) many_seconds = seconds;
+    }
+    r.many_words_per_sec = SafeRatio(
+        4.0 * static_cast<double>(kWords) * kCallsPerRep, many_seconds);
+
     // Cross-kernel agreement doubles as the dead-code-elimination guard:
     // the timed results feed a CHECK, so the loops cannot be optimized out.
     if (micro.empty()) {
       and_checksum = sink;
       multi_checksum = multi_sink;
+      many_checksum = many_sink;
     } else {
       CORRMINE_CHECK(sink == and_checksum)
           << kernels->name << " and_count diverged from scalar";
       CORRMINE_CHECK(multi_sink == multi_checksum)
           << kernels->name << " multi_and_count diverged from scalar";
+      CORRMINE_CHECK(many_sink == many_checksum)
+          << kernels->name << " and_count_many diverged from scalar";
     }
     micro.push_back(r);
   }
   const double scalar_and = micro.front().and_words_per_sec;
   const double scalar_multi = micro.front().multi_words_per_sec;
+  const double scalar_many = micro.front().many_words_per_sec;
 
   // --- End to end: the full mine, forced onto each kernel.
   datagen::QuestOptions quest;
@@ -194,6 +218,9 @@ int main() {
          << ",\"multi4_words_per_sec\":" << num(micro[i].multi_words_per_sec)
          << ",\"multi4_speedup\":"
          << num(SafeRatio(micro[i].multi_words_per_sec, scalar_multi))
+         << ",\"many4_words_per_sec\":" << num(micro[i].many_words_per_sec)
+         << ",\"many4_speedup\":"
+         << num(SafeRatio(micro[i].many_words_per_sec, scalar_many))
          << ",\"mine_seconds\":" << num(mines[i].seconds)
          << ",\"mine_speedup\":"
          << num(SafeRatio(scalar_mine, mines[i].seconds)) << '}';
@@ -202,8 +229,8 @@ int main() {
   bench::EmitBenchJsonLine("bench_kernels", json.str());
 
   io::TablePrinter table({"kernel", "AND Gwords/s", "x scalar",
-                          "4-AND Gwords/s", "x scalar", "mine s",
-                          "mine x"});
+                          "4-AND Gwords/s", "x scalar", "1x4 Gwords/s",
+                          "x scalar", "mine s", "mine x"});
   for (size_t i = 0; i < micro.size(); ++i) {
     table.AddRow(
         {micro[i].name,
@@ -213,6 +240,9 @@ int main() {
          io::FormatDouble(micro[i].multi_words_per_sec / 1e9, 2),
          io::FormatDouble(
              SafeRatio(micro[i].multi_words_per_sec, scalar_multi), 2),
+         io::FormatDouble(micro[i].many_words_per_sec / 1e9, 2),
+         io::FormatDouble(
+             SafeRatio(micro[i].many_words_per_sec, scalar_many), 2),
          io::FormatDouble(mines[i].seconds, 3),
          io::FormatDouble(SafeRatio(scalar_mine, mines[i].seconds), 2)});
   }

@@ -51,20 +51,32 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   rm -rf "$SDIR" && mkdir -p "$SDIR"
   build/tools/corrmine_cli generate quest --baskets 2000 \
     --out "$SDIR/fixture.txt" >/dev/null
-  baseline=""
-  for threads in 1 8; do
-    for shards in 1 2 4 7; do
-      stats="$SDIR/stats_t${threads}_s${shards}.json"
-      build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
-        --support-count 100 --cell-fraction 0.26 --max-level 3 \
-        --threads "$threads" --shards "$shards" \
-        --stats-json "$stats" >/dev/null
-      if [[ -z "$baseline" ]]; then
-        baseline="$stats"
-      else
-        build/tools/statsdiff "$baseline" "$stats" \
-          --counters miner.,count_provider.
-      fi
+  # The 2 000-basket fixture is 32 words, inside one word stripe of the
+  # bitmap executor (DESIGN.md §9). This one spans 4 219 words: its batches
+  # (about 120 columns, so 1 024-word stripes) take two stripes per shard
+  # up to K = 4, so the matrix also covers stripe tasks, group splits and
+  # the per-slot reduction.
+  build/tools/corrmine_cli generate quest --baskets 270000 --format binary \
+    --out "$SDIR/stripes.cmb" >/dev/null
+  FIXTURES=("fixture.txt:100" "stripes.cmb:10000")
+  for spec in "${FIXTURES[@]}"; do
+    fixture="${spec%%:*}"
+    support="${spec##*:}"
+    baseline=""
+    for threads in 1 8; do
+      for shards in 1 2 4 7; do
+        stats="$SDIR/stats_${fixture%%.*}_t${threads}_s${shards}.json"
+        build/tools/corrmine_cli mine "$SDIR/$fixture" \
+          --support-count "$support" --cell-fraction 0.26 --max-level 3 \
+          --threads "$threads" --shards "$shards" \
+          --stats-json "$stats" >/dev/null
+        if [[ -z "$baseline" ]]; then
+          baseline="$stats"
+        else
+          build/tools/statsdiff "$baseline" "$stats" \
+            --counters miner.,count_provider.
+        fi
+      done
     done
   done
 
@@ -74,17 +86,21 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   # byte-identical between a forced-scalar run and whatever the CPU
   # dispatcher picked. (kernel.* counters are shard-dependent, so this
   # stage pins --shards and stays out of the matrix above.)
-  build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
-    --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --kernel scalar \
-    --stats-json "$SDIR/stats_kernel_scalar.json" >/dev/null
-  build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
-    --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 \
-    --stats-json "$SDIR/stats_kernel_auto.json" >/dev/null
-  build/tools/statsdiff "$SDIR/stats_kernel_scalar.json" \
-    "$SDIR/stats_kernel_auto.json" \
-    --counters miner.,count_provider.,kernel.
+  for spec in "${FIXTURES[@]}"; do
+    fixture="${spec%%:*}"
+    support="${spec##*:}"
+    build/tools/corrmine_cli mine "$SDIR/$fixture" \
+      --support-count "$support" --cell-fraction 0.26 --max-level 3 \
+      --threads 8 --shards 4 --kernel scalar \
+      --stats-json "$SDIR/stats_${fixture%%.*}_kernel_scalar.json" >/dev/null
+    build/tools/corrmine_cli mine "$SDIR/$fixture" \
+      --support-count "$support" --cell-fraction 0.26 --max-level 3 \
+      --threads 8 --shards 4 \
+      --stats-json "$SDIR/stats_${fixture%%.*}_kernel_auto.json" >/dev/null
+    build/tools/statsdiff "$SDIR/stats_${fixture%%.*}_kernel_scalar.json" \
+      "$SDIR/stats_${fixture%%.*}_kernel_auto.json" \
+      --counters miner.,count_provider.,kernel.
+  done
 
   echo "== kernel sentinel: compressed counting columns =="
   # Same invariance for the hybrid-container kernels: the compressed
@@ -105,7 +121,7 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   build/tools/statsdiff "$SDIR/stats_column_scalar.json" \
     "$SDIR/stats_column_auto.json" \
     --counters miner.,count_provider.,kernel.
-  build/tools/statsdiff "$SDIR/stats_kernel_auto.json" \
+  build/tools/statsdiff "$SDIR/stats_fixture_kernel_auto.json" \
     "$SDIR/stats_column_auto.json" \
     --counters miner.,count_provider.
 

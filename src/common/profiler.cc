@@ -4,10 +4,13 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -24,6 +27,12 @@
 #include <cxxabi.h>
 #include <dlfcn.h>
 #define CORRMINE_PROFILER_HAVE_DLADDR 1
+#endif
+
+#if defined(__linux__) && defined(__GLIBC__)
+#include <elf.h>
+#include <link.h>
+#define CORRMINE_PROFILER_HAVE_SYMTAB 1
 #endif
 
 #include "common/trace.h"
@@ -102,29 +111,149 @@ void AppendRate(std::ostringstream* out, const char* key, uint64_t num,
   *out << buf;
 }
 
-/// Symbolizes one frame for the collapsed-stack export: the interrupted
-/// instruction itself when `exact`, else a return address. Spaces and
-/// semicolons are structural in the collapsed format, so they are
-/// rewritten; unresolvable addresses keep their hex form (still useful
-/// with an external symbolizer).
-std::string SymbolizePc(uintptr_t pc, bool exact) {
-  std::string name;
+std::string Demangled(const char* symbol) {
+  std::string name = symbol;
 #ifdef CORRMINE_PROFILER_HAVE_DLADDR
-  Dl_info info;
+  int status = 0;
+  char* demangled = abi::__cxa_demangle(symbol, nullptr, nullptr, &status);
+  if (status == 0 && demangled != nullptr) name = demangled;
+  std::free(demangled);
+#endif
+  return name;
+}
+
+/// The running executable's function symbols, read once per export from
+/// the .symtab of /proc/self/exe. dladdr sees only .dynsym, which lacks
+/// every static and anonymous-namespace function — the counting kernels
+/// among them — so executable PCs are looked up here and dladdr is left to
+/// shared libraries. Empty (every Find misses) when the executable is
+/// stripped or unreadable.
+class ExecutableSymbols {
+ public:
+  ExecutableSymbols() {
+#ifdef CORRMINE_PROFILER_HAVE_SYMTAB
+    dl_iterate_phdr(&ExecutableSymbols::FindExecutable, this);
+    if (text_.empty()) return;
+    std::ifstream elf("/proc/self/exe", std::ios::binary);
+    ElfW(Ehdr) header;
+    if (!Read(elf, 0, &header, sizeof(header)) ||
+        std::memcmp(header.e_ident, ELFMAG, SELFMAG) != 0 ||
+        header.e_shentsize != sizeof(ElfW(Shdr))) {
+      return;
+    }
+    std::vector<ElfW(Shdr)> sections(header.e_shnum);
+    if (!Read(elf, header.e_shoff, sections.data(),
+              sections.size() * sizeof(ElfW(Shdr)))) {
+      return;
+    }
+    for (const ElfW(Shdr)& symtab : sections) {
+      if (symtab.sh_type != SHT_SYMTAB || symtab.sh_link >= sections.size()) {
+        continue;
+      }
+      const ElfW(Shdr)& strtab = sections[symtab.sh_link];
+      std::vector<ElfW(Sym)> symbols(symtab.sh_size / sizeof(ElfW(Sym)));
+      names_.resize(strtab.sh_size);
+      if (!Read(elf, symtab.sh_offset, symbols.data(),
+                symbols.size() * sizeof(ElfW(Sym))) ||
+          !Read(elf, strtab.sh_offset, names_.data(), names_.size())) {
+        names_.clear();
+        return;
+      }
+      for (const ElfW(Sym)& symbol : symbols) {
+        if (ELF64_ST_TYPE(symbol.st_info) != STT_FUNC ||
+            symbol.st_shndx == SHN_UNDEF || symbol.st_size == 0 ||
+            symbol.st_name >= names_.size()) {
+          continue;
+        }
+        functions_.push_back(Function{bias_ + symbol.st_value,
+                                      bias_ + symbol.st_value + symbol.st_size,
+                                      symbol.st_name});
+      }
+      break;
+    }
+    std::sort(functions_.begin(), functions_.end(),
+              [](const Function& a, const Function& b) {
+                return a.begin < b.begin;
+              });
+#endif
+  }
+
+  /// True when `pc` lies in one of the executable's code segments.
+  bool Contains(uintptr_t pc) const {
+    for (const auto& [begin, end] : text_) {
+      if (pc >= begin && pc < end) return true;
+    }
+    return false;
+  }
+
+  /// Mangled name of the function whose extent holds `pc`, or null.
+  const char* Find(uintptr_t pc) const {
+    auto it = std::upper_bound(
+        functions_.begin(), functions_.end(), pc,
+        [](uintptr_t value, const Function& f) { return value < f.begin; });
+    if (it == functions_.begin()) return nullptr;
+    --it;
+    if (pc >= it->end) return nullptr;
+    return names_.data() + it->name;
+  }
+
+ private:
+  struct Function {
+    uintptr_t begin;
+    uintptr_t end;
+    size_t name;  // offset into names_
+  };
+
+#ifdef CORRMINE_PROFILER_HAVE_SYMTAB
+  /// dl_iterate_phdr visits the executable first: record its load bias
+  /// and executable segments, then stop.
+  static int FindExecutable(struct dl_phdr_info* info, size_t, void* data) {
+    auto* self = static_cast<ExecutableSymbols*>(data);
+    self->bias_ = info->dlpi_addr;
+    for (int i = 0; i < info->dlpi_phnum; ++i) {
+      const ElfW(Phdr)& segment = info->dlpi_phdr[i];
+      if (segment.p_type == PT_LOAD && (segment.p_flags & PF_X) != 0) {
+        const uintptr_t begin = info->dlpi_addr + segment.p_vaddr;
+        self->text_.emplace_back(begin, begin + segment.p_memsz);
+      }
+    }
+    return 1;
+  }
+
+  static bool Read(std::ifstream& in, uint64_t offset, void* out,
+                   size_t bytes) {
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(static_cast<char*>(out), static_cast<std::streamsize>(bytes));
+    return static_cast<bool>(in);
+  }
+#endif
+
+  uintptr_t bias_ = 0;
+  std::vector<std::pair<uintptr_t, uintptr_t>> text_;
+  std::vector<Function> functions_;
+  std::vector<char> names_;
+};
+
+/// Symbolizes one frame for the collapsed-stack export: the interrupted
+/// instruction itself when `exact`, else a return address. Executable PCs
+/// resolve through `executable` (static functions included), others
+/// through dladdr. Spaces and semicolons are structural in the collapsed
+/// format, so they are rewritten; unresolvable addresses keep their hex
+/// form (still useful with an external symbolizer).
+std::string SymbolizePc(uintptr_t pc, bool exact,
+                        const ExecutableSymbols& executable) {
+  std::string name;
   // A return address is looked up one byte back so calls at the very end
   // of a function do not resolve to the function that follows.
   const uintptr_t lookup = exact ? pc : pc - 1;
-  if (dladdr(reinterpret_cast<void*>(lookup), &info) != 0 &&
+  if (executable.Contains(lookup)) {
+    if (const char* symbol = executable.Find(lookup)) name = Demangled(symbol);
+  }
+#ifdef CORRMINE_PROFILER_HAVE_DLADDR
+  Dl_info info;
+  if (name.empty() && dladdr(reinterpret_cast<void*>(lookup), &info) != 0 &&
       info.dli_sname != nullptr) {
-    int status = 0;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    if (status == 0 && demangled != nullptr) {
-      name = demangled;
-    } else {
-      name = info.dli_sname;
-    }
-    std::free(demangled);
+    name = Demangled(info.dli_sname);
   }
 #endif
   if (name.empty()) {
@@ -381,6 +510,7 @@ std::string Profiler::RenderCollapsedStacks() const {
   // One cache per frame kind: an exact leaf PC and a return address of the
   // same value may name different functions.
   std::unordered_map<uintptr_t, std::string> symbol_cache[2];
+  const ExecutableSymbols executable;
   std::map<std::string, uint64_t> folded;
   for (uint64_t i = 0; i < end; ++i) {
     const SampleSlot& slot = sample_slots_[i & sample_mask_];
@@ -398,7 +528,7 @@ std::string Profiler::RenderCollapsedStacks() const {
         auto& cache = symbol_cache[exact ? 1 : 0];
         auto it = cache.find(pc);
         if (it == cache.end()) {
-          it = cache.emplace(pc, SymbolizePc(pc, exact)).first;
+          it = cache.emplace(pc, SymbolizePc(pc, exact, executable)).first;
         }
         if (!line.empty()) line += ';';
         line += it->second;

@@ -99,8 +99,10 @@ class Profiler {
   std::string RenderProfileJson() const;
 
   /// Collapsed-stack document ("frame;frame;... count" lines, root
-  /// first), symbolized via dladdr at export time — the hot path never
-  /// touches symbols. Empty when no samples were captured.
+  /// first), symbolized at export time — executable frames from the
+  /// .symtab of /proc/self/exe (static functions too), shared-library
+  /// frames via dladdr; the hot path never touches symbols. Empty when no
+  /// samples were captured.
   std::string RenderCollapsedStacks() const;
 
   /// Writes RenderCollapsedStacks() to `path` (overwriting).

@@ -24,6 +24,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "IOError";
     case StatusCode::kCorruption:
       return "Corruption";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

@@ -20,6 +20,7 @@ enum class StatusCode : int {
   kInternal = 7,
   kIOError = 8,
   kCorruption = 9,
+  kResourceExhausted = 10,
 };
 
 /// Returns a short stable name for a status code ("OK", "InvalidArgument", …).
@@ -66,6 +67,10 @@ class Status {
   static Status Corruption(std::string_view msg) {
     return Status(StatusCode::kCorruption, msg);
   }
+  /// Out of memory (a std::bad_alloc caught at a region or CLI boundary).
+  static Status ResourceExhausted(std::string_view msg) {
+    return Status(StatusCode::kResourceExhausted, msg);
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -81,6 +86,9 @@ class Status {
   }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
+  bool IsResourceExhausted() const {
+    return code_ == StatusCode::kResourceExhausted;
+  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

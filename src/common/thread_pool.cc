@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <new>
 #include <string>
 
 #if defined(__linux__)
@@ -116,12 +117,22 @@ ThreadPool::ThreadPool(int num_threads)
     deques_.push_back(std::make_unique<TaskDeque>());
   }
   workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  try {
+    for (int i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this, i] { WorkerLoop(i); });
+    }
+  } catch (...) {
+    // A thread that could not start (std::system_error, e.g. no address
+    // space left for its stack): join the ones that did, whose joinable
+    // handles would otherwise end the process, and let the caller decide.
+    StopWorkers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { StopWorkers(); }
+
+void ThreadPool::StopWorkers() {
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     shutting_down_ = true;
@@ -318,16 +329,26 @@ class SlotPool {
   std::vector<size_t> free_;
 };
 
-Status InvokeGuarded(const std::function<Status(size_t, size_t, size_t)>& body,
-                     size_t slot, size_t begin, size_t end) {
+/// Runs `fn`, turning an exception that escapes it into a Status: an
+/// allocation failure is ResourceExhausted, anything else Internal. No
+/// exception crosses a region.
+template <typename Fn>
+Status RunGuarded(const Fn& fn) {
   try {
-    return body(slot, begin, end);
+    return fn();
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("out of memory in parallel region");
   } catch (const std::exception& e) {
     return Status::Internal(
         std::string("uncaught exception in parallel region: ") + e.what());
   } catch (...) {
     return Status::Internal("uncaught non-std exception in parallel region");
   }
+}
+
+Status InvokeGuarded(const std::function<Status(size_t, size_t, size_t)>& body,
+                     size_t slot, size_t begin, size_t end) {
+  return RunGuarded([&] { return body(slot, begin, end); });
 }
 
 /// Shared coordination for one ParallelFor region: a work-stealing chunk
@@ -558,17 +579,8 @@ Status OrderedPipeline(
     for (size_t begin = 0; begin < n; begin += grain) {
       size_t end = std::min(begin + grain, n);
       CORRMINE_RETURN_NOT_OK(InvokeGuarded(stage, 0, begin, end));
-      Status status;
-      try {
-        status = consume(begin, end);
-      } catch (const std::exception& e) {
-        status = Status::Internal(
-            std::string("uncaught exception in parallel region: ") + e.what());
-      } catch (...) {
-        status =
-            Status::Internal("uncaught non-std exception in parallel region");
-      }
-      CORRMINE_RETURN_NOT_OK(status);
+      CORRMINE_RETURN_NOT_OK(
+          RunGuarded([&] { return consume(begin, end); }));
     }
     return Status::OK();
   }
@@ -619,16 +631,7 @@ Status OrderedPipeline(
     }
     const size_t begin = c * grain;
     const size_t end = std::min(begin + grain, n);
-    Status status;
-    try {
-      status = consume(begin, end);
-    } catch (const std::exception& e) {
-      status = Status::Internal(
-          std::string("uncaught exception in parallel region: ") + e.what());
-    } catch (...) {
-      status =
-          Status::Internal("uncaught non-std exception in parallel region");
-    }
+    Status status = RunGuarded([&] { return consume(begin, end); });
     if (!status.ok()) {
       RecordPipelineFailure(state.get(), 2 * c + 1, std::move(status));
       break;

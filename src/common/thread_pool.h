@@ -38,7 +38,9 @@ class Histogram;
 /// can keep a process-wide pool and pass it down instead.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers. `num_threads` must be >= 1.
+  /// Spawns `num_threads` workers. `num_threads` must be >= 1. If a worker
+  /// cannot be started, the ones that were are joined and the
+  /// std::system_error propagates.
   explicit ThreadPool(int num_threads);
 
   /// Drains the queues and joins the workers. Tasks submitted but not yet
@@ -91,6 +93,8 @@ class ThreadPool {
   };
 
   void WorkerLoop(int index);
+  /// Publishes shutdown and joins every started worker.
+  void StopWorkers();
   bool ClaimTask(std::function<void()>* task);
   void RunTask(std::function<void()> task);
   void NotifyWorkArrived();
@@ -130,8 +134,9 @@ class ThreadPool {
 /// thread. Returns the first non-OK Status in chunk order (lowest starting
 /// index wins, matching what a sequential loop would have returned); once
 /// any chunk fails, remaining chunks are skipped. Exceptions escaping
-/// `body` are captured and surfaced as Status::Internal — they never cross
-/// the pool boundary.
+/// `body` are captured and surfaced as a Status — ResourceExhausted for
+/// std::bad_alloc, Internal otherwise — they never cross the pool
+/// boundary.
 ///
 /// With `pool == nullptr` the loop runs inline on the calling thread, so
 /// callers can treat "no pool" and "one thread" identically. Nested calls

@@ -166,7 +166,7 @@ class Tracer {
 };
 
 /// Trace-only RAII span for per-task work inside parallel regions
-/// (pool.task, sharded.count_block, column.count_block), where a registry
+/// (pool.task, bitmap.count_stripe, column.count_block), where a registry
 /// lookup per task would make every worker wait on the registry mutex.
 /// Begin event at construction, end event at destruction, both into the
 /// calling thread's ring. When the tracer is inactive the constructor is

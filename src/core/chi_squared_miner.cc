@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -116,6 +117,8 @@ struct RunJoiner {
   std::vector<std::vector<Itemset>> joins;
 
   std::atomic<size_t> outstanding{0};
+  /// A join morsel ran out of memory; Drain reports it.
+  std::atomic<bool> out_of_memory{false};
   std::mutex mu;
   std::condition_variable cv;
 
@@ -135,7 +138,13 @@ struct RunJoiner {
     }
     outstanding.fetch_add(1, std::memory_order_relaxed);
     pool->Submit([this, members, count, out] {
-      EnumerateRunJoins(members, count, out);
+      // A bare pool task has no region guard: an exception escaping it
+      // would end the process, and the missed decrement would hang Drain.
+      try {
+        EnumerateRunJoins(members, count, out);
+      } catch (const std::bad_alloc&) {
+        out_of_memory.store(true, std::memory_order_relaxed);
+      }
       if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(mu);
         cv.notify_all();
@@ -155,11 +164,17 @@ struct RunJoiner {
     return false;
   }
 
-  void Drain(ThreadPool* pool) {
-    if (pool == nullptr) return;
+  /// Waits for every join morsel; ResourceExhausted if one ran out of
+  /// memory.
+  Status Drain(ThreadPool* pool) {
+    if (pool == nullptr) return Status::OK();
     pool->HelpUntil(mu, cv, [this] {
       return outstanding.load(std::memory_order_acquire) == 0;
     });
+    if (out_of_memory.load(std::memory_order_relaxed)) {
+      return Status::ResourceExhausted("out of memory joining candidates");
+    }
+    return Status::OK();
   }
 };
 
@@ -399,6 +414,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       if (gen_next) joiner.joins.reserve(cand.size());
 
       Status eval_status;
+      Status join_status;
       {
         Phase eval_phase(registry, "miner.evaluate", level, -1,
                          static_cast<int64_t>(cand.size()));
@@ -477,10 +493,11 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
         // `joiner.joins` — drain them before any return, including the
         // error one, or the early exit would free storage under a live
         // task.
-        if (gen_next) joiner.Drain(pool);
+        if (gen_next) join_status = joiner.Drain(pool);
         evaluate_ns = eval_phase.Stop();
       }
       CORRMINE_RETURN_NOT_OK(eval_status);
+      CORRMINE_RETURN_NOT_OK(join_status);
 
       // Step 8, finished off: flush the tail run, drain in-flight join
       // morsels, then apply the subset prune (which needs the *complete*
@@ -490,7 +507,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
         Phase gen_phase(registry, "miner.generate", level, -1,
                         static_cast<int64_t>(next.members.size()));
         joiner.CloseRun(pool, next.members.size());
-        joiner.Drain(pool);
+        CORRMINE_RETURN_NOT_OK(joiner.Drain(pool));
         CORRMINE_RETURN_NOT_OK(ParallelFor(
             pool, joiner.joins.size(), 1,
             [&](size_t begin, size_t end) -> Status {

@@ -14,12 +14,6 @@ namespace {
 /// Basket-axis chunk size for the scan provider's shared pass.
 constexpr size_t kScanBasketGrain = 1024;
 
-/// Prefix-group chunk size for the blocked bitmap batch: each group is a
-/// full streaming pass over its operand bitmaps, so small chunks keep the
-/// pool fed without drowning it in tiny tasks (the singleton batch at the
-/// start of a run produces one near-trivial group per item).
-constexpr size_t kBlockedGroupGrain = 8;
-
 }  // namespace
 
 CountProvider::CountProvider()
@@ -122,28 +116,12 @@ void ScanCountProvider::CountAllPresentBatchImpl(
 void BitmapCountProvider::CountAllPresentBatchImpl(
     std::span<const Itemset> queries, std::span<uint64_t> counts,
     ThreadPool* pool) const {
-  // Prefix-blocked execution (DESIGN.md §9): group the level's queries by
-  // shared (k-1)-prefix, materialize each prefix intersection tile by tile,
-  // and stream every extension column against the hot tile — instead of
-  // re-walking full bitmaps once per query. Parallel over groups; every
-  // query writes its own slot, so any schedule is byte-identical.
-  BlockedCountPlan plan = BlockedCountPlan::Build(queries);
-  // Prefix groups are the morsel unit; each scheduler slot owns one
-  // executor arena (tile + column/accumulator buffers), sized once and
-  // reused across every morsel that slot runs.
-  const size_t num_slots =
-      ParallelForSlotBound(pool, plan.groups.size(), kBlockedGroupGrain);
-  std::vector<BlockedExecScratch> scratch(num_slots);
-  Status status = ParallelForSlots(
-      pool, plan.groups.size(), kBlockedGroupGrain,
-      [&](size_t slot, size_t begin, size_t end) -> Status {
-        BlockedExecStats stats;
-        ExecuteBlockedGroups(plan, begin, end, index_, counts, &stats,
-                             &scratch[slot]);
-        BumpKernelCounters(stats);
-        return Status::OK();
-      });
-  CORRMINE_CHECK(status.ok()) << status.ToString();
+  // Stripe-major execution (DESIGN.md §9) over the one index: the batch
+  // routine ShardedCountProvider runs over K.
+  const VerticalIndex* index = &index_;
+  CountBlockedBatch(BlockedCountPlan::Build(queries),
+                    std::span<const VerticalIndex* const>(&index, 1), counts,
+                    pool);
 }
 
 }  // namespace corrmine

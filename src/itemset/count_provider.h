@@ -112,9 +112,10 @@ class ScanCountProvider : public CountProvider {
 
 /// Strategy B: per-item bitmaps; each count is a multi-way AND/popcount.
 /// One O(total occurrences) preprocessing pass. Batches run the
-/// prefix-blocked executor (kernels.h), parallel over prefix groups (each
-/// query's count lands in its own slot, so any schedule yields identical
-/// results).
+/// stripe-major executor (kernels.h CountBlockedBatch), parallel over word
+/// stripes: every prefix group of the batch runs against one L2-resident
+/// stripe, and per-slot partial counts are added in slot order, so any
+/// schedule yields identical results.
 class BitmapCountProvider : public CountProvider {
  public:
   /// Builds the vertical index eagerly; `db` may be discarded afterwards.

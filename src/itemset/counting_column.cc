@@ -934,7 +934,7 @@ void CompressedCountProvider::CountAllPresentBatchImpl(
     ThreadPool* pool) const {
   const size_t num_queries = queries.size();
   const size_t num_shards = sources_.size();
-  // Prefix-blocked column execution mirroring ShardedCountProvider: one
+  // Prefix-blocked column execution, group-major: one
   // plan from the query stream, (shard x group-block) morsels on the pool,
   // per-shard partial sums fanned in shard order — exact integers for any
   // thread count or morsel schedule, so K-invariance holds by construction.

@@ -232,7 +232,8 @@ ColumnStorageStats ComputeColumnStorageStats(const ColumnSource& source);
 uint64_t CountAllPresentColumns(const ColumnSource& source, const Itemset& s,
                                 ColumnOpStats* stats = nullptr);
 
-/// The compressed peer of ExecuteBlockedGroups (kernels.h): executes
+/// The compressed peer of the bitmap stripe executor (kernels.h
+/// ExecuteStripes), group-major: executes
 /// plan.groups[group_begin..group_end) against a column source, writing
 /// each answered query's count into `counts` (indexed by query slot;
 /// counts.size() == plan.num_queries). Size-1 prefixes alias the item

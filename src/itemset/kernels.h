@@ -13,6 +13,7 @@
 
 namespace corrmine {
 
+class ThreadPool;
 class VerticalIndex;
 
 /// SIMD-dispatched counting kernels (DESIGN.md §9).
@@ -35,6 +36,9 @@ class VerticalIndex;
 
 enum class KernelIsa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
 
+/// Extensions and_count_many keeps in registers per pass over the prefix.
+inline constexpr size_t kAndCountManyWidth = 4;
+
 /// One ISA's implementations. `name` has static storage duration.
 struct CountingKernels {
   KernelIsa isa;
@@ -44,6 +48,11 @@ struct CountingKernels {
   uint64_t (*popcount)(const uint64_t* words, size_t n);
   /// Popcount of (a AND b) over n words, nothing materialized.
   uint64_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
+  /// counts[j] = popcount(a AND bs[j]) over n words for every j < m
+  /// (m >= 1). Register-blocked kAndCountManyWidth extensions at a time:
+  /// each word of `a` is loaded once against all of them.
+  void (*and_count_many)(const uint64_t* a, const uint64_t* const* bs,
+                         size_t m, size_t n, uint64_t* counts);
   /// Popcount of (ops[0] AND ... AND ops[k-1]) over n words; requires
   /// k >= 1. Implementations may skip work once a chunk's accumulator is
   /// all-zero (callers order operands sparsest-first to exploit this).
@@ -106,18 +115,30 @@ std::vector<const CountingKernels*> AvailableKernels();
 /// Comma-joined names of AvailableKernels(), for errors and --help.
 std::string AvailableKernelNames();
 
-/// Words per tile of the prefix-blocked executor: 1024 words = 8 KiB, so a
-/// materialized prefix block plus the extension column stripe it is ANDed
-/// against stay L1-resident while the group streams each word range once.
-inline constexpr size_t kKernelTileWords = 1024;
+/// The stripe-major executor's working-set budget: one word stripe of every
+/// column a batch references plus the batch's partial counts (8 bytes per
+/// query) should fit in this much of a core's L2, so each stripe is loaded
+/// from memory once and every prefix group of the batch reuses it. 1.5 MiB
+/// is three quarters of a current Xeon core's 2 MiB L2; the rest holds the
+/// materialized prefix block and the code's own working set. Stripes half
+/// this wide paid more per-call overhead than they saved.
+inline constexpr size_t kStripeCacheBytes = size_t{3} << 19;
+/// Stripe width bounds, in 64-bit words. The floor keeps the per-group
+/// call overhead small against the words it streams when a batch
+/// references many columns; the ceiling bounds the materialized prefix
+/// block (kept on the stack) and leaves several stripes per shard for the
+/// pool on batches that reference few columns.
+inline constexpr size_t kMinStripeWords = 64;
+inline constexpr size_t kMaxStripeWords = 1024;
 
 /// The prefix-blocked execution plan for one level batch. The level-wise
 /// miner's candidates arrive as runs sharing a (k-1)-prefix (sibling
 /// candidates differ in their last item only), so instead of re-walking
 /// full bitmaps per query the executor groups queries by that prefix,
-/// materializes the prefix intersection one tile at a time, and streams
-/// every extension item's column against the hot tile — Eclat's
-/// prefix-tidset intersection.
+/// materializes the prefix intersection once per word stripe, and counts
+/// every extension item's stripe against it — Eclat's prefix-tidset
+/// intersection. The stripe-major executor (CountBlockedBatch) also shares
+/// the extension columns: each stripe is loaded once for all groups.
 struct BlockedCountPlan {
   struct Group {
     /// Shared prefix — the AND operands (size >= 1). A size-1 prefix
@@ -134,6 +155,14 @@ struct BlockedCountPlan {
 
   std::vector<Group> groups;
   size_t num_queries = 0;
+  /// One past the largest item id any query names.
+  ItemId item_bound = 0;
+  /// Words per stripe of the stripe-major executor, fixed by the batch
+  /// shape alone: (kStripeCacheBytes - 8 * num_queries) / (8 * distinct
+  /// referenced columns), the partials capped at three quarters of the
+  /// budget, rounded down to a whole 8-word cache line and clamped to
+  /// [kMinStripeWords, kMaxStripeWords].
+  size_t stripe_words = kMinStripeWords;
 
   /// Groups `queries` by their (size-1)-prefix: consecutive queries with
   /// the same prefix form one group, so a prefix-sorted stream (what every
@@ -144,48 +173,51 @@ struct BlockedCountPlan {
   static BlockedCountPlan Build(std::span<const Itemset> queries);
 };
 
-/// Work accounting for one ExecuteBlockedGroups call, in *logical* 64-bit
-/// words — identical for every kernel ISA, so the "kernel." counters these
-/// feed diff clean across scalar vs dispatched runs.
+/// Work accounting for the stripe-major executor, in *logical* 64-bit
+/// words — identical for every kernel ISA, stripe width, task split and
+/// thread count, so the "kernel." counters these feed diff clean across
+/// scalar vs dispatched runs and across --threads.
 struct BlockedExecStats {
   uint64_t groups = 0;
   uint64_t queries = 0;
   /// Words AND+popcounted against extension columns.
   uint64_t and_words = 0;
-  /// Words ANDed while materializing prefix tiles ((p-1) per word).
+  /// Words ANDed while materializing prefix blocks ((p-1) per word).
   uint64_t block_and_words = 0;
   /// Words popcounted for self (prefix == query) answers.
   uint64_t popcount_words = 0;
 };
 
-/// Reusable working memory for ExecuteBlockedGroups: the L1-resident tile a
-/// group's extension columns stream against, plus the per-group column and
-/// accumulator arrays. Callers running blocked execution as pool morsels
-/// keep one of these per scheduler slot (ParallelForSlots) so buffers are
-/// sized once and reused across every morsel that slot executes — no
-/// thread_local growth on transient pool threads.
-struct BlockedExecScratch {
-  std::vector<uint64_t> tile;
-  std::vector<const uint64_t*> ext_cols;
-  std::vector<uint64_t> ext_acc;
-};
+/// One task of the stripe-major executor: word stripes [stripe_begin,
+/// stripe_end) of `index` (stripe s covers words [s * plan.stripe_words,
+/// min((s + 1) * plan.stripe_words, words))) against plan.groups
+/// [group_begin, group_end). For each stripe it runs every group of the
+/// range: the prefix block is the item column itself (size-1 prefix) or
+/// and_block'ed onto the stack, and the group's extensions are counted
+/// four at a time with and_count_many. ADDS each answered query's count
+/// over those words into `partial` (size plan.num_queries), so any
+/// stripe × group partition sums to the exact counts. `stats` (optional)
+/// accumulates the words done; groups/queries are left to the caller.
+void ExecuteStripes(const BlockedCountPlan& plan, const VerticalIndex& index,
+                    size_t stripe_begin, size_t stripe_end,
+                    size_t group_begin, size_t group_end,
+                    std::span<uint64_t> partial, BlockedExecStats* stats);
 
-/// Executes plan.groups[group_begin..group_end) against `index`, writing
-/// each answered query's count into `counts` (indexed by query position;
-/// counts.size() == plan.num_queries). Tiles through kKernelTileWords-word
-/// blocks using `scratch` (pass null to fall back to a thread-local
-/// arena). Results are exact integers — identical for any kernel, tiling,
-/// or group partition — so callers may parallelize over disjoint group
-/// ranges freely. `stats` (optional) accumulates work done.
-void ExecuteBlockedGroups(const BlockedCountPlan& plan, size_t group_begin,
-                          size_t group_end, const VerticalIndex& index,
-                          std::span<uint64_t> counts, BlockedExecStats* stats,
-                          BlockedExecScratch* scratch = nullptr);
-
-/// Adds one execution's accounting to the global "kernel.blocked_groups /
-/// blocked_queries / and_words / block_and_words / popcount_words"
-/// counters. Thread-safe.
-void BumpKernelCounters(const BlockedExecStats& stats);
+/// Counts every query of `plan` over the sum of `shards`' bitmaps into
+/// `counts` (size plan.num_queries) — the one batch routine behind
+/// BitmapCountProvider (one shard) and ShardedCountProvider (K). Tasks are
+/// (shard, stripe) pairs; only when a batch has fewer stripes than the pool
+/// can use is the group axis split further into extension-balanced ranges.
+/// Each scheduler slot sums into its own partial array, and the partials
+/// are added in slot order: exact integers, identical for any pool and any
+/// split. Adds the work to the "kernel.blocked_groups / blocked_queries /
+/// and_words / block_and_words / popcount_words" counters. `shard_ns`
+/// (optional, one entry per shard) receives each shard's summed task wall
+/// time.
+void CountBlockedBatch(const BlockedCountPlan& plan,
+                       std::span<const VerticalIndex* const> shards,
+                       std::span<uint64_t> counts, ThreadPool* pool,
+                       std::span<uint64_t> shard_ns = {});
 
 /// Work accounting for hybrid-column intersections (CountingColumn), in
 /// *logical* data units computed at the call sites from container shapes

@@ -75,6 +75,48 @@ uint64_t Avx2AndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
+/// popcount(a AND bs[j]) for M extensions in one pass over `a`: each
+/// 4-word chunk of the prefix is loaded once and kept in a register while
+/// all M extension chunks are ANDed against it. The j loops are unrolled
+/// so the M accumulators and stripe pointers live in registers.
+template <size_t M>
+void Avx2AndCountBlock(const uint64_t* a, const uint64_t* const* bs,
+                       size_t n, uint64_t* counts) {
+  __m256i acc[M];
+  const uint64_t* b[M];
+#pragma GCC unroll 4
+  for (size_t j = 0; j < M; ++j) {
+    acc[j] = _mm256_setzero_si256();
+    b[j] = bs[j];
+  }
+  size_t i = 0;
+  for (; i + kLaneWords <= n; i += kLaneWords) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+#pragma GCC unroll 4
+    for (size_t j = 0; j < M; ++j) {
+      const __m256i w = _mm256_and_si256(
+          v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b[j] + i)));
+      acc[j] = _mm256_add_epi64(acc[j], Popcount256(w));
+    }
+  }
+  for (size_t j = 0; j < M; ++j) {
+    uint64_t total = HorizontalSum(acc[j]);
+    for (size_t t = i; t < n; ++t) total += std::popcount(a[t] & b[j][t]);
+    counts[j] = total;
+  }
+}
+
+void Avx2AndCountMany(const uint64_t* a, const uint64_t* const* bs, size_t m,
+                      size_t n, uint64_t* counts) {
+  for (; m >= 4; m -= 4, bs += 4, counts += 4) {
+    Avx2AndCountBlock<4>(a, bs, n, counts);
+  }
+  if (m == 3) Avx2AndCountBlock<3>(a, bs, n, counts);
+  if (m == 2) Avx2AndCountBlock<2>(a, bs, n, counts);
+  if (m == 1) Avx2AndCountBlock<1>(a, bs, n, counts);
+}
+
 uint64_t Avx2MultiAndCount(const uint64_t* const* ops, size_t k, size_t n) {
   __m256i acc = _mm256_setzero_si256();
   size_t i = 0;
@@ -150,8 +192,8 @@ void Avx2AndBlock(uint64_t* dst, const uint64_t* const* ops, size_t k,
 
 constexpr CountingKernels kAvx2Kernels = {
     KernelIsa::kAvx2, "avx2",           Avx2Popcount,
-    Avx2AndCount,     Avx2MultiAndCount, Avx2AndInplace,
-    Avx2AndCountInto, Avx2AndBlock,
+    Avx2AndCount,     Avx2AndCountMany, Avx2MultiAndCount,
+    Avx2AndInplace,   Avx2AndCountInto, Avx2AndBlock,
     SparseArrayIntersectCount, SparseArrayDenseCount,
 };
 

@@ -49,6 +49,46 @@ uint64_t Avx512AndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
+/// popcount(a AND bs[j]) for M extensions in one pass over `a`: each
+/// 8-word chunk of the prefix is loaded once and kept in a register while
+/// all M extension chunks are ANDed against it. The j loops are unrolled
+/// so the M accumulators and stripe pointers live in registers.
+template <size_t M>
+void Avx512AndCountBlock(const uint64_t* a, const uint64_t* const* bs,
+                         size_t n, uint64_t* counts) {
+  __m512i acc[M];
+  const uint64_t* b[M];
+#pragma GCC unroll 4
+  for (size_t j = 0; j < M; ++j) {
+    acc[j] = _mm512_setzero_si512();
+    b[j] = bs[j];
+  }
+  size_t i = 0;
+  for (; i + kLaneWords <= n; i += kLaneWords) {
+    const __m512i v = _mm512_loadu_si512(a + i);
+#pragma GCC unroll 4
+    for (size_t j = 0; j < M; ++j) {
+      const __m512i w = _mm512_and_si512(v, _mm512_loadu_si512(b[j] + i));
+      acc[j] = _mm512_add_epi64(acc[j], _mm512_popcnt_epi64(w));
+    }
+  }
+  for (size_t j = 0; j < M; ++j) {
+    uint64_t total = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc[j]));
+    for (size_t t = i; t < n; ++t) total += std::popcount(a[t] & b[j][t]);
+    counts[j] = total;
+  }
+}
+
+void Avx512AndCountMany(const uint64_t* a, const uint64_t* const* bs,
+                        size_t m, size_t n, uint64_t* counts) {
+  for (; m >= 4; m -= 4, bs += 4, counts += 4) {
+    Avx512AndCountBlock<4>(a, bs, n, counts);
+  }
+  if (m == 3) Avx512AndCountBlock<3>(a, bs, n, counts);
+  if (m == 2) Avx512AndCountBlock<2>(a, bs, n, counts);
+  if (m == 1) Avx512AndCountBlock<1>(a, bs, n, counts);
+}
+
 uint64_t Avx512MultiAndCount(const uint64_t* const* ops, size_t k,
                              size_t n) {
   __m512i acc = _mm512_setzero_si512();
@@ -118,9 +158,9 @@ void Avx512AndBlock(uint64_t* dst, const uint64_t* const* ops, size_t k,
 }
 
 constexpr CountingKernels kAvx512Kernels = {
-    KernelIsa::kAvx512, "avx512",            Avx512Popcount,
-    Avx512AndCount,     Avx512MultiAndCount, Avx512AndInplace,
-    Avx512AndCountInto, Avx512AndBlock,
+    KernelIsa::kAvx512, "avx512",           Avx512Popcount,
+    Avx512AndCount,     Avx512AndCountMany, Avx512MultiAndCount,
+    Avx512AndInplace,   Avx512AndCountInto, Avx512AndBlock,
     SparseArrayIntersectCount, SparseArrayDenseCount,
 };
 

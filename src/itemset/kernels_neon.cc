@@ -57,6 +57,46 @@ uint64_t NeonAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
+/// popcount(a AND bs[j]) for M extensions in one pass over `a`: each
+/// 2-word chunk of the prefix is loaded once and kept in a register while
+/// all M extension chunks are ANDed against it. The j loops are unrolled
+/// so the M accumulators and stripe pointers live in registers.
+template <size_t M>
+void NeonAndCountBlock(const uint64_t* a, const uint64_t* const* bs,
+                       size_t n, uint64_t* counts) {
+  uint64x2_t acc[M];
+  const uint64_t* b[M];
+#pragma GCC unroll 4
+  for (size_t j = 0; j < M; ++j) {
+    acc[j] = vdupq_n_u64(0);
+    b[j] = bs[j];
+  }
+  size_t i = 0;
+  for (; i + kLaneWords <= n; i += kLaneWords) {
+    const uint64x2_t v = vld1q_u64(a + i);
+#pragma GCC unroll 4
+    for (size_t j = 0; j < M; ++j) {
+      const uint64x2_t w = vandq_u64(v, vld1q_u64(b[j] + i));
+      acc[j] = vaddq_u64(acc[j], Popcount128(w));
+    }
+  }
+  for (size_t j = 0; j < M; ++j) {
+    uint64_t total = HorizontalSum(acc[j]);
+    for (size_t t = i; t < n; ++t) total += std::popcount(a[t] & b[j][t]);
+    counts[j] = total;
+  }
+}
+
+void NeonAndCountMany(const uint64_t* a, const uint64_t* const* bs, size_t m,
+                      size_t n, uint64_t* counts) {
+  for (; m >= 4; m -= 4, bs += 4, counts += 4) {
+    NeonAndCountBlock<4>(a, bs, n, counts);
+  }
+  if (m == 3) NeonAndCountBlock<3>(a, bs, n, counts);
+  if (m == 2) NeonAndCountBlock<2>(a, bs, n, counts);
+  if (m == 1) NeonAndCountBlock<1>(a, bs, n, counts);
+}
+
 uint64_t NeonMultiAndCount(const uint64_t* const* ops, size_t k, size_t n) {
   uint64x2_t acc = vdupq_n_u64(0);
   size_t i = 0;
@@ -122,8 +162,8 @@ void NeonAndBlock(uint64_t* dst, const uint64_t* const* ops, size_t k,
 
 constexpr CountingKernels kNeonKernels = {
     KernelIsa::kNeon, "neon",           NeonPopcount,
-    NeonAndCount,     NeonMultiAndCount, NeonAndInplace,
-    NeonAndCountInto, NeonAndBlock,
+    NeonAndCount,     NeonAndCountMany, NeonMultiAndCount,
+    NeonAndInplace,   NeonAndCountInto, NeonAndBlock,
     SparseArrayIntersectCount, SparseArrayDenseCount,
 };
 

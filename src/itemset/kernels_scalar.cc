@@ -27,6 +27,29 @@ uint64_t ScalarAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
+/// popcount(a AND bs[j]) for M extensions, one word of `a` at a time.
+template <size_t M>
+void ScalarAndCountBlock(const uint64_t* a, const uint64_t* const* bs,
+                         size_t n, uint64_t* counts) {
+  uint64_t totals[M] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t w = a[i];
+#pragma GCC unroll 4
+    for (size_t j = 0; j < M; ++j) totals[j] += std::popcount(w & bs[j][i]);
+  }
+  for (size_t j = 0; j < M; ++j) counts[j] = totals[j];
+}
+
+void ScalarAndCountMany(const uint64_t* a, const uint64_t* const* bs,
+                        size_t m, size_t n, uint64_t* counts) {
+  for (; m >= 4; m -= 4, bs += 4, counts += 4) {
+    ScalarAndCountBlock<4>(a, bs, n, counts);
+  }
+  if (m == 3) ScalarAndCountBlock<3>(a, bs, n, counts);
+  if (m == 2) ScalarAndCountBlock<2>(a, bs, n, counts);
+  if (m == 1) ScalarAndCountBlock<1>(a, bs, n, counts);
+}
+
 uint64_t ScalarMultiAndCount(const uint64_t* const* ops, size_t k,
                              size_t n) {
   uint64_t total = 0;
@@ -63,9 +86,9 @@ void ScalarAndBlock(uint64_t* dst, const uint64_t* const* ops, size_t k,
 }
 
 constexpr CountingKernels kScalarKernels = {
-    KernelIsa::kScalar, "scalar",        ScalarPopcount,
-    ScalarAndCount,     ScalarMultiAndCount, ScalarAndInplace,
-    ScalarAndCountInto, ScalarAndBlock,
+    KernelIsa::kScalar, "scalar",           ScalarPopcount,
+    ScalarAndCount,     ScalarAndCountMany, ScalarMultiAndCount,
+    ScalarAndInplace,   ScalarAndCountInto, ScalarAndBlock,
     SparseArrayIntersectCount, SparseArrayDenseCount,
 };
 

@@ -1,28 +1,14 @@
 #include "itemset/sharded_database.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
-#include "common/trace.h"
 #include "itemset/kernels.h"
 
 namespace corrmine {
-
-namespace {
-
-/// Prefix groups per (shard, block) task in a parallel batch. Blocks of
-/// the group axis give the pool work to steal even at small K, while
-/// different shards write to different partial arrays — no two tasks ever
-/// share a slot. The blocked plan is built once and shared read-only
-/// across every shard (grouping depends only on the query stream).
-constexpr size_t kShardGroupBlock = 64;
-
-}  // namespace
 
 ShardedTransactionDatabase::ShardedTransactionDatabase(ItemId num_items,
                                                        size_t num_shards)
@@ -154,55 +140,23 @@ uint64_t ShardedCountProvider::CountAllPresentImpl(const Itemset& s) const {
 void ShardedCountProvider::CountAllPresentBatchImpl(
     std::span<const Itemset> queries, std::span<uint64_t> counts,
     ThreadPool* pool) const {
-  const size_t num_queries = queries.size();
   const size_t num_shards = indexes_.size();
-  // Prefix-blocked execution per shard (DESIGN.md §9): the plan is built
-  // once from the query stream and every shard runs the same groups over
-  // its own vertical index, so the per-shard work is K short streaming
-  // passes instead of K full AND chains per query.
-  BlockedCountPlan plan = BlockedCountPlan::Build(queries);
-  const size_t blocks =
-      (plan.groups.size() + kShardGroupBlock - 1) / kShardGroupBlock;
-  std::vector<std::vector<uint64_t>> partial(
-      num_shards, std::vector<uint64_t>(num_queries, 0));
-  // Per-shard wall time across this batch's (shard, block) tasks. Workers
-  // on different shards add to different slots; same-shard blocks may race
-  // benignly on the relaxed add.
-  std::vector<std::atomic<uint64_t>> shard_ns(num_shards);
-  // One executor arena per scheduler slot, shared across every (shard,
-  // block) morsel that slot runs — the tile and accumulator buffers are
-  // sized once instead of growing thread-locals on transient pool threads.
-  const size_t num_slots = ParallelForSlotBound(pool, num_shards * blocks, 1);
-  std::vector<BlockedExecScratch> scratch(num_slots);
-  Status status = ParallelForSlots(
-      pool, num_shards * blocks, 1,
-      [&](size_t slot, size_t begin, size_t end) -> Status {
-        for (size_t task = begin; task < end; ++task) {
-          const size_t shard = task / blocks;
-          const size_t block = task % blocks;
-          const size_t g_begin = block * kShardGroupBlock;
-          const size_t g_end =
-              std::min(g_begin + kShardGroupBlock, plan.groups.size());
-          TraceScope block_span("sharded.count_block", -1,
-                                static_cast<int64_t>(shard),
-                                static_cast<int64_t>(g_end - g_begin));
-          BlockedExecStats exec_stats;
-          const uint64_t t0 = SteadyNowNanos();
-          ExecuteBlockedGroups(plan, g_begin, g_end, indexes_[shard],
-                               partial[shard], &exec_stats, &scratch[slot]);
-          shard_ns[shard].fetch_add(SteadyNowNanos() - t0,
-                                    std::memory_order_relaxed);
-          BumpKernelCounters(exec_stats);
-        }
-        return Status::OK();
-      });
-  CORRMINE_CHECK(status.ok()) << status.ToString();
+  // Stripe-major execution (DESIGN.md §9): the plan is built once from the
+  // query stream, and every shard's word stripes are tasks of one region
+  // that sums per scheduler slot — K shards add stripe tasks, not K
+  // partial-count arrays. Counts are sums of exact per-shard integers,
+  // identical for any K and any schedule.
+  std::vector<const VerticalIndex*> shards;
+  shards.reserve(num_shards);
+  for (const VerticalIndex& index : indexes_) shards.push_back(&index);
+  std::vector<uint64_t> shard_ns(num_shards, 0);
+  CountBlockedBatch(BlockedCountPlan::Build(queries), shards, counts, pool,
+                    shard_ns);
   // Shard-imbalance gauge: max/mean of the per-shard batch times, x1000.
   // 1000 means perfectly even; a hot shard pushes it up proportionally.
   uint64_t total_ns = 0;
   uint64_t max_ns = 0;
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    const uint64_t ns = shard_ns[shard].load(std::memory_order_relaxed);
+  for (const uint64_t ns : shard_ns) {
     shard_batch_ns_->Observe(ns);
     total_ns += ns;
     max_ns = std::max(max_ns, ns);
@@ -212,12 +166,6 @@ void ShardedCountProvider::CountAllPresentBatchImpl(
         static_cast<double>(total_ns) / static_cast<double>(num_shards);
     batch_imbalance_->Set(
         static_cast<int64_t>(1000.0 * static_cast<double>(max_ns) / mean));
-  }
-  // Exact integer fan-in in shard order: counts are sums of per-shard
-  // counts, identical for any K and any schedule.
-  for (size_t q = 0; q < num_queries; ++q) counts[q] = 0;
-  for (const std::vector<uint64_t>& mine : partial) {
-    for (size_t q = 0; q < num_queries; ++q) counts[q] += mine[q];
   }
 }
 

@@ -88,15 +88,18 @@ class ShardedTransactionDatabase {
 
 /// CountProvider over a sharded database: one vertical index per shard,
 /// built eagerly; every count is the sum of per-shard AND/popcounts. Batches
-/// fan out over (shard × query-block) tasks on the pool and merge the
-/// per-shard partials in shard order, so results are deterministic and
-/// identical for any K and any pool (the K-invariance contract above).
+/// run the stripe-major executor (kernels.h CountBlockedBatch) with every
+/// shard's word stripes as tasks of one region; each scheduler slot sums
+/// into its own partial array and the partials are added in slot order, so
+/// results are deterministic and identical for any K and any pool (the
+/// K-invariance contract above).
 ///
 /// Run-health telemetry (DESIGN.md §8): each batch accumulates per-shard
 /// wall time into histogram "sharded.shard_batch_ns" and publishes gauge
 /// "sharded.batch_imbalance_x1000" = 1000 * max/mean of the per-shard batch
-/// times — the skew signal the flat counters can't see. Per-(shard, block)
-/// trace spans land in the worker threads' rings when tracing is active.
+/// times — the skew signal the flat counters can't see. Per-(shard,
+/// stripe) "bitmap.count_stripe" trace spans land in the worker threads'
+/// rings when tracing is active.
 class ShardedCountProvider : public CountProvider {
  public:
   /// Builds the per-shard indexes eagerly; `db` must outlive this provider

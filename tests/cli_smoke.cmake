@@ -57,6 +57,25 @@ foreach(mode "" "--out-of-core")
   endif()
 endforeach()
 
+# Out of memory ends the command with a Status, not an abort: under a
+# 12 MB address-space limit (a 500-basket mine fits in 8 MB) the 100 000
+# baskets below cannot be loaded and indexed.
+execute_process(
+  COMMAND ${CLI} generate quest --baskets 100000 --format binary
+          --out ${WORKDIR}/oom.cmb
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "generate for the memory-limit case failed: ${rc}")
+endif()
+execute_process(
+  COMMAND sh -c "ulimit -v 12000; exec \"$0\" mine \"$1\" --support-count 2500 --cell-fraction 0.26 --threads 1"
+          ${CLI} ${WORKDIR}/oom.cmb
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "ResourceExhausted")
+  message(FATAL_ERROR
+          "mine under ulimit -v should exit 1 with ResourceExhausted: ${rc} ${err}")
+endif()
+
 # Exact-test of one itemset.
 execute_process(
   COMMAND ${CLI} check ${WORKDIR}/smoke.txt --items 0,1 --rounds 50

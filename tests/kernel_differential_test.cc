@@ -2,17 +2,20 @@
 // compiled-in-and-runnable SIMD variant must return exactly the integers a
 // plain reference loop returns, on adversarial word shapes — tail words
 // past the last full vector lane, all-zero blocks (the early-exit path),
-// single-bit and all-ones words, and empty intersections. The
-// prefix-blocked executor is checked the same way, against naive
-// VerticalIndex::CountAllPresent, for every kernel and for arbitrary group
-// partitions.
+// single-bit and all-ones words, and empty intersections. The stripe-major
+// executor is checked the same way, against naive
+// VerticalIndex::CountAllPresent, for every kernel at word counts around
+// the stripe width and for every stripe-range x group-range split.
 
 #include "itemset/kernels.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "itemset/bitmap.h"
 #include "itemset/itemset.h"
@@ -161,6 +164,39 @@ TEST(CountingKernelsTest, MultiAndAndBlockMatchReference) {
   }
 }
 
+TEST(CountingKernelsTest, AndCountManyMatchesReference) {
+  // and_count_many against the independent reference and the scalar
+  // table, for 1..4 extensions (one register block) and past it, on every
+  // ragged tail; extension operands cycle through the patterns, so a block
+  // mixes dense, sparse, empty and disjoint stripes.
+  std::mt19937_64 rng(4242);
+  const CountingKernels* scalar = ScalarKernels();
+  for (const CountingKernels* kernels : AvailableKernels()) {
+    SCOPED_TRACE(kernels->name);
+    for (size_t n : kShapes) {
+      SCOPED_TRACE("words=" + std::to_string(n));
+      std::vector<std::vector<uint64_t>> ops = PatternOperands(n, &rng);
+      for (size_t a = 0; a < ops.size(); ++a) {
+        for (size_t m = 1; m <= 2 * kAndCountManyWidth + 1; ++m) {
+          std::vector<const uint64_t*> bs;
+          std::vector<uint64_t> want;
+          for (size_t j = 0; j < m; ++j) {
+            const std::vector<uint64_t>& b = ops[(a + 2 * j + 1) % ops.size()];
+            bs.push_back(b.data());
+            want.push_back(RefAndCount(ops[a], b));
+          }
+          std::vector<uint64_t> got(m, 0xBADC0FFEEULL);
+          kernels->and_count_many(ops[a].data(), bs.data(), m, n, got.data());
+          EXPECT_EQ(got, want) << "m=" << m;
+          std::vector<uint64_t> ref(m, 0);
+          scalar->and_count_many(ops[a].data(), bs.data(), m, n, ref.data());
+          EXPECT_EQ(ref, want) << "m=" << m;
+        }
+      }
+    }
+  }
+}
+
 TEST(CountingKernelsTest, AliasingContracts) {
   std::mt19937_64 rng(7);
   for (const CountingKernels* kernels : AvailableKernels()) {
@@ -266,72 +302,153 @@ std::vector<Itemset> MakeQueries(ItemId items, std::mt19937_64* rng) {
   return queries;
 }
 
-TEST(BlockedExecutionTest, MatchesNaiveCountsForEveryKernelAndPartition) {
+// Adds up ExecuteStripes over the stripe cuts x group cuts partition of
+// (stripes x groups): every cell is one task summing into the result.
+std::vector<uint64_t> RunTasks(const BlockedCountPlan& plan,
+                               const VerticalIndex& index,
+                               const std::vector<size_t>& stripe_cuts,
+                               const std::vector<size_t>& group_cuts,
+                               BlockedExecStats* stats) {
+  std::vector<uint64_t> partial(plan.num_queries, 0);
+  for (size_t s = 0; s + 1 < stripe_cuts.size(); ++s) {
+    for (size_t g = 0; g + 1 < group_cuts.size(); ++g) {
+      ExecuteStripes(plan, index, stripe_cuts[s], stripe_cuts[s + 1],
+                     group_cuts[g], group_cuts[g + 1],
+                     std::span<uint64_t>(partial), stats);
+    }
+  }
+  return partial;
+}
+
+std::vector<size_t> EveryCut(size_t n) {
+  std::vector<size_t> cuts;
+  for (size_t i = 0; i <= n; ++i) cuts.push_back(i);
+  return cuts;
+}
+
+TEST(StripeExecutionTest, MatchesNaiveCountsAtStripeBoundaries) {
   KernelGuard guard;
   std::mt19937_64 rng(55);
-  TransactionDatabase db = MakeDatabase(777, 18, &rng);
-  VerticalIndex index(db);
-  std::vector<Itemset> queries = MakeQueries(db.num_items(), &rng);
+  const ItemId items = 18;
+  std::vector<Itemset> sorted = MakeQueries(items, &rng);
+  // Adjacent duplicates: one self group answers both singleton slots, and
+  // one extension group answers a repeated extension twice.
+  sorted.insert(sorted.begin() + 1, sorted.front());
+  sorted.push_back(Itemset{0, 1});
+  sorted.push_back(Itemset{0, 1});
+  std::vector<Itemset> interleaved = sorted;
+  std::shuffle(interleaved.begin(), interleaved.end(), rng);
 
-  std::vector<uint64_t> expected(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    expected[q] = index.CountAllPresent(queries[q]);
-  }
-
-  BlockedCountPlan plan = BlockedCountPlan::Build(queries);
-  EXPECT_EQ(plan.num_queries, queries.size());
-  EXPECT_FALSE(plan.groups.empty());
-
-  for (const CountingKernels* kernels : AvailableKernels()) {
-    SCOPED_TRACE(kernels->name);
-    ASSERT_TRUE(SetActiveKernel(kernels->name).ok());
-    // Whole-range execution.
-    std::vector<uint64_t> counts(queries.size(), ~uint64_t{0});
-    BlockedExecStats stats;
-    ExecuteBlockedGroups(plan, 0, plan.groups.size(), index,
-                         std::span<uint64_t>(counts), &stats);
-    EXPECT_EQ(counts, expected);
-    EXPECT_EQ(stats.queries, queries.size());
-    EXPECT_EQ(stats.groups, plan.groups.size());
-    // Arbitrary partition of the group axis (how shards parallelize).
-    std::vector<uint64_t> partitioned(queries.size(), ~uint64_t{0});
-    for (size_t begin = 0; begin < plan.groups.size(); begin += 2) {
-      const size_t end = std::min(begin + 2, plan.groups.size());
-      ExecuteBlockedGroups(plan, begin, end, index,
-                           std::span<uint64_t>(partitioned), nullptr);
+  for (const std::vector<Itemset>* queries : {&sorted, &interleaved}) {
+    SCOPED_TRACE(queries == &sorted ? "sorted" : "interleaved");
+    const BlockedCountPlan plan = BlockedCountPlan::Build(*queries);
+    const size_t stripe = plan.stripe_words;
+    ASSERT_GE(stripe, kMinStripeWords);
+    ASSERT_LE(stripe, kMaxStripeWords);
+    for (size_t words :
+         {size_t{1}, stripe - 1, stripe, stripe + 1, 3 * stripe + 17}) {
+      SCOPED_TRACE("words=" + std::to_string(words));
+      // A ragged last word: 5 baskets short of the full word count.
+      TransactionDatabase db = MakeDatabase(words * 64 - 5, items, &rng);
+      VerticalIndex index(db);
+      ASSERT_EQ(index.words_per_bitmap(), words);
+      std::vector<uint64_t> expected(queries->size());
+      for (size_t q = 0; q < queries->size(); ++q) {
+        expected[q] = index.CountAllPresent((*queries)[q]);
+      }
+      const size_t stripes = (words + stripe - 1) / stripe;
+      const size_t groups = plan.groups.size();
+      for (const CountingKernels* kernels : AvailableKernels()) {
+        SCOPED_TRACE(kernels->name);
+        ASSERT_TRUE(SetActiveKernel(kernels->name).ok());
+        // One task, then one task per (stripe, group) cell.
+        EXPECT_EQ(RunTasks(plan, index, {0, stripes}, {0, groups}, nullptr),
+                  expected);
+        EXPECT_EQ(RunTasks(plan, index, EveryCut(stripes), EveryCut(groups),
+                           nullptr),
+                  expected);
+        // Every two-way stripe cut against every two-way group cut.
+        for (size_t sc = 0; sc <= stripes; ++sc) {
+          for (size_t gc = 0; gc <= groups; ++gc) {
+            ASSERT_EQ(RunTasks(plan, index, {0, sc, stripes},
+                               {0, gc, groups}, nullptr),
+                      expected)
+                << "stripe cut " << sc << ", group cut " << gc;
+          }
+        }
+        // The batch routine, inline and on pools wide enough to split the
+        // group axis of a one-stripe batch.
+        const VerticalIndex* shard = &index;
+        for (int threads : {0, 1, 3}) {
+          std::unique_ptr<ThreadPool> pool;
+          if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+          std::vector<uint64_t> counts(queries->size(), ~uint64_t{0});
+          CountBlockedBatch(plan,
+                            std::span<const VerticalIndex* const>(&shard, 1),
+                            std::span<uint64_t>(counts), pool.get());
+          EXPECT_EQ(counts, expected) << "threads " << threads;
+        }
+      }
     }
-    EXPECT_EQ(partitioned, expected);
   }
 }
 
-TEST(BlockedExecutionTest, WorkStatsCountLogicalWords) {
+TEST(StripeExecutionTest, WorkStatsCountLogicalWords) {
   // The kernel.* accounting is in logical words, so it must be identical
-  // across kernels — that is what lets verify.sh diff the counters between
-  // a forced-scalar and a dispatched run.
+  // across kernels and task splits — that is what lets verify.sh diff the
+  // counters between a forced-scalar and a dispatched run, and across
+  // thread counts.
   KernelGuard guard;
   std::mt19937_64 rng(99);
-  TransactionDatabase db = MakeDatabase(400, 12, &rng);
+  std::vector<Itemset> queries = MakeQueries(12, &rng);
+  const BlockedCountPlan plan = BlockedCountPlan::Build(queries);
+  TransactionDatabase db =
+      MakeDatabase((2 * plan.stripe_words + 3) * 64, 12, &rng);
   VerticalIndex index(db);
-  std::vector<Itemset> queries = MakeQueries(db.num_items(), &rng);
-  BlockedCountPlan plan = BlockedCountPlan::Build(queries);
+  const size_t words = index.words_per_bitmap();
+  const size_t stripes = (words + plan.stripe_words - 1) / plan.stripe_words;
+  ASSERT_EQ(stripes, 3u);
 
-  std::vector<BlockedExecStats> per_kernel;
+  uint64_t ext = 0;
+  uint64_t block = 0;
+  uint64_t self = 0;
+  for (const BlockedCountPlan::Group& group : plan.groups) {
+    ext += group.ext_items.size() * words;
+    block += (group.prefix.size() - 1) * words;
+    if (!group.self_queries.empty()) self += words;
+  }
+  const std::vector<size_t> whole_stripes = {0, stripes};
+  const std::vector<size_t> whole_groups = {0, plan.groups.size()};
   for (const CountingKernels* kernels : AvailableKernels()) {
+    SCOPED_TRACE(kernels->name);
     ASSERT_TRUE(SetActiveKernel(kernels->name).ok());
-    std::vector<uint64_t> counts(queries.size(), 0);
-    BlockedExecStats stats;
-    ExecuteBlockedGroups(plan, 0, plan.groups.size(), index,
-                         std::span<uint64_t>(counts), &stats);
-    per_kernel.push_back(stats);
+    for (bool split : {false, true}) {
+      BlockedExecStats stats;
+      RunTasks(plan, index, split ? EveryCut(stripes) : whole_stripes,
+               split ? EveryCut(plan.groups.size()) : whole_groups, &stats);
+      EXPECT_EQ(stats.and_words, ext);
+      EXPECT_EQ(stats.block_and_words, block);
+      EXPECT_EQ(stats.popcount_words, self);
+    }
   }
-  ASSERT_FALSE(per_kernel.empty());
-  for (const BlockedExecStats& stats : per_kernel) {
-    EXPECT_EQ(stats.groups, per_kernel.front().groups);
-    EXPECT_EQ(stats.queries, per_kernel.front().queries);
-    EXPECT_EQ(stats.and_words, per_kernel.front().and_words);
-    EXPECT_EQ(stats.block_and_words, per_kernel.front().block_and_words);
-    EXPECT_EQ(stats.popcount_words, per_kernel.front().popcount_words);
+}
+
+TEST(StripeExecutionTest, StripeWidthFollowsTheCacheRule) {
+  // Few columns: the ceiling. Many columns: one stripe of each plus the
+  // partial counts fits the budget, in whole cache lines.
+  const std::vector<Itemset> one = {Itemset{0, 1}};
+  EXPECT_EQ(BlockedCountPlan::Build(one).stripe_words, kMaxStripeWords);
+  std::vector<Itemset> pairs;
+  for (ItemId a = 0; a < 400; ++a) {
+    for (ItemId b = a + 1; b < 400; b += 7) pairs.push_back(Itemset{a, b});
   }
+  const BlockedCountPlan plan = BlockedCountPlan::Build(pairs);
+  EXPECT_EQ(plan.item_bound, 400u);
+  const size_t fit = (kStripeCacheBytes - pairs.size() * sizeof(uint64_t)) /
+                     (400 * sizeof(uint64_t));
+  EXPECT_EQ(plan.stripe_words,
+            std::clamp(fit / 8 * 8, kMinStripeWords, kMaxStripeWords));
+  EXPECT_EQ(plan.stripe_words % 8, 0u);
 }
 
 TEST(BlockedCountPlanTest, GroupsSiblingsAndDeduplicatesWork) {
@@ -371,9 +488,9 @@ TEST(BlockedCountPlanTest, GroupsSiblingsAndDeduplicatesWork) {
   std::mt19937_64 rng(7);
   TransactionDatabase db = MakeDatabase(300, 8, &rng);
   VerticalIndex index(db);
-  std::vector<uint64_t> counts(interleaved.size(), ~uint64_t{0});
-  ExecuteBlockedGroups(split, 0, split.groups.size(), index,
-                       std::span<uint64_t>(counts), nullptr);
+  std::vector<uint64_t> counts(interleaved.size(), 0);
+  ExecuteStripes(split, index, 0, 1, 0, split.groups.size(),
+                 std::span<uint64_t>(counts), nullptr);
   for (size_t q = 0; q < interleaved.size(); ++q) {
     EXPECT_EQ(counts[q], index.CountAllPresent(interleaved[q]))
         << interleaved[q].ToString();

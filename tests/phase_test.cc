@@ -174,7 +174,7 @@ TEST_F(PhaseTest, EveryPhaseOfMineOutOfCoreAndRepairHasHistogramAndSpans) {
 
   // Each phase's spans match its call count, and every span outside the
   // trace-only per-task scopes belongs to a phase.
-  const std::set<std::string> trace_only = {"pool.task", "sharded.count_block",
+  const std::set<std::string> trace_only = {"pool.task", "bitmap.count_stripe",
                                             "column.count_block"};
   const auto spans = ChromeSpans();
   for (const std::string& name : phases) {

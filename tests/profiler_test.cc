@@ -38,6 +38,17 @@ __attribute__((noinline)) uint64_t ProfilerTestSpin(uint64_t iterations) {
 
 namespace {
 
+/// ProfilerTestSpin's twin with internal linkage: absent from the dynamic
+/// symbol table, so only the executable's .symtab can name it.
+__attribute__((noinline)) uint64_t StaticProfilerTestSpin(uint64_t iterations) {
+  uint64_t sink = 0;
+  for (uint64_t i = 0; i < iterations; ++i) {
+    sink += i * 11;
+    asm volatile("" : "+r"(sink));
+  }
+  return sink;
+}
+
 /// Keeps a burn-loop accumulator observable so the loop is not optimized
 /// away (the loops exist to accumulate CPU time for SIGPROF / the PMU).
 inline void KeepAlive(uint64_t& value) {
@@ -280,6 +291,47 @@ TEST_F(ProfilerTest, SamplingCapturesStacksAndExportsCollapsedFormat) {
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::remove(path.c_str());
+}
+
+TEST_F(ProfilerTest, SamplingNamesStaticFunctions) {
+  // An anonymous-namespace function is invisible to dladdr; the export
+  // must still name it from the executable's symbol table rather than
+  // print a hex address.
+  Profiler& profiler = Profiler::Global();
+  ProfilerOptions options;
+  options.sampling = true;
+  options.sample_interval_usec = 500;
+  profiler.Start(options);
+  ASSERT_TRUE(profiler.sampling_active());
+  static volatile uint64_t spin_iterations = 2000000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(4);
+  uint64_t sink = 0;
+  while (profiler.samples_recorded() < 20 &&
+         std::chrono::steady_clock::now() < deadline) {
+    sink += StaticProfilerTestSpin(spin_iterations);
+  }
+  KeepAlive(sink);
+  profiler.Stop();
+  const uint64_t samples = profiler.samples_recorded();
+  ASSERT_GT(samples, 0u) << "no SIGPROF samples after seconds of CPU burn";
+
+  std::istringstream lines(profiler.RenderCollapsedStacks());
+  std::string line;
+  uint64_t spin_leaf = 0;
+  while (std::getline(lines, line)) {
+    const size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string frames = line.substr(0, space);
+    const std::string leaf = frames.substr(frames.rfind(';') + 1);
+    if (leaf.find("StaticProfilerTestSpin") != std::string::npos) {
+      spin_leaf += std::strtoull(line.c_str() + space + 1, nullptr, 10);
+    }
+  }
+  EXPECT_GE(spin_leaf * 10, samples * 8)
+      << spin_leaf << " of " << samples
+      << " samples have StaticProfilerTestSpin as their leaf:\n"
+      << profiler.RenderCollapsedStacks();
 }
 
 TEST_F(ProfilerTest, SamplesFoldIntoAnActiveTraceAsInstantEvents) {

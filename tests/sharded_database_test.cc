@@ -7,16 +7,19 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "io/binary_io.h"
 #include "io/sharded_loader.h"
 #include "io/transaction_io.h"
 #include "itemset/count_provider.h"
+#include "itemset/kernels.h"
 #include "test_util.h"
 
 namespace corrmine {
@@ -73,10 +76,18 @@ TEST(ShardedDatabaseTest, PartitionAndFlattenAreInverse) {
   }
 }
 
-TEST(ShardedDatabaseTest, ProviderCountsInvariantAcrossShardAndPool) {
-  auto db = corrmine::testing::RandomIndependentDatabase(25, 500, 17);
-  BitmapCountProvider reference(db);
+// The kernel.* counters, read from the global registry.
+std::vector<uint64_t> KernelCounters() {
+  std::vector<uint64_t> values;
+  for (const char* name :
+       {"kernel.blocked_groups", "kernel.blocked_queries", "kernel.and_words",
+        "kernel.block_and_words", "kernel.popcount_words"}) {
+    values.push_back(MetricsRegistry::Global().GetCounter(name)->Value());
+  }
+  return values;
+}
 
+TEST(ShardedDatabaseTest, ProviderCountsInvariantAcrossShardAndPool) {
   // Every size-1..3 itemset over a subset of the item space.
   std::vector<Itemset> queries;
   for (ItemId a = 0; a < 12; ++a) {
@@ -86,29 +97,51 @@ TEST(ShardedDatabaseTest, ProviderCountsInvariantAcrossShardAndPool) {
       for (ItemId c = b + 1; c < 12; ++c) queries.push_back(Itemset{a, b, c});
     }
   }
+  // Enough baskets that every shard up to K = 5 spans at least two word
+  // stripes, so stripe tasks, group splits and the per-slot reduction all
+  // run.
+  const size_t stripe = BlockedCountPlan::Build(queries).stripe_words;
+  const size_t baskets = 5 * (stripe * 64 + 1);
+  auto db = corrmine::testing::RandomIndependentDatabase(25, baskets, 17);
+  BitmapCountProvider reference(db);
+  ASSERT_GT(reference.index().words_per_bitmap(), 5 * stripe);
   std::vector<uint64_t> expected(queries.size());
   reference.CountAllPresentBatch(queries, expected);
 
-  for (size_t shards : {1, 2, 4, 7}) {
+  for (size_t shards : {1, 2, 3, 5}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Partition(db, shards);
     ShardedCountProvider provider(sharded);
     EXPECT_EQ(provider.num_baskets(), db.num_baskets());
     EXPECT_EQ(provider.num_shards(), shards);
+    for (size_t k = 0; k < shards; ++k) {
+      ASSERT_GT(provider.shard_index(k).words_per_bitmap(), stripe);
+    }
 
     for (size_t i = 0; i < queries.size(); ++i) {
       ASSERT_EQ(provider.CountAllPresent(queries[i]), expected[i])
-          << "shards " << shards << ", query " << queries[i].ToString();
+          << "query " << queries[i].ToString();
     }
 
-    std::vector<uint64_t> batch(queries.size());
-    provider.CountAllPresentBatch(queries, batch);
-    EXPECT_EQ(batch, expected) << "inline batch, shards " << shards;
-
-    ThreadPool pool(3);
-    std::fill(batch.begin(), batch.end(), 0);
-    provider.CountAllPresentBatch(queries, batch, &pool);
-    EXPECT_EQ(batch, expected) << "pooled batch, shards " << shards;
+    // Same counts and the same kernel.* work for any thread count.
+    std::vector<uint64_t> first_delta;
+    for (int threads : {1, 2, 4}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+      std::vector<uint64_t> batch(queries.size(), 0);
+      const std::vector<uint64_t> before = KernelCounters();
+      provider.CountAllPresentBatch(queries, batch, pool.get());
+      const std::vector<uint64_t> after = KernelCounters();
+      EXPECT_EQ(batch, expected) << "threads " << threads;
+      std::vector<uint64_t> delta(after.size());
+      for (size_t c = 0; c < after.size(); ++c) delta[c] = after[c] - before[c];
+      if (first_delta.empty()) {
+        first_delta = delta;
+      } else {
+        EXPECT_EQ(delta, first_delta) << "threads " << threads;
+      }
+    }
   }
 }
 

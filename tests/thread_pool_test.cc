@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -163,6 +164,40 @@ TEST(ParallelForTest, ExceptionsBecomeInternalStatus) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("boom"), std::string::npos);
+}
+
+TEST(ParallelForTest, AllocationFailureBecomesResourceExhausted) {
+  // A region whose stage runs out of memory returns ResourceExhausted —
+  // inline, on a pool, and from either side of an ordered pipeline —
+  // instead of letting std::bad_alloc escape to std::terminate.
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Status status = ParallelFor(p, 100, /*grain=*/5,
+                                [&](size_t begin, size_t) -> Status {
+                                  if (begin == 50) throw std::bad_alloc();
+                                  return Status::OK();
+                                });
+    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+    EXPECT_EQ(status.ToString().rfind("ResourceExhausted: ", 0), 0u);
+
+    status = OrderedPipeline(
+        p, 100, /*grain=*/10,
+        [&](size_t, size_t begin, size_t) -> Status {
+          if (begin == 40) throw std::bad_alloc();
+          return Status::OK();
+        },
+        [&](size_t, size_t) -> Status { return Status::OK(); });
+    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+
+    status = OrderedPipeline(
+        p, 100, /*grain=*/10,
+        [&](size_t, size_t, size_t) -> Status { return Status::OK(); },
+        [&](size_t begin, size_t) -> Status {
+          if (begin == 30) throw std::bad_alloc();
+          return Status::OK();
+        });
+    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  }
 }
 
 TEST(ThreadPoolTest, UsableHardwareConcurrencyIsSane) {

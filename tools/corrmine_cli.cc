@@ -19,8 +19,10 @@
 #include <algorithm>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <string>
+#include <system_error>
 
 #include "common/flags.h"
 #include "common/metrics.h"
@@ -801,21 +803,36 @@ int Main(int argc, const char* const* argv) {
   }
   const std::string& command = flags.positional()[0];
   Status status = Status::OK();
-  if (command == "mine") {
-    status = RunMine(flags);
-  } else if (command == "check") {
-    status = RunCheck(flags);
-  } else if (command == "dependencies") {
-    status = RunDependencies(flags);
-  } else if (command == "rules") {
-    status = RunRules(flags);
-  } else if (command == "ingest") {
-    status = RunIngest(flags);
-  } else if (command == "generate") {
-    status = RunGenerate(flags);
-  } else {
-    std::cerr << "unknown command: " << command << "\n" << kUsage;
-    return 2;
+  // Running out of memory ends the command with a Status, never an abort:
+  // regions report std::bad_alloc as ResourceExhausted themselves, and
+  // this catches it everywhere else (loading, index build, output, a pool
+  // that cannot start its threads).
+  try {
+    if (command == "mine") {
+      status = RunMine(flags);
+    } else if (command == "check") {
+      status = RunCheck(flags);
+    } else if (command == "dependencies") {
+      status = RunDependencies(flags);
+    } else if (command == "rules") {
+      status = RunRules(flags);
+    } else if (command == "ingest") {
+      status = RunIngest(flags);
+    } else if (command == "generate") {
+      status = RunGenerate(flags);
+    } else {
+      std::cerr << "unknown command: " << command << "\n" << kUsage;
+      return 2;
+    }
+  } catch (const std::bad_alloc&) {
+    status = Status::ResourceExhausted("out of memory running " + command);
+  } catch (const std::system_error& e) {
+    // A worker thread that could not start (no address space left for its
+    // stack) is the same shortage; anything else is a bug.
+    const std::string what = "running " + command + ": " + e.what();
+    status = e.code() == std::errc::resource_unavailable_try_again
+                 ? Status::ResourceExhausted(what)
+                 : Status::Internal(what);
   }
   if (!status.ok()) {
     std::cerr << status.ToString() << "\n";
