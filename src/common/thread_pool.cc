@@ -22,15 +22,6 @@ namespace corrmine {
 
 namespace {
 
-// Identity of the current thread within some pool. A plain thread_local
-// (not per-pool) so CurrentWorkerIndex stays a two-load check; the pool
-// pointer disambiguates when several pools coexist.
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  int index = -1;
-};
-thread_local WorkerIdentity tls_worker;
-
 #if defined(__linux__)
 // Reads a small proc/sys file into `buf`. Returns false when unreadable.
 bool ReadSmallFile(const char* path, char* buf, size_t cap) {
@@ -105,21 +96,15 @@ ThreadPool::ThreadPool(int num_threads)
           MetricsRegistry::Global().GetCounter("pool.tasks_submitted")),
       tasks_executed_(
           MetricsRegistry::Global().GetCounter("pool.tasks_executed")),
-      steal_count_(MetricsRegistry::Global().GetCounter("pool.steal_count")),
-      steal_tasks_(MetricsRegistry::Global().GetCounter("pool.steal_tasks")),
       idle_ns_(MetricsRegistry::Global().GetCounter("pool.idle_ns")),
       wait_ns_(MetricsRegistry::Global().GetHistogram("pool.wait_ns")),
       morsel_ns_(MetricsRegistry::Global().GetHistogram("pool.morsel_ns")),
       queue_depth_(MetricsRegistry::Global().GetGauge("pool.queue_depth")) {
   CORRMINE_CHECK(num_threads >= 1) << "thread pool needs at least one worker";
-  deques_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    deques_.push_back(std::make_unique<TaskDeque>());
-  }
   workers_.reserve(static_cast<size_t>(num_threads));
   try {
     for (int i = 0; i < num_threads; ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
+      workers_.emplace_back([this] { WorkerLoop(); });
     }
   } catch (...) {
     // A thread that could not start (std::system_error, e.g. no address
@@ -134,99 +119,39 @@ ThreadPool::~ThreadPool() { StopWorkers(); }
 
 void ThreadPool::StopWorkers() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutting_down_ = true;
-    ++work_epoch_;
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-int ThreadPool::CurrentWorkerIndex() const {
-  return tls_worker.pool == this ? tls_worker.index : -1;
-}
-
-void ThreadPool::NotifyWorkArrived() {
+void ThreadPool::Submit(std::function<void()> task) {
+  size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    ++work_epoch_;
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    depth = tasks_.size();
   }
+  tasks_submitted_->Add();
+  queue_depth_->Set(static_cast<int64_t>(depth));
   work_available_.notify_one();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  tasks_submitted_->Add();
-  int self = CurrentWorkerIndex();
-  TaskDeque* q = self >= 0 ? deques_[static_cast<size_t>(self)].get()
-                           : &injector_;
+bool ThreadPool::TryPop(std::function<void()>* task) {
+  size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(q->mu);
-    q->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tasks_.empty()) return false;
+    *task = std::move(tasks_.front());
+    tasks_.pop_front();
+    depth = tasks_.size();
   }
-  queue_depth_->Set(pending_.fetch_add(1, std::memory_order_relaxed) + 1);
-  NotifyWorkArrived();
-}
-
-bool ThreadPool::ClaimTask(std::function<void()>* task) {
-  const int self = CurrentWorkerIndex();
-  const size_t n = deques_.size();
-  // 1. Own deque, newest first: the task most likely to have warm state.
-  if (self >= 0) {
-    TaskDeque& own = *deques_[static_cast<size_t>(self)];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  // 2. Injector, oldest first.
-  {
-    std::lock_guard<std::mutex> lock(injector_.mu);
-    if (!injector_.tasks.empty()) {
-      *task = std::move(injector_.tasks.front());
-      injector_.tasks.pop_front();
-      return true;
-    }
-  }
-  // 3. Steal. Workers take half of the victim's deque (front = oldest) and
-  // keep the surplus on their own deque; external helpers take one task.
-  // The scan starts after the caller's own slot so victims rotate.
-  const size_t start = self >= 0 ? static_cast<size_t>(self) + 1 : 0;
-  for (size_t off = 0; off < n; ++off) {
-    const size_t victim = (start + off) % n;
-    if (self >= 0 && victim == static_cast<size_t>(self)) continue;
-    std::deque<std::function<void()>> loot;
-    {
-      TaskDeque& v = *deques_[victim];
-      std::lock_guard<std::mutex> lock(v.mu);
-      if (v.tasks.empty()) continue;
-      size_t take = self >= 0 ? (v.tasks.size() + 1) / 2 : 1;
-      for (size_t i = 0; i < take; ++i) {
-        loot.push_back(std::move(v.tasks.front()));
-        v.tasks.pop_front();
-      }
-    }
-    steal_count_->Add();
-    steal_tasks_->Add(loot.size());
-    *task = std::move(loot.front());
-    loot.pop_front();
-    if (!loot.empty()) {
-      // Surplus goes to our own deque; other thieves can re-steal it.
-      TaskDeque& own = *deques_[static_cast<size_t>(self)];
-      {
-        std::lock_guard<std::mutex> lock(own.mu);
-        for (auto& t : loot) own.tasks.push_back(std::move(t));
-      }
-      NotifyWorkArrived();
-    }
-    return true;
-  }
-  return false;
+  queue_depth_->Set(static_cast<int64_t>(depth));
+  return true;
 }
 
 void ThreadPool::RunTask(std::function<void()> task) {
-  queue_depth_->Set(pending_.fetch_sub(1, std::memory_order_relaxed) - 1);
   {
     TraceScope task_span("pool.task");
     const uint64_t start = SteadyNowNanos();
@@ -236,13 +161,6 @@ void ThreadPool::RunTask(std::function<void()> task) {
   tasks_executed_->Add();
 }
 
-bool ThreadPool::RunOneTask() {
-  std::function<void()> task;
-  if (!ClaimTask(&task)) return false;
-  RunTask(std::move(task));
-  return true;
-}
-
 void ThreadPool::HelpUntil(std::mutex& mu, std::condition_variable& cv,
                            const std::function<bool()>& done) {
   for (;;) {
@@ -250,10 +168,14 @@ void ThreadPool::HelpUntil(std::mutex& mu, std::condition_variable& cv,
       std::lock_guard<std::mutex> lock(mu);
       if (done()) return;
     }
-    if (RunOneTask()) continue;
-    // Nothing claimable: park on the region's condition variable. The short
-    // timeout re-runs the claim scan, so work submitted between our scan
-    // and the wait (whose notify we may have missed) cannot strand us.
+    std::function<void()> task;
+    if (TryPop(&task)) {
+      RunTask(std::move(task));
+      continue;
+    }
+    // Queue empty: park on the region's condition variable. The short
+    // timeout re-checks the queue, so tasks queued while we wait (whose
+    // notify goes to the workers, not to `cv`) still find a helper here.
     std::unique_lock<std::mutex> lock(mu);
     const uint64_t idle_start = SteadyNowNanos();
     cv.wait_for(lock, std::chrono::milliseconds(1), done);
@@ -264,41 +186,27 @@ void ThreadPool::HelpUntil(std::mutex& mu, std::condition_variable& cv,
   }
 }
 
-void ThreadPool::WorkerLoop(int index) {
-  tls_worker.pool = this;
-  tls_worker.index = index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    if (RunOneTask()) continue;
-    uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      if (shutting_down_) break;
-      epoch = work_epoch_;
+    std::function<void()> task;
+    if (TryPop(&task)) {
+      RunTask(std::move(task));
+      continue;
     }
-    // A task submitted after the epoch read bumps the epoch, so the wait
-    // below can't sleep through it; a task submitted before is caught by
-    // this rescan.
-    if (RunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(sleep_mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!tasks_.empty()) continue;  // Queued since the pop above.
+    // A worker leaves only with the queue empty, so shutdown drains every
+    // task queued before it — and any task a still-running task queues,
+    // because that task's own worker has not left yet.
     if (shutting_down_) break;
-    if (work_epoch_ != epoch) continue;
     const uint64_t idle_start = SteadyNowNanos();
-    work_available_.wait(lock, [this, epoch] {
-      return shutting_down_ || work_epoch_ != epoch;
-    });
+    work_available_.wait(
+        lock, [this] { return shutting_down_ || !tasks_.empty(); });
     const uint64_t waited = SteadyNowNanos() - idle_start;
     idle_ns_->Add(waited);
     wait_ns_->Observe(waited);
     TraceInstant("pool.wait", -1, -1, static_cast<int64_t>(waited));
   }
-  // Shutdown drain: anything claimable still runs. A failed scan here
-  // happens after shutting_down_ was published, so every pre-shutdown
-  // Submit is visible to it; tasks submitted by still-running tasks are
-  // drained by whichever worker runs them.
-  while (RunOneTask()) {
-  }
-  tls_worker.pool = nullptr;
-  tls_worker.index = -1;
 }
 
 namespace {
@@ -337,7 +245,10 @@ Status RunGuarded(const Fn& fn) {
   try {
     return fn();
   } catch (const std::bad_alloc&) {
-    return Status::ResourceExhausted("out of memory in parallel region");
+    // Nothing here may allocate: a second std::bad_alloc thrown from this
+    // handler would end the process. The message fits the short-string
+    // buffer.
+    return Status::ResourceExhausted("out of memory");
   } catch (const std::exception& e) {
     return Status::Internal(
         std::string("uncaught exception in parallel region: ") + e.what());
@@ -351,10 +262,36 @@ Status InvokeGuarded(const std::function<Status(size_t, size_t, size_t)>& body,
   return RunGuarded([&] { return body(slot, begin, end); });
 }
 
-/// Shared coordination for one ParallelFor region: a work-stealing chunk
-/// cursor plus first-failure bookkeeping. Failures are recorded with the
-/// chunk's starting index so the *earliest* error wins regardless of which
-/// worker hit it first — the sequential loop's error, reproduced.
+/// Queues up to `helpers` tasks that each run `run(state)` and then count
+/// themselves off `state->outstanding`, waking `state->cv` on the last one.
+/// A helper is counted only once it is queued: when Submit throws (the task
+/// closure and the queue node both allocate), the rest are dropped and the
+/// caller, which claims chunks from the same cursor, finishes the region
+/// with whoever was queued.
+template <typename State, typename Run>
+void SubmitHelpers(ThreadPool* pool, size_t helpers,
+                   const std::shared_ptr<State>& state, const Run& run) {
+  for (size_t h = 0; h < helpers; ++h) {
+    state->outstanding.fetch_add(1, std::memory_order_relaxed);
+    try {
+      pool->Submit([state, run] {
+        run(state.get());
+        if (state->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          std::lock_guard<std::mutex> lock(state->mu);
+          state->cv.notify_all();
+        }
+      });
+    } catch (const std::bad_alloc&) {
+      state->outstanding.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+}
+
+/// Shared coordination for one ParallelFor region: one chunk cursor plus
+/// first-failure bookkeeping. Failures are recorded with the chunk's
+/// starting index so the *earliest* error wins regardless of which thread
+/// hit it first — the sequential loop's error, reproduced.
 struct ParallelForState {
   explicit ParallelForState(size_t slot_capacity) : slots(slot_capacity) {}
 
@@ -366,11 +303,12 @@ struct ParallelForState {
   Status first_error;
   SlotPool slots;
 
-  // Completion latch. Lives here (not on the caller's stack) because the
-  // last helper touches it after the waiter may already have woken.
+  // Completion latch over the queued helpers. Lives here (not on the
+  // caller's stack) because the last helper touches it after the waiter may
+  // already have woken.
   std::atomic<size_t> outstanding{0};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
+  std::mutex mu;
+  std::condition_variable cv;
 };
 
 void RecordFailure(ParallelForState* state, size_t chunk_begin,
@@ -405,12 +343,26 @@ void RunChunks(ParallelForState* state, size_t n, size_t grain,
   state->slots.Release(slot);
 }
 
-Status ParallelForSlotsImpl(
+}  // namespace
+
+size_t ParallelForSlotBound(ThreadPool* pool, size_t n, size_t grain) {
+  if (n == 0) return 1;
+  CORRMINE_CHECK(grain > 0) << "ParallelFor grain must be positive";
+  if (pool == nullptr || n <= grain) return 1;
+  // The caller claims chunks too, so helpers beyond chunks - 1 would only
+  // find the cursor drained.
+  const size_t num_chunks = (n + grain - 1) / grain;
+  const size_t helpers =
+      std::min(static_cast<size_t>(pool->num_threads()), num_chunks - 1);
+  return helpers + 1;
+}
+
+Status ParallelForSlots(
     ThreadPool* pool, size_t n, size_t grain,
     const std::function<Status(size_t slot, size_t begin, size_t end)>& body) {
   if (n == 0) return Status::OK();
-  CORRMINE_CHECK(grain > 0) << "ParallelFor grain must be positive";
-  if (pool == nullptr || pool->num_threads() == 0 || n <= grain) {
+  const size_t slots = ParallelForSlotBound(pool, n, grain);
+  if (slots == 1) {
     // Inline fallback: run sequentially in chunk order so error semantics
     // match the parallel path exactly. Slot 0 is the only slot.
     for (size_t begin = 0; begin < n; begin += grain) {
@@ -419,36 +371,25 @@ Status ParallelForSlotsImpl(
     }
     return Status::OK();
   }
-
-  // Helpers beyond what the chunk count can occupy just wake up and exit.
-  size_t num_chunks = (n + grain - 1) / grain;
-  size_t helpers = std::min(static_cast<size_t>(pool->num_threads()),
-                            num_chunks > 0 ? num_chunks - 1 : 0);
-  auto state = std::make_shared<ParallelForState>(helpers + 1);
-  state->outstanding.store(helpers, std::memory_order_relaxed);
+  auto state = std::make_shared<ParallelForState>(slots);
 
   // `body` is only touched inside RunChunks, which every helper finishes
   // before decrementing the latch — so capturing it by reference is safe:
   // the caller cannot return (and invalidate it) while any helper still
   // counts as outstanding.
-  for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([state, n, grain, &body] {
-      RunChunks(state.get(), n, grain, body);
-      if (state->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(state->done_mu);
-        state->done_cv.notify_all();
-      }
-    });
-  }
+  SubmitHelpers(pool, slots - 1, state,
+                [n, grain, &body](ParallelForState* s) {
+                  RunChunks(s, n, grain, body);
+                });
 
   // The caller participates too: with a busy or small pool the loop still
   // makes progress on this thread.
   RunChunks(state.get(), n, grain, body);
 
-  // Help-first join: run other queued tasks (including this region's own
-  // helpers if they were stolen or never started) instead of blocking —
-  // this is what makes nested ParallelFor calls from worker threads safe.
-  pool->HelpUntil(state->done_mu, state->done_cv, [&state] {
+  // Help-first join: run queued tasks (including this region's own helpers
+  // if no worker has popped them yet) instead of blocking — this is what
+  // makes nested ParallelFor calls from worker threads safe.
+  pool->HelpUntil(state->mu, state->cv, [&state] {
     return state->outstanding.load(std::memory_order_acquire) == 0;
   });
 
@@ -457,29 +398,11 @@ Status ParallelForSlotsImpl(
   return Status::OK();
 }
 
-}  // namespace
-
-size_t ParallelForSlotBound(ThreadPool* pool, size_t n, size_t grain) {
-  if (n == 0) return 1;
-  CORRMINE_CHECK(grain > 0) << "ParallelFor grain must be positive";
-  if (pool == nullptr || pool->num_threads() == 0 || n <= grain) return 1;
-  size_t num_chunks = (n + grain - 1) / grain;
-  size_t helpers = std::min(static_cast<size_t>(pool->num_threads()),
-                            num_chunks > 0 ? num_chunks - 1 : 0);
-  return helpers + 1;
-}
-
 Status ParallelFor(ThreadPool* pool, size_t n, size_t grain,
                    const std::function<Status(size_t begin, size_t end)>& body) {
-  return ParallelForSlotsImpl(
+  return ParallelForSlots(
       pool, n, grain,
       [&body](size_t, size_t begin, size_t end) { return body(begin, end); });
-}
-
-Status ParallelForSlots(
-    ThreadPool* pool, size_t n, size_t grain,
-    const std::function<Status(size_t slot, size_t begin, size_t end)>& body) {
-  return ParallelForSlotsImpl(pool, n, grain, body);
 }
 
 namespace {
@@ -528,12 +451,11 @@ void RecordPipelineFailure(PipelineState* state, size_t pos, Status status) {
 /// done (without running) so the ordered consumer can never wait forever
 /// on a chunk that nobody will execute.
 bool RunOneStageChunk(PipelineState* state, size_t n, size_t grain,
-                      size_t num_chunks, size_t slot,
+                      size_t slot,
                       const std::function<Status(size_t, size_t, size_t)>& stage) {
   size_t begin = state->next.fetch_add(grain, std::memory_order_relaxed);
   if (begin >= n) return false;
   const size_t chunk = begin / grain;
-  (void)num_chunks;
   if (!state->failed.load(std::memory_order_acquire)) {
     Status status = InvokeGuarded(stage, slot, begin, std::min(begin + grain, n));
     if (!status.ok()) {
@@ -549,11 +471,10 @@ bool RunOneStageChunk(PipelineState* state, size_t n, size_t grain,
 }
 
 void RunStageChunks(PipelineState* state, size_t n, size_t grain,
-                    size_t num_chunks,
                     const std::function<Status(size_t, size_t, size_t)>& stage) {
   if (state->next.load(std::memory_order_relaxed) >= n) return;
   const size_t slot = state->slots.Acquire();
-  while (RunOneStageChunk(state, n, grain, num_chunks, slot, stage)) {
+  while (RunOneStageChunk(state, n, grain, slot, stage)) {
   }
   state->slots.Release(slot);
 }
@@ -564,7 +485,9 @@ size_t OrderedPipelineSlotBound(ThreadPool* pool, size_t n, size_t grain) {
   if (n == 0) return 1;
   CORRMINE_CHECK(grain > 0) << "OrderedPipeline grain must be positive";
   const size_t num_chunks = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->num_threads() == 0 || num_chunks == 1) return 1;
+  if (pool == nullptr || num_chunks == 1) return 1;
+  // Unlike ParallelFor, helpers may take every chunk: the caller's job is
+  // consuming, and it only runs stage chunks when it would otherwise wait.
   return std::min(static_cast<size_t>(pool->num_threads()), num_chunks) + 1;
 }
 
@@ -573,9 +496,8 @@ Status OrderedPipeline(
     const std::function<Status(size_t slot, size_t begin, size_t end)>& stage,
     const std::function<Status(size_t begin, size_t end)>& consume) {
   if (n == 0) return Status::OK();
-  CORRMINE_CHECK(grain > 0) << "OrderedPipeline grain must be positive";
-  const size_t num_chunks = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->num_threads() == 0 || num_chunks == 1) {
+  const size_t slots = OrderedPipelineSlotBound(pool, n, grain);
+  if (slots == 1) {
     for (size_t begin = 0; begin < n; begin += grain) {
       size_t end = std::min(begin + grain, n);
       CORRMINE_RETURN_NOT_OK(InvokeGuarded(stage, 0, begin, end));
@@ -584,23 +506,12 @@ Status OrderedPipeline(
     }
     return Status::OK();
   }
-
-  // Unlike ParallelFor, helpers may take every chunk: the caller's job is
-  // consuming, and it only runs stage chunks when it would otherwise wait.
-  const size_t helpers =
-      std::min(static_cast<size_t>(pool->num_threads()), num_chunks);
-  auto state = std::make_shared<PipelineState>(num_chunks, helpers + 1);
-  state->outstanding.store(helpers, std::memory_order_relaxed);
-
-  for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([state, n, grain, num_chunks, &stage] {
-      RunStageChunks(state.get(), n, grain, num_chunks, stage);
-      if (state->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->cv.notify_all();
-      }
-    });
-  }
+  const size_t num_chunks = (n + grain - 1) / grain;
+  auto state = std::make_shared<PipelineState>(num_chunks, slots);
+  SubmitHelpers(pool, slots - 1, state,
+                [n, grain, &stage](PipelineState* s) {
+                  RunStageChunks(s, n, grain, stage);
+                });
 
   // Ordered consumption, overlapped with the stage. The caller claims a
   // stage chunk itself whenever the chunk it needs next isn't done and the
@@ -608,15 +519,10 @@ Status OrderedPipeline(
   size_t consumer_slot = static_cast<size_t>(-1);
   for (size_t c = 0; c < num_chunks; ++c) {
     while (state->done[c].load(std::memory_order_acquire) == 0) {
-      bool claimed;
-      {
-        if (consumer_slot == static_cast<size_t>(-1)) {
-          consumer_slot = state->slots.Acquire();
-        }
-        claimed = RunOneStageChunk(state.get(), n, grain, num_chunks,
-                                   consumer_slot, stage);
+      if (consumer_slot == static_cast<size_t>(-1)) {
+        consumer_slot = state->slots.Acquire();
       }
-      if (!claimed) {
+      if (!RunOneStageChunk(state.get(), n, grain, consumer_slot, stage)) {
         pool->HelpUntil(state->mu, state->cv, [&state, c] {
           return state->done[c].load(std::memory_order_acquire) != 0;
         });

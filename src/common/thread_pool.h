@@ -1,12 +1,10 @@
 #ifndef CORRMINE_COMMON_THREAD_POOL_H_
 #define CORRMINE_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,18 +17,16 @@ class Counter;
 class Gauge;
 class Histogram;
 
-/// Work-stealing worker pool for the mining engines (DESIGN.md §10).
-/// Tasks are opaque `void()` closures; completion tracking, result routing
-/// and error propagation are layered on top by ParallelFor/OrderedPipeline.
-///
-/// Scheduling model: every worker owns a deque. Submit from a worker thread
-/// pushes to that worker's own deque (never blocks, never spawns — nested
-/// regions are safe by construction); Submit from outside lands in a shared
-/// injector queue. A worker pops its own deque LIFO, then drains the
-/// injector FIFO, then steals half of the fullest victim's deque. Threads
-/// joining a region via HelpUntil run queued tasks instead of blocking, so
-/// a ParallelFor issued from inside another ParallelFor's body completes
-/// even when every worker is occupied by the outer region.
+/// Worker pool for the mining engines' parallel regions (DESIGN.md §10):
+/// one mutex-guarded FIFO task queue and one condition variable. Tasks are
+/// opaque `void()` closures; the regions below (ParallelFor,
+/// ParallelForSlots, OrderedPipeline) are its only clients in the engine.
+/// Each region queues at most `num_threads()` helpers that pull chunks from
+/// one shared cursor, so load balance comes from the cursor, not from
+/// moving tasks between queues. Threads joining a region via HelpUntil run
+/// queued tasks instead of blocking, so a ParallelFor issued from inside
+/// another ParallelFor's body completes even when every worker is occupied
+/// by the outer region.
 ///
 /// Ownership contract: whoever constructs the pool joins it (the destructor
 /// drains queued tasks, then joins all workers). The miner creates one pool
@@ -43,7 +39,7 @@ class ThreadPool {
   /// std::system_error propagates.
   explicit ThreadPool(int num_threads);
 
-  /// Drains the queues and joins the workers. Tasks submitted but not yet
+  /// Drains the queue and joins the workers. Tasks submitted but not yet
   /// started still run before destruction completes.
   ~ThreadPool();
 
@@ -52,26 +48,17 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task. Thread-safe; callable from worker threads (the task
-  /// goes to the calling worker's own deque and is executed inline-or-stolen,
-  /// never blocked on).
+  /// Appends a task to the queue. Thread-safe, callable from worker
+  /// threads, never blocks on a running task. Throws std::bad_alloc when
+  /// the task cannot be queued.
   void Submit(std::function<void()> task);
 
-  /// Claims and runs one queued task on the calling thread, if any task is
-  /// claimable (own deque, injector, or stolen). Returns false when nothing
-  /// was claimable at scan time.
-  bool RunOneTask();
-
-  /// Help-first join: runs claimable tasks until `done()` holds, parking on
-  /// `cv` (guarded by `mu`) only when no task is claimable anywhere. `done`
-  /// is evaluated under `mu`. Safe from worker threads and external threads
+  /// Help-first join: runs queued tasks until `done()` holds, parking on
+  /// `cv` (guarded by `mu`) only when the queue is empty. `done` is
+  /// evaluated under `mu`. Safe from worker threads and external threads
   /// alike — this is what makes nested parallel regions deadlock-free.
   void HelpUntil(std::mutex& mu, std::condition_variable& cv,
                  const std::function<bool()>& done);
-
-  /// Index of the calling thread within this pool, or -1 if the caller is
-  /// not one of this pool's workers.
-  int CurrentWorkerIndex() const;
 
   /// The number of concurrent workers to use for `requested` threads:
   /// 0 means "ask the hardware" (never less than 1); negative is treated
@@ -84,54 +71,35 @@ class ThreadPool {
   static int UsableHardwareConcurrency();
 
  private:
-  // One mutex-protected deque. Owners push/pop at the back (LIFO keeps the
-  // working set hot); the injector and thieves take from the front (FIFO
-  // preserves rough submission order for stolen work).
-  struct TaskDeque {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(int index);
+  void WorkerLoop();
   /// Publishes shutdown and joins every started worker.
   void StopWorkers();
-  bool ClaimTask(std::function<void()>* task);
+  /// Moves the oldest queued task into `task`; false when the queue is
+  /// empty.
+  bool TryPop(std::function<void()>* task);
   void RunTask(std::function<void()> task);
-  void NotifyWorkArrived();
 
-  std::vector<std::unique_ptr<TaskDeque>> deques_;  // one per worker
-  TaskDeque injector_;                              // external submits
-
-  // Sleep coordination: a worker reads `work_epoch_`, rescans every queue,
-  // and sleeps only if the epoch is unchanged — every Submit bumps the
-  // epoch, so a task pushed after the rescan forces another scan instead of
-  // a lost wakeup.
-  std::mutex sleep_mu_;
+  std::mutex mu_;
   std::condition_variable work_available_;
-  uint64_t work_epoch_ = 0;
-  bool shutting_down_ = false;
-
-  std::atomic<int64_t> pending_{0};  // queued, not yet claimed
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool shutting_down_ = false;               // guarded by mu_
   std::vector<std::thread> workers_;
 
   // Pool observability (MetricsRegistry::Global(), "pool.*"): submissions,
-  // completions, steals (count and tasks moved), per-task run time, the ns
-  // workers spent parked (total and per-wait histogram), and the queue
-  // depth after the latest submit/claim. Resolved once at construction; no
-  // registry lookups on the task path.
+  // completions, per-task run time, the ns workers spent parked (total and
+  // per-wait histogram), and the queue depth after the latest submit/pop.
+  // Resolved once at construction; no registry lookups on the task path.
   Counter* tasks_submitted_;
   Counter* tasks_executed_;
-  Counter* steal_count_;
-  Counter* steal_tasks_;
   Counter* idle_ns_;
   Histogram* wait_ns_;
   Histogram* morsel_ns_;
   Gauge* queue_depth_;
 };
 
-/// Runs `body(begin, end)` over [0, n) split into work-stealing chunks of
-/// `grain` indices, spread across the pool's workers plus the calling
-/// thread. Returns the first non-OK Status in chunk order (lowest starting
+/// Runs `body(begin, end)` over [0, n) split into chunks of `grain`
+/// indices, claimed from one shared cursor by the pool's workers and the
+/// calling thread. Returns the first non-OK Status in chunk order (lowest starting
 /// index wins, matching what a sequential loop would have returned); once
 /// any chunk fails, remaining chunks are skipped. Exceptions escaping
 /// `body` are captured and surfaced as a Status — ResourceExhausted for
@@ -141,7 +109,8 @@ class ThreadPool {
 /// With `pool == nullptr` the loop runs inline on the calling thread, so
 /// callers can treat "no pool" and "one thread" identically. Nested calls
 /// (ParallelFor from inside a body running on a pool worker) are safe: the
-/// inner region's tasks run inline-or-stolen via HelpUntil.
+/// inner region's helpers run on whichever waiting thread pops them via
+/// HelpUntil.
 ///
 /// `body` must be safe to invoke concurrently on disjoint ranges. For
 /// deterministic results, write output to index-addressed slots rather than

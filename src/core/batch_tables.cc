@@ -119,9 +119,9 @@ StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
   registry.GetCounter("batch_tables.baskets")->Add(db.num_baskets());
 
   const int threads = ThreadPool::ResolveThreadCount(num_threads);
-  // Morsel the basket axis: fixed-size row chunks give the pool's stealing
-  // something to balance (one coarse range per thread used to leave the
-  // whole tail on the slowest worker). Each scheduler slot owns a private
+  // Morsel the basket axis: fixed-size row chunks claimed from the region's
+  // shared cursor balance the load (one coarse range per thread used to
+  // leave the whole tail on the slowest worker). Each scheduler slot owns a private
   // pattern-map arena; the reduction below sums the arenas in slot order
   // (addition is commutative, so any fixed order gives the sequential
   // counts).

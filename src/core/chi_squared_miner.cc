@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -50,50 +49,80 @@ Status ValidateOptions(const MinerOptions& options) {
   return Status::OK();
 }
 
-/// Candidate generation for level k+1 (Figure 1, Step 8) is split so it can
-/// overlap the level-k evaluation pipeline instead of running as a serial
-/// phase at the start of the next level:
-///
-///   1. *Raw joins per NOTSIG run.* The NOTSIG list is lexicographically
-///      sorted by construction (candidates arrive in lex order and the
-///      fan-in appends in order), so join partners sharing a (k-1)-prefix
-///      form contiguous runs. The moment the ordered fan-in closes a run
-///      (the next NOTSIG's prefix differs), the run's pairwise joins are
-///      enumerated — as a pool morsel while later candidates are still
-///      being evaluated. Within a run every union has size k+1 (same
-///      prefix, distinct last items), exactly the pairs the sequential
-///      join loop would emit.
-///   2. *Deferred subset filter.* The Step-8 prune (every k-subset must be
-///      NOTSIG) needs the level's complete NOTSIG set, so it runs after the
-///      pipeline drains: parallel over runs, order-preserving within each.
-///
-/// Concatenating the filtered runs in run order reproduces the sequential
-/// candidate stream byte for byte.
-void EnumerateRunJoins(const Itemset* members, size_t count,
-                       std::vector<Itemset>* out) {
-  for (size_t i = 0; i < count; ++i) {
-    for (size_t j = i + 1; j < count; ++j) {
-      out->push_back(members[i].Union(members[j]));
-    }
-  }
-}
-
-/// The Step-8 prune for one raw join of two NOTSIG run members: every
-/// k-subset of the (k+1)-item `joined` must be NOTSIG. The subsets missing
-/// the last or second-to-last item are the two join parents themselves, so
-/// only the others are probed — from a stack buffer, with no Itemset built.
-bool AllSubsetsNotSig(const Itemset& joined,
+/// The Step-8 prune for one join of two NOTSIG run members: every k-subset
+/// of the (k+1)-item `joined` must be NOTSIG. The subsets missing the last
+/// or second-to-last item are the two join parents themselves, so only the
+/// others are probed — from a stack buffer, with no Itemset built.
+bool AllSubsetsNotSig(std::span<const ItemId> joined,
                       const hash::ItemsetPerfectSet& not_sig_set) {
   const size_t size = joined.size();
   ItemId subset[ContingencyTable::kMaxItems];
   for (size_t skip = 0; skip + 2 < size; ++skip) {
     size_t len = 0;
     for (size_t j = 0; j < size; ++j) {
-      if (j != skip) subset[len++] = joined.item(j);
+      if (j != skip) subset[len++] = joined[j];
     }
     if (!not_sig_set.Find({subset, len}).has_value()) return false;
   }
   return true;
+}
+
+/// Moves per-chunk outputs, in chunk order, into one vector.
+std::vector<Itemset> Concatenate(std::vector<std::vector<Itemset>>& chunks) {
+  size_t total = 0;
+  for (const std::vector<Itemset>& chunk : chunks) total += chunk.size();
+  std::vector<Itemset> out;
+  out.reserve(total);
+  for (std::vector<Itemset>& chunk : chunks) {
+    std::move(chunk.begin(), chunk.end(), std::back_inserter(out));
+  }
+  return out;
+}
+
+/// Figure 1, Step 8: the level-(k+1) candidates from level k's complete
+/// NOTSIG list. The list is lexicographically sorted by construction
+/// (candidates arrive in lex order and the fan-in appends in order), so
+/// join partners sharing a (k-1)-prefix form contiguous runs, and every
+/// pair within a run unions to k+1 items — exactly the pairs the sequential
+/// join loop emits. Runs are joined and pruned in parallel: each pair is
+/// built in a stack buffer and becomes an Itemset only if every k-subset is
+/// NOTSIG. Concatenating the runs in order reproduces the sequential
+/// candidate stream byte for byte.
+Status GenerateCandidates(const hash::ItemsetPerfectSet& not_sig, size_t k,
+                          ThreadPool* pool, std::vector<Itemset>* out) {
+  const std::vector<Itemset>& members = not_sig.itemsets();
+  // [begin, end) of every run with at least one pair.
+  std::vector<std::pair<size_t, size_t>> runs;
+  for (size_t begin = 0, end = 0; begin < members.size(); begin = end) {
+    end = begin + 1;
+    while (end < members.size() &&
+           std::equal(members[begin].begin(), members[begin].begin() + k - 1,
+                      members[end].begin())) {
+      ++end;
+    }
+    if (end - begin >= 2) runs.emplace_back(begin, end);
+  }
+  std::vector<std::vector<Itemset>> joins(runs.size());
+  CORRMINE_RETURN_NOT_OK(ParallelFor(
+      pool, runs.size(), 1, [&](size_t begin, size_t end) -> Status {
+        ItemId joined[ContingencyTable::kMaxItems];
+        for (size_t r = begin; r < end; ++r) {
+          const auto [first, last] = runs[r];
+          for (size_t i = first; i < last; ++i) {
+            std::copy(members[i].begin(), members[i].end(), joined);
+            for (size_t j = i + 1; j < last; ++j) {
+              joined[k] = members[j].item(k - 1);
+              if (AllSubsetsNotSig({joined, k + 1}, not_sig)) {
+                joins[r].emplace_back(
+                    std::vector<ItemId>(joined, joined + k + 1));
+              }
+            }
+          }
+        }
+        return Status::OK();
+      }));
+  *out = Concatenate(joins);
+  return Status::OK();
 }
 
 /// One completed level's NOTSIG members and their all-present counts:
@@ -104,78 +133,6 @@ bool AllSubsetsNotSig(const Itemset& joined,
 struct LevelTable {
   hash::ItemsetPerfectSet members;
   std::vector<uint64_t> counts;
-};
-
-/// Tracks the NOTSIG prefix runs of one level and farms each closed run's
-/// raw-join enumeration out to the pool. `frontier` must never reallocate
-/// while jobs are in flight (the caller reserves it to the candidate
-/// count), and `joins` likewise holds a stable slot per run.
-struct RunJoiner {
-  const std::vector<Itemset>* frontier = nullptr;
-  size_t prefix_len = 0;
-  size_t run_start = 0;
-  std::vector<std::vector<Itemset>> joins;
-
-  std::atomic<size_t> outstanding{0};
-  /// A join morsel ran out of memory; Drain reports it.
-  std::atomic<bool> out_of_memory{false};
-  std::mutex mu;
-  std::condition_variable cv;
-
-  /// Closes the run [run_start, end_index) and starts the next one. Call
-  /// with end_index == frontier->size() after the fan-in to flush the tail.
-  void CloseRun(ThreadPool* pool, size_t end_index) {
-    const size_t begin = run_start;
-    run_start = end_index;
-    if (end_index - begin < 2) return;  // No pairs to join.
-    joins.emplace_back();
-    std::vector<Itemset>* out = &joins.back();
-    const Itemset* members = frontier->data() + begin;
-    const size_t count = end_index - begin;
-    if (pool == nullptr) {
-      EnumerateRunJoins(members, count, out);
-      return;
-    }
-    outstanding.fetch_add(1, std::memory_order_relaxed);
-    pool->Submit([this, members, count, out] {
-      // A bare pool task has no region guard: an exception escaping it
-      // would end the process, and the missed decrement would hang Drain.
-      try {
-        EnumerateRunJoins(members, count, out);
-      } catch (const std::bad_alloc&) {
-        out_of_memory.store(true, std::memory_order_relaxed);
-      }
-      if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  }
-
-  /// True when `frontier[index]` starts a new run (its (k-1)-prefix differs
-  /// from the previous member's).
-  bool StartsNewRun(size_t index) const {
-    if (index == 0) return false;
-    const Itemset& prev = (*frontier)[index - 1];
-    const Itemset& cur = (*frontier)[index];
-    for (size_t t = 0; t < prefix_len; ++t) {
-      if (prev.item(t) != cur.item(t)) return true;
-    }
-    return false;
-  }
-
-  /// Waits for every join morsel; ResourceExhausted if one ran out of
-  /// memory.
-  Status Drain(ThreadPool* pool) {
-    if (pool == nullptr) return Status::OK();
-    pool->HelpUntil(mu, cv, [this] {
-      return outstanding.load(std::memory_order_acquire) == 0;
-    });
-    if (out_of_memory.load(std::memory_order_relaxed)) {
-      return Status::ResourceExhausted("out of memory joining candidates");
-    }
-    return Status::OK();
-  }
 };
 
 /// One evaluated candidate, parked in an index-addressed slot so batches
@@ -221,9 +178,9 @@ struct MinerCounters {
   Counter* levels;
 };
 
-/// Chunk granularity for work stealing across candidate evaluation. Each
-/// candidate is a 2^k-cell table assembly plus a chi-squared test, so even
-/// small chunks are meaty.
+/// Chunk granularity of candidate evaluation, claimed from the pipeline's
+/// shared cursor. Each candidate is a 2^k-cell table assembly plus a
+/// chi-squared test, so even small chunks are meaty.
 constexpr size_t kEvalGrain = 16;
 
 /// Fills `all_present` (2^k entries) for candidate `s`: n for the empty
@@ -312,7 +269,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
 
   // Step 3: level-2 candidates via level-1 pruning, morsel-parallel over
   // the first-item axis (the inner loop shrinks as `a` grows, so small
-  // chunks let stealing even out the triangle). Per-chunk outputs are
+  // chunks claimed from the shared cursor even out the triangle). Per-chunk
+  // outputs are
   // concatenated in chunk order — the sequential (a, b) enumeration,
   // reproduced.
   std::vector<Itemset> cand;
@@ -336,12 +294,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
           }
           return Status::OK();
         }));
-    size_t total = 0;
-    for (const std::vector<Itemset>& chunk : gen_chunks) total += chunk.size();
-    cand.reserve(total);
-    for (std::vector<Itemset>& chunk : gen_chunks) {
-      std::move(chunk.begin(), chunk.end(), std::back_inserter(cand));
-    }
+    cand = Concatenate(gen_chunks);
   }
 
   // The NOTSIG members of every completed level with their counts
@@ -364,8 +317,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     // nothing consumes it, and on dense data it is the memory high-water
     // mark — unless the caller asked for the frontier.
     const bool keep_not_sig = level < max_level || options.keep_frontier;
-    // Whether another level can follow: only then are next-level joins
-    // enumerated (overlapped with this level's evaluation).
+    // Whether another level can follow: only then is Step 8 run.
     const bool gen_next = level < max_level;
     std::vector<Itemset> next_cand;
     // This level's evaluate and generate durations for the heartbeat.
@@ -398,23 +350,6 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       }
 
       std::vector<EvalSlot> slots(cand.size());
-      // The fan-in appends NOTSIG members in candidate order; runs of a
-      // shared (k-1)-prefix close as soon as the next member's prefix
-      // differs, and each closed run's raw joins are enumerated as pool
-      // morsels *while later candidates are still being evaluated*. The
-      // table is reserved up front so in-flight join morsels read stable
-      // storage.
-      RunJoiner joiner;
-      joiner.frontier = &next.members.itemsets();
-      joiner.prefix_len = static_cast<size_t>(level) - 1;
-      if (keep_not_sig) {
-        next.members.Reserve(cand.size());
-        next.counts.reserve(cand.size());
-      }
-      if (gen_next) joiner.joins.reserve(cand.size());
-
-      Status eval_status;
-      Status join_status;
       {
         Phase eval_phase(registry, "miner.evaluate", level, -1,
                          static_cast<int64_t>(cand.size()));
@@ -426,7 +361,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
             OrderedPipelineSlotBound(pool, cand.size(), kEvalGrain);
         std::vector<std::vector<uint64_t>> eval_scratch(
             eval_slots, std::vector<uint64_t>(num_cells));
-        eval_status = OrderedPipeline(
+        CORRMINE_RETURN_NOT_OK(OrderedPipeline(
             pool, cand.size(), kEvalGrain,
             [&](size_t slot, size_t begin, size_t end) -> Status {
               std::vector<uint64_t>& all_present = eval_scratch[slot];
@@ -479,57 +414,22 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
                     if (keep_not_sig) {
                       next.members.Insert(cand[i]);
                       next.counts.push_back(cand_counts[i]);
-                      const size_t t = next.members.size() - 1;
-                      if (gen_next && joiner.StartsNewRun(t)) {
-                        joiner.CloseRun(pool, t);
-                      }
                     }
                     break;
                 }
               }
               return Status::OK();
-            });
-        // In-flight join morsels hold pointers into `next.members` and
-        // `joiner.joins` — drain them before any return, including the
-        // error one, or the early exit would free storage under a live
-        // task.
-        if (gen_next) join_status = joiner.Drain(pool);
+            }));
         evaluate_ns = eval_phase.Stop();
       }
-      CORRMINE_RETURN_NOT_OK(eval_status);
-      CORRMINE_RETURN_NOT_OK(join_status);
 
-      // Step 8, finished off: flush the tail run, drain in-flight join
-      // morsels, then apply the subset prune (which needs the *complete*
-      // NOTSIG set) in parallel over runs. Filtered runs concatenate in
-      // run order — the sequential candidate stream, byte for byte.
+      // Step 8 needs the level's complete NOTSIG list, so it runs once the
+      // pipeline has drained.
       if (gen_next) {
         Phase gen_phase(registry, "miner.generate", level, -1,
                         static_cast<int64_t>(next.members.size()));
-        joiner.CloseRun(pool, next.members.size());
-        CORRMINE_RETURN_NOT_OK(joiner.Drain(pool));
-        CORRMINE_RETURN_NOT_OK(ParallelFor(
-            pool, joiner.joins.size(), 1,
-            [&](size_t begin, size_t end) -> Status {
-              for (size_t r = begin; r < end; ++r) {
-                std::vector<Itemset>& run = joiner.joins[r];
-                run.erase(std::remove_if(run.begin(), run.end(),
-                                         [&](const Itemset& joined) {
-                                           return !AllSubsetsNotSig(
-                                               joined, next.members);
-                                         }),
-                          run.end());
-              }
-              return Status::OK();
-            }));
-        size_t total = 0;
-        for (const std::vector<Itemset>& run : joiner.joins) {
-          total += run.size();
-        }
-        next_cand.reserve(total);
-        for (std::vector<Itemset>& run : joiner.joins) {
-          std::move(run.begin(), run.end(), std::back_inserter(next_cand));
-        }
+        CORRMINE_RETURN_NOT_OK(GenerateCandidates(
+            next.members, static_cast<size_t>(level), pool, &next_cand));
         generate_ns = gen_phase.Stop();
       }
     }

@@ -41,10 +41,6 @@ class ItemsetPerfectSet {
   /// Stored itemsets in insertion order.
   const std::vector<Itemset>& itemsets() const { return itemsets_; }
 
-  /// Reserves storage for `n` itemsets, so pointers into itemsets() stay
-  /// valid while up to `n` inserts happen.
-  void Reserve(size_t n) { itemsets_.reserve(n); }
-
   void Clear();
 
  private:

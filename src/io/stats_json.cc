@@ -40,9 +40,9 @@ std::string RenderStatsJson(const MiningResult& result,
   out << "  \"deterministic\": "
       << RenderDeterministicStats(result) << ",\n";
   // Which counting kernel served the run, and what was requested ("auto"
-  // unless forced via --kernel / CORRMINE_KERNEL). Machine-dependent by
-  // nature, so it lives OUTSIDE the deterministic section — statsdiff
-  // rejects any document where kernel info leaks into it.
+  // unless forced via --kernel). Machine-dependent by nature, so it lives
+  // OUTSIDE the deterministic section — statsdiff rejects any document
+  // where kernel info leaks into it.
   out << "  \"kernel\": {\"name\": \"" << ActiveKernelName()
       << "\", \"requested\": \"" << RequestedKernelName() << "\"},\n";
   // Profiling attribution (DESIGN.md §13): hardware-counter phase

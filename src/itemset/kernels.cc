@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <span>
@@ -69,39 +67,21 @@ std::string& RequestedStorage() {
   return requested;
 }
 
-/// One-time CORRMINE_KERNEL resolution. Runs only if nothing (the CLI
-/// --kernel flag, a test) called SetActiveKernel first — an explicit
-/// in-process choice outranks the environment.
-void InitFromEnvironment() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const char* env = std::getenv("CORRMINE_KERNEL");
-    if (env != nullptr && *env != '\0') {
-      Status status = SetActiveKernel(env);
-      if (!status.ok()) {
-        std::fprintf(stderr, "CORRMINE_KERNEL ignored: %s\n",
-                     status.ToString().c_str());
-      }
-    }
-    const CountingKernels* expected = nullptr;
-    g_active.compare_exchange_strong(expected, BestKernels(),
-                                     std::memory_order_acq_rel);
-  });
-}
-
 }  // namespace
 
 const CountingKernels& ActiveKernels() {
   const CountingKernels* active = g_active.load(std::memory_order_acquire);
   if (active != nullptr) return *active;
-  InitFromEnvironment();
+  // First use with no kernel forced: CPU dispatch. A concurrent
+  // SetActiveKernel that got there first keeps its choice.
+  g_active.compare_exchange_strong(active, BestKernels(),
+                                   std::memory_order_acq_rel);
   return *g_active.load(std::memory_order_acquire);
 }
 
 const char* ActiveKernelName() { return ActiveKernels().name; }
 
 std::string RequestedKernelName() {
-  ActiveKernels();  // Ensure the environment has been consulted.
   std::lock_guard<std::mutex> lock(g_requested_mu);
   return RequestedStorage();
 }

@@ -22,8 +22,8 @@ class VerticalIndex;
 /// vertical bitmaps, so the word loops behind Bitmap / CountingColumn /
 /// the count providers are routed through one table of function pointers,
 /// selected once per process: the best ISA the CPU supports (AVX-512 with
-/// VPOPCNTDQ > AVX2 > NEON > portable std::popcount), overridable with the
-/// CORRMINE_KERNEL environment variable or the CLI --kernel flag.
+/// VPOPCNTDQ > AVX2 > NEON > portable std::popcount), overridable with
+/// SetActiveKernel (the CLI --kernel flag).
 ///
 /// Contract: every kernel computes the exact same integers — a kernel
 /// changes cost, never answers — so the deterministic stats section and all
@@ -88,18 +88,17 @@ const CountingKernels* Avx2Kernels();
 const CountingKernels* Avx512Kernels();
 const CountingKernels* NeonKernels();
 
-/// The process-wide active kernel table. First use resolves
-/// CORRMINE_KERNEL (unknown or unsupported values warn on stderr and fall
-/// back to auto dispatch); afterwards this is one atomic load, cheap
-/// enough for every Bitmap call site.
+/// The process-wide active kernel table: the one SetActiveKernel forced,
+/// else CPU dispatch, resolved on first use. Afterwards this is one atomic
+/// load, cheap enough for every Bitmap call site.
 const CountingKernels& ActiveKernels();
 
 /// Name of the active kernel ("scalar", "avx2", "avx512", "neon").
 const char* ActiveKernelName();
 
 /// What was asked for: "auto" unless a specific kernel was forced via
-/// SetActiveKernel / CORRMINE_KERNEL. Reported in the stats JSON's
-/// non-deterministic "kernel" section.
+/// SetActiveKernel. Reported in the stats JSON's non-deterministic
+/// "kernel" section.
 std::string RequestedKernelName();
 
 /// Forces a kernel by name; "" or "auto" restores CPU dispatch. Errors on

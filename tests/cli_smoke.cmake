@@ -75,6 +75,19 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "ResourceExhausted")
   message(FATAL_ERROR
           "mine under ulimit -v should exit 1 with ResourceExhausted: ${rc} ${err}")
 endif()
+# The same on four threads: an allocation failure on a worker, or while a
+# parallel region queues its helpers, must end the command the same way
+# instead of aborting it.
+foreach(limit 64000 96000 136000 176000)
+  execute_process(
+    COMMAND sh -c "ulimit -v ${limit}; exec \"$0\" mine \"$1\" --support-count 2500 --cell-fraction 0.26 --threads 4"
+            ${CLI} ${WORKDIR}/oom.cmb
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "ResourceExhausted")
+    message(FATAL_ERROR
+            "mine --threads 4 under ulimit -v ${limit} should exit 1 with ResourceExhausted: ${rc} ${err}")
+  endif()
+endforeach()
 
 # Exact-test of one itemset.
 execute_process(

@@ -1,4 +1,4 @@
-// Scheduler determinism matrix (DESIGN.md §10): the work-stealing pool, the
+// Scheduler determinism matrix (DESIGN.md §10): the shared-queue pool, the
 // morsel-parallel count providers, and the pipelined level loop must never
 // leak schedule noise into results. One baseline run pins the expected
 // bytes; every (threads × shards) combination — repeated, because races are

@@ -212,9 +212,9 @@ TEST(ThreadPoolTest, UsableHardwareConcurrencyIsSane) {
 }
 
 TEST(ThreadPoolTest, SubmitFromWorkerNeverDeadlocks) {
-  // Each task submits more tasks from inside the pool. With the old
-  // central queue this was fine; with deques it must route to the worker's
-  // own deque and still drain at destruction.
+  // Each task submits more tasks from inside the pool: Submit from a worker
+  // never blocks, and the destructor still runs every task queued by a task
+  // that was running when shutdown began.
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
@@ -232,9 +232,9 @@ TEST(ThreadPoolTest, SubmitFromWorkerNeverDeadlocks) {
 
 TEST(ParallelForTest, NestedParallelForFromWorkerCompletes) {
   // An inner ParallelFor issued from inside an outer body running on a
-  // pool worker: the help-first join must execute the inner helpers
-  // inline-or-stolen rather than blocking the worker on a queue that only
-  // it could drain. Deadlock here hangs the test (caught by ctest timeout).
+  // pool worker: the help-first join must run the queued inner helpers
+  // itself rather than blocking the worker on a queue that only it could
+  // drain. Deadlock here hangs the test (caught by ctest timeout).
   ThreadPool pool(2);
   std::atomic<uint64_t> total{0};
   Status status = ParallelFor(

@@ -111,8 +111,6 @@ constexpr char kUsage[] =
     "                             avx2, avx512, or neon. auto picks the\n"
     "                             fastest kernel this CPU supports; a forced\n"
     "                             kernel must be compiled in and supported.\n"
-    "                             The CORRMINE_KERNEL env var sets the same\n"
-    "                             choice; the flag wins when both are given.\n"
     "                             Counts and mined output are identical for\n"
     "                             every kernel — only throughput changes\n"
     "      --algo levelwise|walk  search strategy (default levelwise)\n"
@@ -790,9 +788,7 @@ int Main(int argc, const char* const* argv) {
     return flags.positional().empty() && !flags.GetBool("help", false) ? 2
                                                                        : 0;
   }
-  // Resolve the counting kernel before any command touches a bitmap. An
-  // explicit --kernel beats CORRMINE_KERNEL: installing it here means the
-  // env-var path in ActiveKernels() never runs.
+  // Resolve the counting kernel before any command touches a bitmap.
   const std::string kernel = flags.GetString("kernel", "");
   if (!kernel.empty()) {
     Status kernel_status = SetActiveKernel(kernel);

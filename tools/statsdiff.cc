@@ -149,7 +149,7 @@ void DiffExact(const std::string& path, const io::JsonValue& a,
 
 /// Timing-ish metric names never carry determinism guarantees: wall-clock
 /// nanoseconds, memory byte counts, the pool.* scheduler family
-/// (submissions, steals, queue depths — all schedule noise by definition),
+/// (submissions, waits, queue depths — all schedule noise by definition),
 /// and the column.* storage gauges (container mix and payload bytes track
 /// the provider's physical layout, which legitimately differs between an
 /// in-memory index and its spilled shard files). They move with the
