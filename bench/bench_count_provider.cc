@@ -89,13 +89,12 @@ BENCHMARK(BM_CountCube)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_CountCompressed(benchmark::State& state) {
   const auto& db = SharedDb(static_cast<size_t>(state.range(0)));
-  CompressedCountProvider provider(db);
+  const CompressedVerticalIndex index(db);
   Itemset pair = FrequentPair(db);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(provider.CountAllPresent(pair));
+    benchmark::DoNotOptimize(index.CountAllPresent(pair));
   }
-  state.counters["index_bytes"] =
-      static_cast<double>(provider.index().MemoryBytes());
+  state.counters["index_bytes"] = static_cast<double>(index.MemoryBytes());
 }
 BENCHMARK(BM_CountCompressed)->Arg(1000)->Arg(10000)->Arg(50000);
 

@@ -103,21 +103,21 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   done
 
   echo "== kernel sentinel: compressed counting columns =="
-  # Same invariance for the hybrid-container kernels: the compressed
-  # provider routes array/dense/run intersections through the same dispatch
-  # table, so forced-scalar vs dispatched must agree on the deterministic
-  # section and the kernel.* logical-element counters. And the compressed
-  # provider itself must answer byte-identically to the bitmap provider
-  # (deterministic section only — kernel.* families differ across
-  # physically different index layouts).
-  build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
-    --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --provider compressed --kernel scalar \
-    --stats-json "$SDIR/stats_column_scalar.json" >/dev/null
-  build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
-    --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --provider compressed \
-    --stats-json "$SDIR/stats_column_auto.json" >/dev/null
+  # Same invariance for the hybrid-container kernels, which count the
+  # out-of-core sweeps: array/dense/run intersections route through the
+  # same dispatch table, so a forced-scalar and a dispatched out-of-core
+  # mine (an 8 MiB budget in 16 KiB partitions: 10 spill partitions) must
+  # agree on the deterministic section and the kernel.* logical-element
+  # counters. And the column counts must answer byte-identically to the
+  # bitmap run (deterministic section and the miner/count-provider
+  # families; kernel.* differ across the two index layouts).
+  for kernel in scalar auto; do
+    build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
+      --support-count 100 --cell-fraction 0.26 --max-level 3 \
+      --out-of-core --memory-budget 8388608 --partition-budget 16384 \
+      --threads 8 --kernel "$kernel" \
+      --stats-json "$SDIR/stats_column_${kernel}.json" >/dev/null
+  done
   build/tools/statsdiff "$SDIR/stats_column_scalar.json" \
     "$SDIR/stats_column_auto.json" \
     --counters miner.,count_provider.,kernel.

@@ -46,27 +46,13 @@ MiningSession::~MiningSession() = default;
 MiningSession::MiningSession(ShardedTransactionDatabase db,
                              const SessionOptions& options)
     : db_(std::move(db)),
-      provider_kind_(options.provider),
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
   {
     Phase build_phase(metrics(), "session.build_index", -1,
                       static_cast<int64_t>(db_.num_shards()),
                       static_cast<int64_t>(db_.num_baskets()));
-    switch (provider_kind_) {
-      case SessionProvider::kBitmap:
-        sharded_provider_ = std::make_unique<ShardedCountProvider>(db_);
-        active_provider_ = sharded_provider_.get();
-        break;
-      case SessionProvider::kCompressed:
-        compressed_provider_ = std::make_unique<CompressedCountProvider>(db_);
-        active_provider_ = compressed_provider_.get();
-        break;
-      case SessionProvider::kScan:
-        scan_provider_ = std::make_unique<ShardedScanCountProvider>(db_);
-        active_provider_ = scan_provider_.get();
-        break;
-    }
+    provider_ = std::make_unique<ShardedCountProvider>(db_);
   }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   metrics().GetGauge("mem.peak_rss_bytes")
@@ -114,23 +100,8 @@ void MiningSession::PublishMemoryGauges() const {
   MetricsRegistry& registry = metrics();
   registry.GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
-  if (sharded_provider_ != nullptr) {
-    registry.GetGauge("mem.shard_index_bytes")
-        ->Set(static_cast<int64_t>(sharded_provider_->IndexMemoryBytes()));
-  }
-  if (compressed_provider_ != nullptr) {
-    registry.GetGauge("mem.shard_index_bytes")
-        ->Set(static_cast<int64_t>(compressed_provider_->IndexMemoryBytes()));
-    const ColumnStorageStats storage = compressed_provider_->StorageStats();
-    registry.GetGauge("column.array_containers")
-        ->Set(static_cast<int64_t>(storage.array_containers));
-    registry.GetGauge("column.dense_containers")
-        ->Set(static_cast<int64_t>(storage.dense_containers));
-    registry.GetGauge("column.run_containers")
-        ->Set(static_cast<int64_t>(storage.run_containers));
-    registry.GetGauge("column.payload_bytes")
-        ->Set(static_cast<int64_t>(storage.payload_bytes));
-  }
+  registry.GetGauge("mem.shard_index_bytes")
+      ->Set(static_cast<int64_t>(provider_->IndexMemoryBytes()));
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
@@ -143,9 +114,7 @@ Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
   for (size_t row = 0; row < chunk.num_baskets(); ++row) {
     CORRMINE_RETURN_NOT_OK(db_.AddBasket(chunk.basket(row)));
   }
-  if (sharded_provider_ != nullptr) sharded_provider_->AppendFrom(db_);
-  if (compressed_provider_ != nullptr) compressed_provider_->AppendFrom(db_);
-  // The scan provider reads db_ live — nothing to catch up.
+  provider_->AppendFrom(db_);
   PublishMemoryGauges();
   return Status::OK();
 }

@@ -8,7 +8,6 @@
 #include "core/chi_squared_miner.h"
 #include "core/random_walk_miner.h"
 #include "itemset/count_provider.h"
-#include "itemset/counting_column.h"
 #include "itemset/sharded_database.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
@@ -16,23 +15,6 @@
 namespace corrmine {
 
 class ThreadPool;
-
-/// Counting strategy a MiningSession builds (CLI `--provider`). All three
-/// satisfy the same CountProvider contract with batch overrides, so mined
-/// answers are byte-identical across strategies; only cost, memory, and
-/// which kernel counters tick differ.
-enum class SessionProvider {
-  /// Per-shard uncompressed bitmap indexes (ShardedCountProvider) — the
-  /// default: fastest on dense row spaces, O(items x rows / 8) memory.
-  kBitmap = 0,
-  /// Per-shard hybrid counting columns (CompressedCountProvider) — adaptive
-  /// array/dense/run containers, memory tracks occupancy instead of the
-  /// rectangle, and the same storage the out-of-core shard files hold.
-  kCompressed = 1,
-  /// No index at all (ShardedScanCountProvider) — re-scans the row store
-  /// per batch; the paper's full-pass baseline cost model.
-  kScan = 2,
-};
 
 /// Knobs a MiningSession resolves once, up front, instead of every caller
 /// re-deriving them per run.
@@ -48,9 +30,6 @@ struct SessionOptions {
   /// change.
   int num_shards = 1;
 
-  /// Counting strategy to build.
-  SessionProvider provider = SessionProvider::kBitmap;
-
   /// Text inputs hold word tokens, not integer ids (Open only).
   bool named_items = false;
 
@@ -64,11 +43,12 @@ struct SessionOptions {
 };
 
 /// One place that owns everything a mining run needs — the sharded dataset,
-/// the counting provider, the thread pool, and the metrics registry — so front ends (the CLI, tests, benchmarks) stop
-/// hand-assembling provider/pool/option plumbing. Construction resolves the
-/// 0-means-auto conventions once; every Mine* method lends the session's
-/// pool to the run and wires the resolved thread count through, so results
-/// are identical to standalone calls with the same settings.
+/// its per-shard bitmap indexes (ShardedCountProvider), the thread pool,
+/// and the metrics registry — so front ends (the CLI, tests, benchmarks)
+/// stop hand-assembling provider/pool/option plumbing. Construction
+/// resolves the 0-means-auto conventions once; every Mine* method lends the
+/// session's pool to the run and wires the resolved thread count through,
+/// so results are identical to standalone calls with the same settings.
 class MiningSession {
  public:
   /// Loads `path` (auto-detected CMB1 binary or text, io/format_detect.h)
@@ -117,10 +97,8 @@ class MiningSession {
       EclatOptions options = {}) const;
 
   const ShardedTransactionDatabase& database() const { return db_; }
-  /// The counting strategy every Mine* call uses.
-  const CountProvider& provider() const { return *active_provider_; }
-  /// The strategy this session was built with.
-  SessionProvider provider_kind() const { return provider_kind_; }
+  /// The per-shard bitmap provider every Mine* call counts with.
+  const CountProvider& provider() const { return *provider_; }
 
   size_t num_shards() const { return db_.num_shards(); }
   /// Resolved thread count (the 0-means-auto convention already applied).
@@ -145,13 +123,7 @@ class MiningSession {
   void PublishMemoryGauges() const;
 
   ShardedTransactionDatabase db_;
-  // Exactly one of the three strategy members is built (provider_kind_);
-  // active_provider_ points at it.
-  std::unique_ptr<ShardedCountProvider> sharded_provider_;
-  std::unique_ptr<CompressedCountProvider> compressed_provider_;
-  std::unique_ptr<ShardedScanCountProvider> scan_provider_;
-  const CountProvider* active_provider_ = nullptr;
-  SessionProvider provider_kind_ = SessionProvider::kBitmap;
+  std::unique_ptr<ShardedCountProvider> provider_;
   std::unique_ptr<ThreadPool> pool_;
   int threads_ = 1;
   MetricsRegistry* metrics_ = nullptr;

@@ -24,8 +24,8 @@ namespace corrmine {
 /// CountAllPresentBatch answers a whole level's worth in one call, which is
 /// what the level-wise miner issues (one batch per frontier — see DESIGN.md
 /// §7). Providers override the batch hook when they can amortize work across
-/// queries (shared scans, per-shard fan-out); the default loops over the
-/// scalar hook, so every provider supports both grains.
+/// queries (prefix groups, word stripes, per-shard fan-out); the default
+/// loops over the scalar hook, so every provider supports both grains.
 ///
 /// Both entry points are non-virtual wrappers that tick the global
 /// "count_provider.*" counters (scalar_calls, batch_calls, batch_queries) —
@@ -90,9 +90,8 @@ class CountProvider {
 
 /// Strategy A: re-scan the row store per query. No preprocessing, O(n)
 /// per count; matches the paper's "make a pass over the entire database"
-/// baseline cost model. Batches are answered basket-major (one scan
-/// answers every query), chunked across the pool with per-chunk partial
-/// sums merged in chunk order.
+/// baseline cost model. The index-free reference the tests count against:
+/// batches take the default loop over the scalar hook.
 class ScanCountProvider : public CountProvider {
  public:
   /// `db` must outlive this provider.
@@ -102,9 +101,6 @@ class ScanCountProvider : public CountProvider {
 
  protected:
   uint64_t CountAllPresentImpl(const Itemset& s) const override;
-  void CountAllPresentBatchImpl(std::span<const Itemset> queries,
-                                std::span<uint64_t> counts,
-                                ThreadPool* pool) const override;
 
  private:
   const TransactionDatabase& db_;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
@@ -14,8 +14,8 @@ namespace corrmine {
 
 namespace {
 
-/// Group-block granularity of the batch morsels: one (shard, block) task
-/// covers up to this many plan groups, matching ShardedCountProvider.
+/// Group-block granularity of CountColumnBatch: one task covers up to this
+/// many plan groups.
 constexpr size_t kColumnGroupBlock = 64;
 
 /// Number of (start, length-1) runs in a sorted offset sequence.
@@ -515,57 +515,11 @@ uint64_t CountingColumn::AndCountInto(const CountingColumn& a,
   return dst->Count();
 }
 
-void CountingColumn::AppendRows(const std::vector<uint32_t>& rows,
-                                size_t new_num_rows) {
-  CORRMINE_CHECK(new_num_rows >= num_rows_) << "row space cannot shrink";
-  if (rows.empty()) {
-    num_rows_ = new_num_rows;
-    return;
-  }
-  CORRMINE_CHECK(rows.front() >= num_rows_)
-      << "AppendRows may only add rows past the existing row space";
-  std::vector<uint16_t> offsets;
-  size_t i = 0;
-  while (i < rows.size()) {
-    const uint32_t key = rows[i] >> kBlockBits;
-    offsets.clear();
-    // Merge into the existing tail container when the first appended rows
-    // land in its block (decoding materializes view payloads).
-    if (!containers_.empty() && containers_.back().key == key) {
-      ContainerOffsets(containers_.back(), &offsets);
-      containers_.pop_back();
-    }
-    while (i < rows.size() && (rows[i] >> kBlockBits) == key) {
-      CORRMINE_CHECK(rows[i] < new_num_rows)
-          << "row " << rows[i] << " out of range " << new_num_rows;
-      const uint16_t off =
-          static_cast<uint16_t>(rows[i] & (kBlockSize - 1));
-      CORRMINE_CHECK(offsets.empty() || off > offsets.back())
-          << "appended rows must be strictly increasing";
-      offsets.push_back(off);
-      ++i;
-    }
-    containers_.push_back(MakeContainer(key, offsets));
-  }
-  total_count_ += rows.size();
-  num_rows_ = new_num_rows;
-}
-
 size_t CountingColumn::MemoryBytes() const {
   size_t bytes = sizeof(*this) + containers_.capacity() * sizeof(Container);
   for (const Container& c : containers_) {
     bytes += c.owned_u16.capacity() * sizeof(uint16_t) +
              c.owned_words.capacity() * sizeof(uint64_t);
-  }
-  return bytes;
-}
-
-size_t CountingColumn::PayloadBytes() const {
-  size_t bytes = 0;
-  for (const Container& c : containers_) {
-    bytes += (c.kind == ContainerKind::kDense)
-                 ? kWordsPerDense * sizeof(uint64_t)
-                 : c.u16().size() * sizeof(uint16_t);
   }
   return bytes;
 }
@@ -708,28 +662,6 @@ Status DecodeU16DeltaVarint(CountingColumn::ContainerKind kind,
   return Status::OK();
 }
 
-ColumnStorageStats ComputeColumnStorageStats(const ColumnSource& source) {
-  ColumnStorageStats stats;
-  for (ItemId item = 0; item < source.num_columns(); ++item) {
-    const CountingColumn& col = source.column(item);
-    stats.payload_bytes += col.PayloadBytes();
-    for (size_t i = 0; i < col.num_containers(); ++i) {
-      switch (col.container_view(i).kind) {
-        case CountingColumn::ContainerKind::kArray:
-          ++stats.array_containers;
-          break;
-        case CountingColumn::ContainerKind::kDense:
-          ++stats.dense_containers;
-          break;
-        case CountingColumn::ContainerKind::kRun:
-          ++stats.run_containers;
-          break;
-      }
-    }
-  }
-  return stats;
-}
-
 uint64_t CountAllPresentColumns(const ColumnSource& source, const Itemset& s,
                                 ColumnOpStats* stats) {
   CORRMINE_CHECK(!s.empty()) << "CountAllPresent requires a non-empty set";
@@ -787,6 +719,30 @@ void ExecuteBlockedGroupsColumns(const BlockedCountPlan& plan,
   }
 }
 
+void CountColumnBatch(const BlockedCountPlan& plan, const ColumnSource& source,
+                      std::span<uint64_t> counts, ThreadPool* pool) {
+  const size_t blocks =
+      (plan.groups.size() + kColumnGroupBlock - 1) / kColumnGroupBlock;
+  Status status = ParallelFor(
+      pool, blocks, 1, [&](size_t begin, size_t end) -> Status {
+        for (size_t block = begin; block < end; ++block) {
+          const size_t g_begin = block * kColumnGroupBlock;
+          const size_t g_end =
+              std::min(g_begin + kColumnGroupBlock, plan.groups.size());
+          TraceScope block_span("column.count_block", -1, -1,
+                                static_cast<int64_t>(g_end - g_begin));
+          ColumnOpStats stats;
+          ExecuteBlockedGroupsColumns(plan, g_begin, g_end, source, counts,
+                                      &stats);
+          BumpColumnKernelCounters(stats);
+        }
+        return Status::OK();
+      });
+  // A block that ran out of memory fails like any allocation in this call.
+  if (status.IsResourceExhausted()) throw std::bad_alloc();
+  CORRMINE_CHECK(status.ok()) << status.ToString();
+}
+
 CompressedVerticalIndex::CompressedVerticalIndex(const TransactionDatabase& db)
     : num_baskets_(db.num_baskets()) {
   std::vector<std::vector<uint32_t>> rows(db.num_items());
@@ -819,31 +775,6 @@ CompressedVerticalIndex::CompressedVerticalIndex(
   empty_ = CountingColumn(num_baskets_, {});
 }
 
-void CompressedVerticalIndex::AppendFrom(const TransactionDatabase& db,
-                                         size_t from_row) {
-  CORRMINE_CHECK(from_row == num_baskets_)
-      << "AppendFrom must continue from the current row count";
-  const size_t new_num_rows = db.num_baskets();
-  std::vector<std::vector<uint32_t>> new_rows(db.num_items());
-  for (size_t b = from_row; b < new_num_rows; ++b) {
-    for (const ItemId item : db.basket(b)) {
-      new_rows[item].push_back(static_cast<uint32_t>(b));
-    }
-  }
-  // Grow the column space first (new items existed in no prior row), then
-  // fold every column forward so row counts stay uniform.
-  while (columns_.size() < new_rows.size()) {
-    columns_.emplace_back(num_baskets_, std::vector<uint32_t>{});
-  }
-  for (size_t item = 0; item < columns_.size(); ++item) {
-    columns_[item].AppendRows(
-        item < new_rows.size() ? new_rows[item] : std::vector<uint32_t>{},
-        new_num_rows);
-  }
-  num_baskets_ = new_num_rows;
-  empty_ = CountingColumn(num_baskets_, {});
-}
-
 uint64_t CompressedVerticalIndex::CountAllPresent(const Itemset& s) const {
   return CountAllPresentColumns(*this, s);
 }
@@ -859,116 +790,6 @@ size_t CompressedVerticalIndex::MemoryBytes() const {
 const CountingColumn& CompressedVerticalIndex::column(ItemId item) const {
   if (static_cast<size_t>(item) < columns_.size()) return columns_[item];
   return empty_;
-}
-
-CompressedCountProvider::CompressedCountProvider(const TransactionDatabase& db)
-    : num_rows_total_(db.num_baskets()) {
-  owned_.emplace_back(db);
-  sources_.push_back(&owned_.front());
-}
-
-CompressedCountProvider::CompressedCountProvider(
-    const ShardedTransactionDatabase& db)
-    : num_rows_total_(db.num_baskets()) {
-  owned_.reserve(db.num_shards());
-  for (size_t k = 0; k < db.num_shards(); ++k) {
-    owned_.emplace_back(db.shard(k));
-  }
-  sources_.reserve(owned_.size());
-  for (const CompressedVerticalIndex& index : owned_) {
-    sources_.push_back(&index);
-  }
-}
-
-CompressedCountProvider::CompressedCountProvider(
-    std::vector<const ColumnSource*> sources)
-    : sources_(std::move(sources)) {
-  for (const ColumnSource* source : sources_) {
-    num_rows_total_ += source->num_rows();
-  }
-}
-
-void CompressedCountProvider::AppendFrom(const ShardedTransactionDatabase& db) {
-  CORRMINE_CHECK(!owned_.empty())
-      << "AppendFrom is unavailable for externally owned column sources";
-  CORRMINE_CHECK(db.num_shards() == owned_.size())
-      << "AppendFrom across a different shard layout";
-  for (size_t k = 0; k < owned_.size(); ++k) {
-    owned_[k].AppendFrom(db.shard(k), owned_[k].num_baskets());
-  }
-  num_rows_total_ = db.num_baskets();
-}
-
-uint64_t CompressedCountProvider::IndexMemoryBytes() const {
-  uint64_t bytes = 0;
-  for (const CompressedVerticalIndex& index : owned_) {
-    bytes += index.MemoryBytes();
-  }
-  return bytes;
-}
-
-ColumnStorageStats CompressedCountProvider::StorageStats() const {
-  ColumnStorageStats total;
-  for (const ColumnSource* source : sources_) {
-    const ColumnStorageStats s = ComputeColumnStorageStats(*source);
-    total.array_containers += s.array_containers;
-    total.dense_containers += s.dense_containers;
-    total.run_containers += s.run_containers;
-    total.payload_bytes += s.payload_bytes;
-  }
-  return total;
-}
-
-uint64_t CompressedCountProvider::CountAllPresentImpl(const Itemset& s) const {
-  ColumnOpStats stats;
-  uint64_t total = 0;
-  for (const ColumnSource* source : sources_) {
-    total += CountAllPresentColumns(*source, s, &stats);
-  }
-  BumpColumnKernelCounters(stats);
-  return total;
-}
-
-void CompressedCountProvider::CountAllPresentBatchImpl(
-    std::span<const Itemset> queries, std::span<uint64_t> counts,
-    ThreadPool* pool) const {
-  const size_t num_queries = queries.size();
-  const size_t num_shards = sources_.size();
-  // Prefix-blocked column execution, group-major: one
-  // plan from the query stream, (shard x group-block) morsels on the pool,
-  // per-shard partial sums fanned in shard order — exact integers for any
-  // thread count or morsel schedule, so K-invariance holds by construction.
-  const BlockedCountPlan plan = BlockedCountPlan::Build(queries);
-  const size_t blocks =
-      (plan.groups.size() + kColumnGroupBlock - 1) / kColumnGroupBlock;
-  std::vector<std::vector<uint64_t>> partial(
-      num_shards, std::vector<uint64_t>(num_queries, 0));
-  Status status = ParallelForSlots(
-      pool, num_shards * blocks, 1,
-      [&](size_t /*slot*/, size_t begin, size_t end) -> Status {
-        for (size_t task = begin; task < end; ++task) {
-          const size_t shard = task / blocks;
-          const size_t block = task % blocks;
-          const size_t g_begin = block * kColumnGroupBlock;
-          const size_t g_end =
-              std::min(g_begin + kColumnGroupBlock, plan.groups.size());
-          TraceScope block_span("column.count_block", -1,
-                                static_cast<int64_t>(shard),
-                                static_cast<int64_t>(g_end - g_begin));
-          ColumnOpStats op_stats;
-          ExecuteBlockedGroupsColumns(plan, g_begin, g_end, *sources_[shard],
-                                      partial[shard], &op_stats);
-          BumpColumnKernelCounters(op_stats);
-        }
-        return Status::OK();
-      });
-  CORRMINE_CHECK(status.ok()) << status.ToString();
-  std::fill(counts.begin(), counts.end(), 0);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      counts[q] += partial[shard][q];
-    }
-  }
 }
 
 }  // namespace corrmine

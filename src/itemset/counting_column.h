@@ -9,10 +9,8 @@
 
 #include "common/status.h"
 #include "itemset/bitmap.h"
-#include "itemset/count_provider.h"
 #include "itemset/itemset.h"
 #include "itemset/kernels.h"
-#include "itemset/sharded_database.h"
 #include "itemset/transaction_database.h"
 
 namespace corrmine {
@@ -26,8 +24,8 @@ namespace corrmine {
 ///   dense  — 8 KiB bitset, 1024 words         (fixed; popular blocks)
 ///   run    — (start, length-1) 16-bit pairs   (4 bytes/run; clustered)
 ///
-/// Promotion and demotion are cardinality-driven: construction, append and
-/// intersection all re-pick the minimum-byte representation, so a column
+/// Promotion and demotion are cardinality-driven: construction and
+/// intersection both re-pick the minimum-byte representation, so a column
 /// never silently stays in a shape the data outgrew. Market-basket item
 /// columns are typically 0.1–5% dense, where arrays cut memory an order of
 /// magnitude; generated/sorted corpora collapse further into runs.
@@ -44,7 +42,7 @@ namespace corrmine {
 /// Payloads are either owned (built in memory) or *views* into externally
 /// owned bytes — the mmap-backed shard files of io/column_store.h hand out
 /// view-backed columns whose payload pages fault in lazily. View-backed
-/// columns are immutable; AppendRows materializes on first touch.
+/// columns are immutable.
 class CountingColumn {
  public:
   enum class ContainerKind : uint8_t { kArray = 0, kDense = 1, kRun = 2 };
@@ -111,20 +109,9 @@ class CountingColumn {
                                const CountingColumn& b, CountingColumn* dst,
                                ColumnOpStats* stats = nullptr);
 
-  /// Appends rows past every existing row (each in [num_rows(),
-  /// new_num_rows), strictly increasing) and grows the row space to
-  /// `new_num_rows`. The touched tail container is decoded, merged and
-  /// re-optimized; view-backed tails materialize first. Delta ingestion
-  /// only ever appends — shrinking is not supported.
-  void AppendRows(const std::vector<uint32_t>& rows, size_t new_num_rows);
-
   /// Resident heap bytes (owned payloads + container bookkeeping). View
   /// payloads are not counted — they live in the mapped file.
   size_t MemoryBytes() const;
-
-  /// Logical payload bytes regardless of ownership (what serialization
-  /// writes; feeds the column.* storage gauges).
-  size_t PayloadBytes() const;
 
   /// Decompresses back to sorted row ids (tests, adapters, spill).
   std::vector<uint32_t> ToRows() const;
@@ -177,9 +164,9 @@ class CountingColumn {
 };
 
 /// A set of counting columns over one row space — the abstraction the
-/// prefix-blocked column executor and CompressedCountProvider count
-/// against. Implemented by the in-memory CompressedVerticalIndex below and
-/// by io/column_store.h's mmap-backed MappedColumnShard.
+/// prefix-blocked column executor counts against. Implemented by the
+/// in-memory CompressedVerticalIndex below and by io/column_store.h's
+/// mmap-backed MappedColumnShard.
 class ColumnSource {
  public:
   virtual ~ColumnSource() = default;
@@ -218,17 +205,8 @@ Status DecodeU16DeltaVarint(CountingColumn::ContainerKind kind,
                             const uint8_t* data, size_t len, size_t count,
                             std::vector<uint16_t>* out);
 
-/// Storage census of a column source (feeds the "column.*" gauges).
-struct ColumnStorageStats {
-  uint64_t array_containers = 0;
-  uint64_t dense_containers = 0;
-  uint64_t run_containers = 0;
-  uint64_t payload_bytes = 0;
-};
-ColumnStorageStats ComputeColumnStorageStats(const ColumnSource& source);
-
-/// Scalar fallback shared by the providers: fold the itemset's columns
-/// with And/AndCount (k == 1 is a stored count; k == 2 a fused AndCount).
+/// Scalar reference count: fold the itemset's columns with And/AndCount
+/// (k == 1 is a stored count; k == 2 a fused AndCount).
 uint64_t CountAllPresentColumns(const ColumnSource& source, const Itemset& s,
                                 ColumnOpStats* stats = nullptr);
 
@@ -246,6 +224,16 @@ void ExecuteBlockedGroupsColumns(const BlockedCountPlan& plan,
                                  std::span<uint64_t> counts,
                                  ColumnOpStats* stats);
 
+/// Counts every query of `plan` against `source` into `counts` (size
+/// plan.num_queries) — the column peer of CountBlockedBatch, behind the
+/// out-of-core sweep's per-partition counts. Blocks of 64 plan groups are
+/// the tasks of one ParallelFor on `pool` (nullptr runs inline); groups
+/// own disjoint query slots, so every slot is written once and the result
+/// is identical for any pool. Each block is a "column.count_block" trace
+/// span, and its work goes to the "kernel.column_*" counters.
+void CountColumnBatch(const BlockedCountPlan& plan, const ColumnSource& source,
+                      std::span<uint64_t> counts, ThreadPool* pool);
+
 /// Per-item counting columns for a transaction database (the compressed
 /// analogue of VerticalIndex).
 class CompressedVerticalIndex : public ColumnSource {
@@ -256,10 +244,6 @@ class CompressedVerticalIndex : public ColumnSource {
   /// pass constructs partitions this way, without a TransactionDatabase).
   CompressedVerticalIndex(size_t num_baskets,
                           std::vector<std::vector<uint32_t>> item_rows);
-
-  /// Folds rows [from_row, db.num_baskets()) of `db` into the columns
-  /// (delta ingestion; mirrors VerticalIndex::AppendFrom).
-  void AppendFrom(const TransactionDatabase& db, size_t from_row);
 
   size_t num_baskets() const { return num_baskets_; }
   const CountingColumn& item_bitmap(ItemId item) const {
@@ -282,52 +266,6 @@ class CompressedVerticalIndex : public ColumnSource {
   std::vector<CountingColumn> columns_;
   CountingColumn empty_;  // for items past the stored column range
   size_t num_baskets_ = 0;
-};
-
-/// Strategy B-compressed: a drop-in, K-invariant, morsel-parallel peer of
-/// BitmapCountProvider over hybrid columns. Owns one
-/// CompressedVerticalIndex per shard (round-robin rows, exact per-shard
-/// sums fanned in shard order — byte-identical for any shard count), or
-/// borrows externally owned column sources (mmap-backed partition shards).
-/// Batches run through the prefix-blocked column executor as shard x
-/// group-block morsels on the caller's pool.
-class CompressedCountProvider : public CountProvider {
- public:
-  /// Single-shard index over a flat database. `db` must outlive this.
-  explicit CompressedCountProvider(const TransactionDatabase& db);
-
-  /// One index per shard. `db` must outlive this.
-  explicit CompressedCountProvider(const ShardedTransactionDatabase& db);
-
-  /// Borrows externally owned sources (each must outlive this provider);
-  /// AppendFrom is unavailable in this mode.
-  explicit CompressedCountProvider(std::vector<const ColumnSource*> sources);
-
-  uint64_t num_baskets() const override { return num_rows_total_; }
-  size_t num_shards() const { return sources_.size(); }
-
-  /// First shard's index (legacy accessor; single-shard construction).
-  const CompressedVerticalIndex& index() const { return owned_.front(); }
-
-  /// Folds the database's appended tail into the per-shard indexes.
-  void AppendFrom(const ShardedTransactionDatabase& db);
-
-  /// Sum of per-shard index MemoryBytes (feeds mem.shard_index_bytes).
-  uint64_t IndexMemoryBytes() const;
-
-  /// Aggregated container census across every shard.
-  ColumnStorageStats StorageStats() const;
-
- protected:
-  uint64_t CountAllPresentImpl(const Itemset& s) const override;
-  void CountAllPresentBatchImpl(std::span<const Itemset> queries,
-                                std::span<uint64_t> counts,
-                                ThreadPool* pool) const override;
-
- private:
-  std::vector<CompressedVerticalIndex> owned_;   // built before sources_
-  std::vector<const ColumnSource*> sources_;     // into owned_ or external
-  uint64_t num_rows_total_ = 0;
 };
 
 }  // namespace corrmine

@@ -169,32 +169,4 @@ void ShardedCountProvider::CountAllPresentBatchImpl(
   }
 }
 
-uint64_t ShardedScanCountProvider::CountAllPresentImpl(
-    const Itemset& s) const {
-  CORRMINE_CHECK(!s.empty()) << "CountAllPresent requires a non-empty set";
-  uint64_t count = 0;
-  for (const TransactionDatabase* rows : shards_) {
-    for (size_t row = 0; row < rows->num_baskets(); ++row) {
-      if (rows->BasketContainsAll(row, s)) ++count;
-    }
-  }
-  return count;
-}
-
-void ShardedScanCountProvider::CountAllPresentBatchImpl(
-    std::span<const Itemset> queries, std::span<uint64_t> counts,
-    ThreadPool* pool) const {
-  // Shard-major over transient per-shard scan providers: each shard batch
-  // reuses ScanCountProvider's basket-major chunked scan (deterministic for
-  // any pool), and the per-shard partials merge in shard order — exact
-  // integer sums, identical for any K.
-  std::fill(counts.begin(), counts.end(), uint64_t{0});
-  std::vector<uint64_t> partial(queries.size());
-  for (const TransactionDatabase* shard : shards_) {
-    const ScanCountProvider scan(*shard);
-    scan.CountAllPresentBatchUncounted(queries, partial, pool);
-    for (size_t q = 0; q < queries.size(); ++q) counts[q] += partial[q];
-  }
-}
-
 }  // namespace corrmine

@@ -137,44 +137,6 @@ class ShardedCountProvider : public CountProvider {
   Gauge* batch_imbalance_;
 };
 
-/// Scan-strategy CountProvider over a sharded database: no preprocessing at
-/// all — every batch re-scans each shard's row store basket-major (the
-/// paper's full-pass cost model, sharded). Counts are sums of exact
-/// per-shard integers merged in shard order, so the K-invariance contract
-/// holds here too. Reads `db` live: rows appended after construction are
-/// visible to the next query with no catch-up call.
-class ShardedScanCountProvider : public CountProvider {
- public:
-  /// Borrows the shard row stores (not the ShardedTransactionDatabase
-  /// handle itself, which may be a movable member of the caller): the
-  /// shard objects live on the heap and stay put across moves of `db` and
-  /// across in-place appends, so the provider reads appended rows live
-  /// with no catch-up step.
-  explicit ShardedScanCountProvider(const ShardedTransactionDatabase& db) {
-    shards_.reserve(db.num_shards());
-    for (size_t k = 0; k < db.num_shards(); ++k) {
-      shards_.push_back(&db.shard(k));
-    }
-  }
-
-  uint64_t num_baskets() const override {
-    uint64_t total = 0;
-    for (const TransactionDatabase* shard : shards_) {
-      total += shard->num_baskets();
-    }
-    return total;
-  }
-
- protected:
-  uint64_t CountAllPresentImpl(const Itemset& s) const override;
-  void CountAllPresentBatchImpl(std::span<const Itemset> queries,
-                                std::span<uint64_t> counts,
-                                ThreadPool* pool) const override;
-
- private:
-  std::vector<const TransactionDatabase*> shards_;
-};
-
 }  // namespace corrmine
 
 #endif  // CORRMINE_ITEMSET_SHARDED_DATABASE_H_

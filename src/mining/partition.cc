@@ -96,17 +96,19 @@ namespace {
 /// per level) is answered without ever holding the dataset:
 ///
 ///   - single items from the exact item counts the spill accumulated;
-///   - every larger query by one sweep over the partition files. Up to
-///     `admitted` partitions count at a time; each is mapped, counted with
-///     the compressed provider and unmapped, and the per-slot partial sums
-///     reduce in slot order — exact integers, identical for any schedule.
+///   - every larger query by one sweep over the partition files. The
+///     sweep builds one BlockedCountPlan; up to `admitted` partitions count
+///     at a time, each mapped, counted with CountColumnBatch and unmapped,
+///     and the per-slot partial sums reduce in slot order — exact
+///     integers, identical for any schedule.
 ///
 /// The batch hook cannot return a Status, so the first shard that fails to
 /// open or map latches its error here: that batch answers zeros, later
-/// sweeps are skipped, and the caller discards the walk's result. Counts
-/// through the uncounted inner entry point, so the count_provider.*
-/// counters tick exactly as they do for the in-memory mine. Not
-/// thread-safe: the miner issues batches from its coordinating thread.
+/// sweeps are skipped, and the caller discards the walk's result. The
+/// partitions are counted below the CountProvider interface, so the
+/// count_provider.* counters tick exactly as they do for the in-memory
+/// mine. Not thread-safe: the miner issues batches from its coordinating
+/// thread.
 class SweepCountProvider : public CountProvider {
  public:
   /// `paths`, `item_counts` and `registry` are borrowed and must outlive
@@ -177,6 +179,7 @@ class SweepCountProvider : public CountProvider {
     if (!error_.ok()) return;
     Phase sweep_phase(registry_, "outofcore.sweep", -1, -1,
                       static_cast<int64_t>(queries.size()));
+    const BlockedCountPlan plan = BlockedCountPlan::Build(queries);
     const size_t num_parts = paths_.size();
     const size_t grain = (num_parts + admitted_ - 1) / admitted_;
     const size_t slot_bound = ParallelForSlotBound(pool, num_parts, grain);
@@ -194,10 +197,7 @@ class SweepCountProvider : public CountProvider {
             CORRMINE_ASSIGN_OR_RETURN(
                 std::unique_ptr<io::MappedColumnShard> shard,
                 io::MappedColumnShard::Open(paths_[p]));
-            CompressedCountProvider provider(
-                std::vector<const ColumnSource*>{shard.get()});
-            provider.CountAllPresentBatchUncounted(queries,
-                                                   slot_partial[slot], pool);
+            CountColumnBatch(plan, *shard, slot_partial[slot], pool);
             std::vector<uint64_t>& acc = slot_totals[slot];
             for (size_t i = 0; i < acc.size(); ++i) {
               acc[i] += slot_partial[slot][i];

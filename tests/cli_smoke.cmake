@@ -40,6 +40,19 @@ foreach(arg "--max-level;4294967299" "--max-level;2147483648"
   endif()
 endforeach()
 
+# Unknown flags exit 2 naming the flag instead of being ignored: the
+# misspelling below would otherwise mine at the default support 3, and a
+# flag the CLI no longer has would silently do nothing.
+foreach(arg "--suport-count;25" "--provider;compressed")
+  list(GET arg 0 flag)
+  execute_process(
+    COMMAND ${CLI} mine ${WORKDIR}/smoke.txt ${arg} --max-level 2
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag ${flag}")
+    message(FATAL_ERROR "mine ${arg} should exit 2 naming ${flag}: ${rc} ${err}")
+  endif()
+endforeach()
+
 # A ten-byte varint whose last byte carries bits past 2^64 is corrupt to
 # every CMB1 reader: the out-of-core stream must refuse the file exactly
 # like the in-memory load. Bytes: CMB1, item space 4, one basket whose size

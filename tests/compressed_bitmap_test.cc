@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/contingency_table.h"
 #include "datagen/quest_generator.h"
 #include "itemset/counting_column.h"
 #include "test_util.h"
@@ -113,19 +112,6 @@ TEST(CompressedVerticalIndexTest, CompressesSparseColumns) {
   EXPECT_LT(compressed.MemoryBytes(), plain_bytes / 2)
       << "compressed " << compressed.MemoryBytes() << " vs plain "
       << plain_bytes;
-}
-
-TEST(CompressedCountProviderTest, DrivesContingencyTables) {
-  auto db = testing::RandomCorrelatedDatabase(6, 500, 0.9, 17);
-  CompressedCountProvider compressed(db);
-  BitmapCountProvider plain(db);
-  auto a = ContingencyTable::Build(compressed, Itemset{0, 1, 2});
-  auto b = ContingencyTable::Build(plain, Itemset{0, 1, 2});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  for (uint32_t mask = 0; mask < 8; ++mask) {
-    EXPECT_EQ(a->Observed(mask), b->Observed(mask));
-  }
 }
 
 }  // namespace

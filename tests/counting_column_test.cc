@@ -1,7 +1,7 @@
 // Differential suite for the hybrid counting-column storage layer: random
 // container mixes against std::set reference loops, promotion/demotion
-// boundaries, run containers, append-vs-bulk equivalence, the CCS1 shard
-// file round trip, and the blocked columns executor against naive counting.
+// boundaries, run containers, the CCS shard file round trip, and the
+// blocked columns executor and CountColumnBatch against naive counting.
 
 #include <gtest/gtest.h>
 
@@ -148,26 +148,6 @@ TEST(CountingColumnTest, DemotionAfterIntersection) {
   const CountingColumn c = a.And(b);
   EXPECT_EQ(c.Count(), 1u);
   EXPECT_EQ(c.ToRows(), std::vector<uint32_t>{20000});
-}
-
-TEST(CountingColumnTest, AppendMatchesBulkBuild) {
-  datagen::Rng rng(99);
-  const uint32_t kTotal = 150000;
-  std::vector<uint32_t> rows = RandomRows(&rng, kTotal, 0.08);
-  // Append in uneven chunks, including one empty append.
-  CountingColumn grown(0, {});
-  size_t cursor = 0;
-  for (uint32_t boundary : {1u, 4096u, 70000u, 70000u, kTotal}) {
-    std::vector<uint32_t> chunk;
-    while (cursor < rows.size() && rows[cursor] < boundary) {
-      chunk.push_back(rows[cursor++]);
-    }
-    grown.AppendRows(chunk, boundary);
-  }
-  const CountingColumn bulk(kTotal, rows);
-  EXPECT_EQ(grown.Count(), bulk.Count());
-  EXPECT_EQ(grown.ToRows(), rows);
-  EXPECT_EQ(grown.AndCount(bulk), rows.size());
 }
 
 TEST(CountingColumnTest, FromBitmapAgrees) {
@@ -402,7 +382,10 @@ TEST(CountingColumnTest, BlockedExecutorMatchesNaiveCounts) {
   }
 }
 
-TEST(CountingColumnTest, ProviderKInvarianceAcrossShardsAndThreads) {
+// The out-of-core sweep's shape: one plan per batch, counted against each
+// partition's columns with CountColumnBatch and summed. Any partition
+// count and any pool must reproduce the whole index's scalar counts.
+TEST(CountingColumnTest, CountColumnBatchSumsOverPartitionsAndPools) {
   auto db_or = datagen::GenerateQuestData({.num_transactions = 5000,
                                           .num_items = 150,
                                           .avg_transaction_size = 14.0,
@@ -419,59 +402,36 @@ TEST(CountingColumnTest, ProviderKInvarianceAcrossShardsAndThreads) {
     }
     queries.emplace_back(std::vector<ItemId>(picked.begin(), picked.end()));
   }
-  const CompressedCountProvider reference(db);
+  const CompressedVerticalIndex whole(db);
   std::vector<uint64_t> expected(queries.size());
-  reference.CountAllPresentBatch(queries, std::span<uint64_t>(expected));
-  for (size_t shards : {1, 2, 5}) {
-    const auto sharded = ShardedTransactionDatabase::Partition(db, shards);
-    const CompressedCountProvider provider(sharded);
-    EXPECT_EQ(provider.num_baskets(), db.num_baskets());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    expected[q] = whole.CountAllPresent(queries[q]);
+  }
+  const BlockedCountPlan plan = BlockedCountPlan::Build(queries);
+  for (size_t parts : {1, 2, 5}) {
+    // Contiguous row ranges, as the spill cuts its partitions.
+    std::vector<CompressedVerticalIndex> partitions;
+    const size_t rows = (db.num_baskets() + parts - 1) / parts;
+    for (size_t begin = 0; begin < db.num_baskets(); begin += rows) {
+      TransactionDatabase part(db.num_items());
+      for (size_t row = begin;
+           row < std::min(begin + rows, db.num_baskets()); ++row) {
+        ASSERT_TRUE(part.AddBasket(db.basket(row)).ok());
+      }
+      partitions.emplace_back(part);
+    }
+    ASSERT_EQ(partitions.size(), parts);
     for (int threads : {1, 3}) {
       ThreadPool pool(threads);
       std::vector<uint64_t> counts(queries.size(), 0);
-      provider.CountAllPresentBatch(queries, std::span<uint64_t>(counts),
-                                    &pool);
-      EXPECT_EQ(counts, expected) << shards << " shards, pool " << threads;
+      std::vector<uint64_t> partial(queries.size());
+      for (const CompressedVerticalIndex& partition : partitions) {
+        CountColumnBatch(plan, partition, std::span<uint64_t>(partial),
+                         &pool);
+        for (size_t q = 0; q < queries.size(); ++q) counts[q] += partial[q];
+      }
+      EXPECT_EQ(counts, expected) << parts << " partitions, pool " << threads;
     }
-    // Scalar grain agrees with the batch grain.
-    for (size_t q = 0; q < 32; ++q) {
-      EXPECT_EQ(provider.CountAllPresent(queries[q]), expected[q]);
-    }
-  }
-}
-
-TEST(CountingColumnTest, ProviderAppendMatchesRebuild) {
-  datagen::Rng rng(21);
-  TransactionDatabase base(60);
-  for (int b = 0; b < 3000; ++b) {
-    std::vector<ItemId> basket;
-    for (ItemId i = 0; i < 60; ++i) {
-      if (rng.NextBernoulli(0.1)) basket.push_back(i);
-    }
-    ASSERT_TRUE(base.AddBasket(std::move(basket)).ok());
-  }
-  auto sharded = ShardedTransactionDatabase::Partition(base, 3);
-  CompressedCountProvider provider(sharded);
-  // Append a delta that also widens the item space.
-  ASSERT_TRUE(sharded.GrowItemSpace(80).ok());
-  for (int b = 0; b < 500; ++b) {
-    std::vector<ItemId> basket;
-    for (ItemId i = 0; i < 80; ++i) {
-      if (rng.NextBernoulli(0.15)) basket.push_back(i);
-    }
-    ASSERT_TRUE(sharded.AddBasket(std::move(basket)).ok());
-  }
-  provider.AppendFrom(sharded);
-  const CompressedCountProvider rebuilt(sharded);
-  EXPECT_EQ(provider.num_baskets(), rebuilt.num_baskets());
-  for (int trial = 0; trial < 300; ++trial) {
-    const int k = 1 + static_cast<int>(rng.NextDouble() * 3.0);
-    std::set<ItemId> picked;
-    while (static_cast<int>(picked.size()) < k) {
-      picked.insert(static_cast<ItemId>(rng.NextDouble() * 80.0));
-    }
-    const Itemset query(std::vector<ItemId>(picked.begin(), picked.end()));
-    EXPECT_EQ(provider.CountAllPresent(query), rebuilt.CountAllPresent(query));
   }
 }
 

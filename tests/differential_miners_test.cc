@@ -18,7 +18,6 @@
 #include "core/chi_squared_miner.h"
 #include "datagen/quest_generator.h"
 #include "itemset/count_provider.h"
-#include "itemset/counting_column.h"
 #include "itemset/sharded_database.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
@@ -200,40 +199,6 @@ TEST(DifferentialMinersTest, VerdictsIdenticalAcrossShardsAndThreads) {
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Partition(db, shards);
     ShardedCountProvider provider(sharded);
-    for (int threads : {1, 8}) {
-      MinerOptions run = options;
-      run.num_threads = threads;
-      auto result = MineCorrelations(provider, db.num_items(), run);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(MiningFingerprint(*result), fingerprint)
-          << "shards " << shards << " threads " << threads;
-    }
-  }
-}
-
-// The compressed counting-column provider is a full K-invariant peer of
-// the bitmap provider: rules, statistics and per-level accounting must be
-// byte-identical to the monolithic bitmap baseline for any (shards,
-// threads) layout. Runs under TSan in verify.sh, so it also pins the
-// morsel-parallel batch path data-race-free.
-TEST(DifferentialMinersTest, CompressedProviderMatchesBitmapAcrossLayouts) {
-  TransactionDatabase db = SeededQuest(1997);
-  BitmapCountProvider reference(db);
-
-  MinerOptions options;
-  options.support.min_count = 10;
-  options.support.cell_fraction = 0.25;
-  options.chi2.min_expected_cell = 1.0;
-
-  auto baseline = MineCorrelations(reference, db.num_items(), options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const std::string fingerprint = MiningFingerprint(*baseline);
-  ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
-
-  for (size_t shards : {1, 2, 4, 7}) {
-    ShardedTransactionDatabase sharded =
-        ShardedTransactionDatabase::Partition(db, shards);
-    CompressedCountProvider provider(sharded);
     for (int threads : {1, 8}) {
       MinerOptions run = options;
       run.num_threads = threads;

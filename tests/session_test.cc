@@ -66,7 +66,7 @@ TEST(MiningSessionTest, MatchesStandaloneMinerForAnyShardThreadConfig) {
   std::string fingerprint = Fingerprint(*baseline);
   ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
 
-  for (int shards : {1, 2, 4}) {
+  for (int shards : {1, 2, 3, 4}) {
     for (int threads : {1, 4}) {
       SessionOptions options;
       options.num_shards = shards;
@@ -161,7 +161,7 @@ TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
     ASSERT_TRUE(combined.AddBasket(delta.basket(row)).ok());
   }
 
-  for (int shards : {1, 3}) {
+  for (int shards : {1, 2, 3}) {
     SessionOptions options;
     options.num_shards = shards;
     auto session = MiningSession::FromDatabase(base, options);
@@ -186,102 +186,30 @@ TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
 TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
   TransactionDatabase db = SeededQuest(1997);
 
-  // The batch-per-level contract (DESIGN.md §7) holds for EVERY provider
-  // strategy: no per-candidate scalar counts, and exactly one batch per
-  // level — the singleton marginals batch plus one per mined level. A
-  // provider without batch overrides would fall back to scalar counting
-  // and fail the scalar_calls == 0 pin. And one count per candidate: every
-  // proper subset's count is looked up from an earlier level, so the
-  // batches carry the items plus each level's candidates, nothing else.
-  for (const SessionProvider provider :
-       {SessionProvider::kBitmap, SessionProvider::kCompressed,
-        SessionProvider::kScan}) {
-    SessionOptions options;
-    options.num_shards = 2;
-    options.provider = provider;
-    auto session = MiningSession::FromDatabase(db, options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    EXPECT_EQ(session->provider_kind(), provider);
+  // The batch-per-level contract (DESIGN.md §7): no per-candidate scalar
+  // counts, and exactly one batch per level — the singleton marginals batch
+  // plus one per mined level. And one count per candidate: every proper
+  // subset's count is looked up from an earlier level, so the batches
+  // carry the items plus each level's candidates, nothing else.
+  SessionOptions options;
+  options.num_shards = 2;
+  auto session = MiningSession::FromDatabase(db, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
 
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.Reset();
-    auto result = session->Mine(TestMinerOptions());
-    ASSERT_TRUE(result.ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
+  auto result = session->Mine(TestMinerOptions());
+  ASSERT_TRUE(result.ok());
 
-    EXPECT_EQ(registry.GetCounter("count_provider.scalar_calls")->Value(),
-              0u)
-        << "provider " << static_cast<int>(provider);
-    EXPECT_EQ(registry.GetCounter("count_provider.batch_calls")->Value(),
-              result->levels.size() + 1)
-        << "provider " << static_cast<int>(provider);
-    uint64_t queries = db.num_items();
-    for (const LevelStats& level : result->levels) {
-      queries += level.candidates;
-    }
-    EXPECT_EQ(registry.GetCounter("count_provider.batch_queries")->Value(),
-              queries)
-        << "provider " << static_cast<int>(provider);
+  EXPECT_EQ(registry.GetCounter("count_provider.scalar_calls")->Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("count_provider.batch_calls")->Value(),
+            result->levels.size() + 1);
+  uint64_t queries = db.num_items();
+  for (const LevelStats& level : result->levels) {
+    queries += level.candidates;
   }
-}
-
-TEST(MiningSessionTest, AllProvidersAgreeAcrossShardsAndThreads) {
-  TransactionDatabase db = SeededQuest(1997);
-  BitmapCountProvider reference(db);
-  auto baseline =
-      MineCorrelations(reference, db.num_items(), TestMinerOptions());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const std::string fingerprint = Fingerprint(*baseline);
-  ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
-
-  for (const SessionProvider provider :
-       {SessionProvider::kBitmap, SessionProvider::kCompressed,
-        SessionProvider::kScan}) {
-    for (int shards : {1, 3}) {
-      for (int threads : {1, 4}) {
-        SessionOptions options;
-        options.provider = provider;
-        options.num_shards = shards;
-        options.num_threads = threads;
-        auto session = MiningSession::FromDatabase(db, options);
-        ASSERT_TRUE(session.ok()) << session.status().ToString();
-        auto result = session->Mine(TestMinerOptions());
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_EQ(Fingerprint(*result), fingerprint)
-            << "provider " << static_cast<int>(provider) << " shards "
-            << shards << " threads " << threads;
-      }
-    }
-  }
-}
-
-TEST(MiningSessionTest, AppendBatchWorksForEveryProvider) {
-  TransactionDatabase base = SeededQuest(1997);
-  TransactionDatabase delta = SeededQuest(4711);
-  TransactionDatabase combined = SeededQuest(1997);
-  for (size_t row = 0; row < delta.num_baskets(); ++row) {
-    ASSERT_TRUE(combined.AddBasket(delta.basket(row)).ok());
-  }
-
-  for (const SessionProvider provider :
-       {SessionProvider::kBitmap, SessionProvider::kCompressed,
-        SessionProvider::kScan}) {
-    SessionOptions options;
-    options.provider = provider;
-    options.num_shards = 2;
-    auto session = MiningSession::FromDatabase(base, options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
-    ASSERT_TRUE(session->AppendBatch(delta).ok());
-
-    auto scratch = MiningSession::FromDatabase(combined, options);
-    ASSERT_TRUE(scratch.ok());
-    auto appended = session->Mine(TestMinerOptions());
-    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
-    auto rebuilt = scratch->Mine(TestMinerOptions());
-    ASSERT_TRUE(rebuilt.ok());
-    EXPECT_EQ(Fingerprint(*appended), Fingerprint(*rebuilt))
-        << "provider " << static_cast<int>(provider);
-  }
+  EXPECT_EQ(registry.GetCounter("count_provider.batch_queries")->Value(),
+            queries);
 }
 
 }  // namespace

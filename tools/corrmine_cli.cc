@@ -18,11 +18,14 @@
 
 #include <algorithm>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/metrics.h"
@@ -73,14 +76,6 @@ constexpr char kUsage[] =
     "                             count per shard (default 1; 0 = one per\n"
     "                             hardware thread; output is identical for\n"
     "                             any K — see DESIGN.md §7)\n"
-    "      --provider NAME        counting strategy: bitmap (default,\n"
-    "                             per-shard uncompressed bitmap indexes),\n"
-    "                             compressed (hybrid array/bitmap/run\n"
-    "                             counting columns — memory tracks\n"
-    "                             occupancy, not the item x basket\n"
-    "                             rectangle), or scan (no index; re-scan\n"
-    "                             the row store per level). Mined output\n"
-    "                             is byte-identical for every provider\n"
     "      --out-of-core          never load the dataset: stream it into\n"
     "                             RAM-sized compressed CCS spill\n"
     "                             partitions while counting every item,\n"
@@ -89,8 +84,8 @@ constexpr char kUsage[] =
     "                             (DESIGN.md §12). Output is\n"
     "                             byte-identical to the in-memory mine;\n"
     "                             honors --threads and the mining flags,\n"
-    "                             excludes --provider/--shards/--names/\n"
-    "                             --resume-from/--append\n"
+    "                             excludes --shards/--names/--resume-from/\n"
+    "                             --append/--border-out\n"
     "      --memory-budget B      out-of-core resident-set target in bytes\n"
     "                             (default 268435456); partitions are\n"
     "                             sized so peak RSS stays near it\n"
@@ -222,18 +217,6 @@ StatusOr<SessionOptions> SessionOptionsFromFlags(const FlagParser& flags) {
   CORRMINE_ASSIGN_OR_RETURN(options.num_shards,
                             GetIntFlag(flags, "shards", 1));
   options.named_items = flags.GetBool("names", false);
-  const std::string provider = flags.GetString("provider", "bitmap");
-  if (provider == "bitmap") {
-    options.provider = SessionProvider::kBitmap;
-  } else if (provider == "compressed") {
-    options.provider = SessionProvider::kCompressed;
-  } else if (provider == "scan") {
-    options.provider = SessionProvider::kScan;
-  } else {
-    return Status::InvalidArgument(
-        "unknown --provider: " + provider +
-        " (expected bitmap, compressed, or scan)");
-  }
   return options;
 }
 
@@ -381,17 +364,17 @@ class ProfileOutGuard {
   bool enabled_ = false;
 };
 
-/// The --out-of-core mine path: never loads the dataset; streams it into
-/// CCS1 spill partitions under the --memory-budget and runs the two-pass
-/// partition miner (mining/partition.h). Output is byte-identical to the
-/// in-memory mine of the same file with the same mining flags.
+/// The --out-of-core mine path: never loads the dataset; streams it once
+/// into CCS spill partitions under the --memory-budget, then runs the
+/// level-wise walk with one sweep of the partitions per level
+/// (mining/partition.h). Output is byte-identical to the in-memory mine of
+/// the same file with the same mining flags.
 Status RunMineOutOfCore(const FlagParser& flags) {
   TraceOutGuard trace_guard(flags.GetString("trace-out", ""));
   ProfileOutGuard profile_guard(flags.GetString("profile-out", ""),
                                 flags.GetBool("pmu", false));
   for (const char* incompatible :
-       {"names", "resume-from", "append", "border-out", "provider",
-        "shards"}) {
+       {"names", "resume-from", "append", "border-out", "shards"}) {
     if (flags.HasFlag(incompatible)) {
       return Status::InvalidArgument(
           std::string("--out-of-core cannot be combined with --") +
@@ -479,11 +462,10 @@ Status RunMine(const FlagParser& flags) {
       // Rows past the snapshot's coverage are tail chunks appended since it
       // was written (ingest --append): fold them into the memo so the
       // repair only ever re-counts the delta.
-      TransactionDatabase flat = session.Flatten();
-      TransactionDatabase tail(flat.num_items());
-      for (size_t row = state->num_baskets; row < flat.num_baskets();
-           ++row) {
-        CORRMINE_RETURN_NOT_OK(tail.AddBasket(flat.basket(row)));
+      const ShardedTransactionDatabase& db = session.database();
+      TransactionDatabase tail(db.num_items());
+      for (size_t row = state->num_baskets; row < db.num_baskets(); ++row) {
+        CORRMINE_RETURN_NOT_OK(tail.AddBasket(db.basket(row)));
       }
       CORRMINE_RETURN_NOT_OK(ApplyAppendedChunk(&*state, tail));
       std::cerr << "[repair] folded " << tail.num_baskets()
@@ -776,6 +758,33 @@ Status RunGenerate(const FlagParser& flags) {
   return Status::OK();
 }
 
+/// A command, its entry point, and every flag it reads. Main rejects any
+/// other flag (beyond the global --kernel and --help) before running it, so
+/// a misspelled flag fails loudly instead of leaving its default in place.
+struct Command {
+  std::string_view name;
+  Status (*run)(const FlagParser&);
+  std::vector<std::string_view> flags;
+};
+
+const Command kCommands[] = {
+    {"mine",
+     RunMine,
+     {"names", "support-count", "cell-fraction", "confidence-level",
+      "max-level", "min-expected", "threads", "shards", "out-of-core",
+      "memory-budget", "partition-budget", "spill-dir", "keep-spill", "algo",
+      "walks", "resume-from", "append", "border-out", "out", "stats-json",
+      "stats", "trace-out", "pmu", "profile-out", "progress", "report",
+      "fdr"}},
+    {"check", RunCheck, {"items", "rounds", "threads", "shards", "names"}},
+    {"dependencies", RunDependencies, {"confidence-level", "min-expected"}},
+    {"rules",
+     RunRules,
+     {"min-support", "min-confidence", "algo", "threads", "shards", "names"}},
+    {"ingest", RunIngest, {"append", "retire"}},
+    {"generate", RunGenerate, {"out", "seed", "baskets", "format"}},
+};
+
 int Main(int argc, const char* const* argv) {
   auto flags_or = FlagParser::Parse(argc - 1, argv + 1);
   if (!flags_or.ok()) {
@@ -788,6 +797,23 @@ int Main(int argc, const char* const* argv) {
     return flags.positional().empty() && !flags.GetBool("help", false) ? 2
                                                                        : 0;
   }
+  const std::string& command = flags.positional()[0];
+  const Command* entry =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return c.name == command; });
+  if (entry == std::end(kCommands)) {
+    std::cerr << "unknown command: " << command << "\n" << kUsage;
+    return 2;
+  }
+  for (const std::string& name : flags.FlagNames()) {
+    if (name != "kernel" && name != "help" &&
+        std::find(entry->flags.begin(), entry->flags.end(), name) ==
+            entry->flags.end()) {
+      std::cerr << command << ": unknown flag --" << name
+                << " (see --help)\n";
+      return 2;
+    }
+  }
   // Resolve the counting kernel before any command touches a bitmap.
   const std::string kernel = flags.GetString("kernel", "");
   if (!kernel.empty()) {
@@ -797,29 +823,13 @@ int Main(int argc, const char* const* argv) {
       return 2;
     }
   }
-  const std::string& command = flags.positional()[0];
   Status status = Status::OK();
   // Running out of memory ends the command with a Status, never an abort:
   // regions report std::bad_alloc as ResourceExhausted themselves, and
   // this catches it everywhere else (loading, index build, output, a pool
   // that cannot start its threads).
   try {
-    if (command == "mine") {
-      status = RunMine(flags);
-    } else if (command == "check") {
-      status = RunCheck(flags);
-    } else if (command == "dependencies") {
-      status = RunDependencies(flags);
-    } else if (command == "rules") {
-      status = RunRules(flags);
-    } else if (command == "ingest") {
-      status = RunIngest(flags);
-    } else if (command == "generate") {
-      status = RunGenerate(flags);
-    } else {
-      std::cerr << "unknown command: " << command << "\n" << kUsage;
-      return 2;
-    }
+    status = entry->run(flags);
   } catch (const std::bad_alloc&) {
     status = Status::ResourceExhausted("out of memory running " + command);
   } catch (const std::system_error& e) {
