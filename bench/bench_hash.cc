@@ -1,6 +1,7 @@
-// Ablation for the paper's Section 4 implementation choice: perfect hash
-// tables (FKS static / dynamic) versus std::unordered_map for the NOTSIG
-// and CAND membership tests driving candidate generation.
+// Ablation for the paper's Section 4 implementation choice: static hash
+// tables (FKS over 64-bit keys; the miner's flat ItemsetTable over item
+// arenas) versus the standard unordered containers for the NOTSIG
+// membership tests driving candidate generation.
 
 #include "common/logging.h"
 #include <unordered_map>
@@ -10,9 +11,8 @@
 
 #include "bench_metrics.h"
 
-#include "hash/dynamic_perfect_hash.h"
 #include "hash/fks_perfect_hash.h"
-#include "hash/itemset_set.h"
+#include "hash/itemset_table.h"
 #include "hash/universal_hash.h"
 
 namespace corrmine::hash {
@@ -37,17 +37,6 @@ void BM_FksLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_FksLookupHit)->Arg(1000)->Arg(100000);
 
-void BM_DynamicPerfectLookupHit(benchmark::State& state) {
-  auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
-  DynamicPerfectHash table;
-  for (size_t i = 0; i < keys.size(); ++i) table.Insert(keys[i], i);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Find(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_DynamicPerfectLookupHit)->Arg(1000)->Arg(100000);
-
 void BM_UnorderedMapLookupHit(benchmark::State& state) {
   auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
   std::unordered_map<uint64_t, uint64_t> table;
@@ -59,81 +48,91 @@ void BM_UnorderedMapLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_UnorderedMapLookupHit)->Arg(1000)->Arg(100000);
 
-void BM_DynamicPerfectLookupMiss(benchmark::State& state) {
-  auto keys = MakeKeys(100000);
-  DynamicPerfectHash table;
-  for (size_t i = 0; i < keys.size(); ++i) table.Insert(keys[i], i);
-  uint64_t probe = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Find(probe++));
-  }
-}
-BENCHMARK(BM_DynamicPerfectLookupMiss);
+/// Every width-`width` itemset over items [0, universe) in lex order,
+/// split by item-sum parity: even sums are the members, odd sums the
+/// misses (same width, so a miss walks a probe sequence, not a size check).
+struct ItemsetWorkload {
+  std::vector<Itemset> members;
+  std::vector<Itemset> misses;
+};
 
-void BM_UnorderedMapLookupMiss(benchmark::State& state) {
-  auto keys = MakeKeys(100000);
-  std::unordered_map<uint64_t, uint64_t> table;
-  for (size_t i = 0; i < keys.size(); ++i) table.emplace(keys[i], i);
-  uint64_t probe = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find(probe++));
-  }
-}
-BENCHMARK(BM_UnorderedMapLookupMiss);
-
-void BM_DynamicPerfectInsert(benchmark::State& state) {
-  auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    DynamicPerfectHash table;
-    for (size_t i = 0; i < keys.size(); ++i) table.Insert(keys[i], i);
-    benchmark::DoNotOptimize(table.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DynamicPerfectInsert)->Arg(1000)->Arg(30000);
-
-void BM_UnorderedMapInsert(benchmark::State& state) {
-  auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::unordered_map<uint64_t, uint64_t> table;
-    for (size_t i = 0; i < keys.size(); ++i) table.emplace(keys[i], i);
-    benchmark::DoNotOptimize(table.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_UnorderedMapInsert)->Arg(1000)->Arg(30000);
-
-void BM_ItemsetPerfectSetContains(benchmark::State& state) {
-  ItemsetPerfectSet set;
-  std::vector<Itemset> itemsets;
-  for (ItemId a = 0; a < 200; ++a) {
-    for (ItemId b = a + 1; b < 200; ++b) {
-      itemsets.push_back(Itemset{a, b});
+ItemsetWorkload MakeItemsets(size_t width) {
+  const ItemId universe = width == 2 ? 200 : 120;
+  ItemsetWorkload out;
+  std::vector<ItemId> items(width);
+  auto emit = [&](auto&& self, size_t pos, ItemId first, uint64_t sum) {
+    if (pos == width) {
+      (sum % 2 == 0 ? out.members : out.misses).push_back(Itemset(items));
+      return;
     }
+    for (ItemId item = first; item < universe; ++item) {
+      items[pos] = item;
+      self(self, pos + 1, item + 1, sum + item);
+    }
+  };
+  emit(emit, 0, 0, 0);
+  return out;
+}
+
+ItemsetTable BuildTable(const std::vector<Itemset>& members,
+                              size_t width) {
+  std::vector<ItemId> arena;
+  for (const Itemset& s : members) {
+    arena.insert(arena.end(), s.begin(), s.end());
   }
-  for (const Itemset& s : itemsets) set.Insert(s);
+  auto table = ItemsetTable::Build(width, std::move(arena));
+  CORRMINE_CHECK(table.ok()) << table.status().ToString();
+  return std::move(*table);
+}
+
+// Arg = itemset width: pairs over 200 items (9 900 members) or triples over
+// 120 items (140 420 members, past L2).
+void BM_ItemsetTableFindHit(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  ItemsetWorkload work = MakeItemsets(width);
+  ItemsetTable table = BuildTable(work.members, width);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(set.Contains(itemsets[i++ % itemsets.size()]));
+    benchmark::DoNotOptimize(
+        table.Find(work.members[i++ % work.members.size()].items()));
   }
 }
-BENCHMARK(BM_ItemsetPerfectSetContains);
+BENCHMARK(BM_ItemsetTableFindHit)->Arg(2)->Arg(3);
 
-void BM_UnorderedItemsetSetContains(benchmark::State& state) {
-  std::unordered_set<Itemset, ItemsetHasher> set;
-  std::vector<Itemset> itemsets;
-  for (ItemId a = 0; a < 200; ++a) {
-    for (ItemId b = a + 1; b < 200; ++b) {
-      itemsets.push_back(Itemset{a, b});
-    }
-  }
-  set.insert(itemsets.begin(), itemsets.end());
+void BM_ItemsetTableFindMiss(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  ItemsetWorkload work = MakeItemsets(width);
+  ItemsetTable table = BuildTable(work.members, width);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(set.count(itemsets[i++ % itemsets.size()]));
+    benchmark::DoNotOptimize(
+        table.Find(work.misses[i++ % work.misses.size()].items()));
   }
 }
-BENCHMARK(BM_UnorderedItemsetSetContains);
+BENCHMARK(BM_ItemsetTableFindMiss)->Arg(2)->Arg(3);
+
+void BM_UnorderedItemsetSetHit(benchmark::State& state) {
+  ItemsetWorkload work = MakeItemsets(static_cast<size_t>(state.range(0)));
+  std::unordered_set<Itemset, ItemsetHasher> set(work.members.begin(),
+                                                 work.members.end());
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        set.count(work.members[i++ % work.members.size()]));
+  }
+}
+BENCHMARK(BM_UnorderedItemsetSetHit)->Arg(2)->Arg(3);
+
+void BM_UnorderedItemsetSetMiss(benchmark::State& state) {
+  ItemsetWorkload work = MakeItemsets(static_cast<size_t>(state.range(0)));
+  std::unordered_set<Itemset, ItemsetHasher> set(work.members.begin(),
+                                                 work.members.end());
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.count(work.misses[i++ % work.misses.size()]));
+  }
+}
+BENCHMARK(BM_UnorderedItemsetSetMiss)->Arg(2)->Arg(3);
 
 }  // namespace
 }  // namespace corrmine::hash

@@ -5,7 +5,11 @@
 //    on 1996 hardware for these; we report ours for the record);
 //  - support pruning on/off, p-level sweep, alpha sweep;
 //  - level-1 pruning mode ablation (Figure 1 strict vs feasibility bound);
-//  - Apriori baseline cost on the same data.
+//  - Apriori baseline cost on the same data;
+//  - B1, the ROADMAP's mid-size mine, at 1 and 4 threads: miner.mine and
+//    its count/evaluate/generate split, and peak RSS. It runs first, so the
+//    RSS it prints is its own. A 1-thread B1 mine takes seconds to tens of
+//    seconds, which keeps this harness out of scripts/verify.sh.
 
 #include "common/logging.h"
 
@@ -15,7 +19,10 @@
 #include <iostream>
 #include <string>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "core/chi_squared_miner.h"
+#include "core/session.h"
 #include "datagen/census_generator.h"
 #include "datagen/quest_generator.h"
 #include "io/table_printer.h"
@@ -60,11 +67,55 @@ void Report(io::TablePrinter* table, const std::string& name,
                  std::to_string(run.levels)});
 }
 
+/// B1: `generate quest --baskets 20000`, then `mine --support-count 600
+/// --cell-fraction 0.26`, mined through a MiningSession as the CLI does,
+/// with one registry per run for the phase split.
+void RunB1() {
+  datagen::QuestOptions quest;
+  quest.num_transactions = 20000;
+  auto db = datagen::GenerateQuestData(quest);
+  CORRMINE_CHECK(db.ok()) << db.status().ToString();
+  std::printf("== B1: Quest n=20000, support count 600, p=0.26 ==\n");
+  io::TablePrinter table({"threads", "miner.mine s", "count_batch s",
+                          "evaluate s", "generate s", "candidates", "sig",
+                          "peak RSS MiB"});
+  for (int threads : {1, 4}) {
+    MetricsRegistry registry;
+    SessionOptions session_options;
+    session_options.num_threads = threads;
+    session_options.metrics = &registry;
+    auto session = MiningSession::FromDatabase(*db, session_options);
+    CORRMINE_CHECK(session.ok()) << session.status().ToString();
+    MinerOptions options;
+    options.support.min_count = 600;
+    options.support.cell_fraction = 0.26;
+    auto result = session->Mine(options);
+    CORRMINE_CHECK(result.ok()) << result.status().ToString();
+    auto seconds = [&](const char* phase) {
+      const double ns = static_cast<double>(
+          registry.GetHistogram(std::string(phase) + ".ns")->Value().sum);
+      return io::FormatDouble(ns / 1e9, 3);
+    };
+    uint64_t candidates = 0;
+    for (const LevelStats& level : result->levels) {
+      candidates += level.candidates;
+    }
+    table.AddRow({std::to_string(threads), seconds("miner.mine"),
+                  seconds("miner.count_batch"), seconds("miner.evaluate"),
+                  seconds("miner.generate"), std::to_string(candidates),
+                  std::to_string(result->significant.size()),
+                  std::to_string(PeakRssBytes() >> 20)});
+  }
+  table.Print(std::cout);
+  std::printf("\n");
+}
+
 }  // namespace
 }  // namespace corrmine
 
 int main() {
   using namespace corrmine;
+  RunB1();
 
   std::printf("== End-to-end mining timings ==\n");
   std::printf(

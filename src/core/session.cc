@@ -163,7 +163,7 @@ StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequentEclat(
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
-  auto result = MineFrequentItemsetsEclat(db_, options);
+  auto result = MineFrequentItemsetsEclat(db_, *provider_, options);
   PublishMemoryGauges();
   return result;
 }

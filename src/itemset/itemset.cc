@@ -61,9 +61,9 @@ std::vector<Itemset> Itemset::SubsetsMissingOne() const {
   return subsets;
 }
 
-uint64_t HashItems(std::span<const ItemId> items) {
+uint64_t Itemset::Hash() const {
   uint64_t h = 1469598103934665603ULL;  // FNV offset basis.
-  for (ItemId item : items) {
+  for (ItemId item : items_) {
     for (int b = 0; b < 4; ++b) {
       h ^= (item >> (8 * b)) & 0xffU;
       h *= 1099511628211ULL;  // FNV prime.

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -12,12 +11,6 @@ namespace corrmine {
 /// Items are dense integer ids assigned by an ItemDictionary (or directly by
 /// a generator). The id space is expected to be contiguous from 0.
 using ItemId = uint32_t;
-
-/// FNV-1a over the bytes of a sorted item sequence; stable across runs.
-/// Itemset::Hash is this function of the set's items, so a probe keyed by a
-/// bare item span (hash::ItemsetPerfectSet::Find) hashes exactly like the
-/// stored Itemset it is looking for.
-uint64_t HashItems(std::span<const ItemId> items);
 
 /// An itemset: a sorted, duplicate-free set of item ids. Value type with
 /// cheap copies for the small sets mining works with (sizes 1..~10).
@@ -59,8 +52,8 @@ class Itemset {
   /// All subsets obtained by removing exactly one item, in removal order.
   std::vector<Itemset> SubsetsMissingOne() const;
 
-  /// HashItems of the sorted contents.
-  uint64_t Hash() const { return HashItems(items_); }
+  /// FNV-1a over the bytes of the sorted items; stable across runs.
+  uint64_t Hash() const;
 
   /// "{3, 7, 12}" — for logs and test failure messages.
   std::string ToString() const;

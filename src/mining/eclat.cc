@@ -61,17 +61,11 @@ void Extend(const Itemset& prefix, const Bitmap& prefix_rows,
   }
 }
 
-/// Per-shard basket set of an itemset: one bitmap per database shard.
-/// Support is the sum of per-shard popcounts, exact by construction.
-struct ShardedRows {
-  std::vector<Bitmap> rows;
-
-  uint64_t Count() const {
-    uint64_t total = 0;
-    for (const Bitmap& b : rows) total += b.Count();
-    return total;
-  }
-};
+/// Per-shard basket set of an itemset: one bitmap per database shard,
+/// borrowed from the shard indexes for singletons and from the owning
+/// extension below them. Support is the sum of per-shard popcounts, exact
+/// by construction.
+using ShardedRows = std::vector<const Bitmap*>;
 
 /// Sharded analog of Extend: one *logical* intersection per tail item (K
 /// short per-shard ANDs), counted once so "eclat.intersections" is
@@ -83,32 +77,33 @@ void ExtendSharded(const Itemset& prefix, const ShardedRows& prefix_rows,
       static_cast<int>(prefix.size()) >= state.max_level) {
     return;
   }
-  std::vector<std::pair<ItemId, ShardedRows>> extensions;
+  std::vector<std::pair<ItemId, std::vector<Bitmap>>> extensions;
   std::vector<uint64_t> extension_counts;
   for (const auto& [item, rows] : tail) {
     ++*state.intersections;
-    ShardedRows joined;
-    joined.rows.reserve(prefix_rows.rows.size());
+    std::vector<Bitmap> joined(prefix_rows.size());
     uint64_t count = 0;
-    for (size_t s = 0; s < prefix_rows.rows.size(); ++s) {
-      Bitmap b;
-      count += Bitmap::AndCountInto(prefix_rows.rows[s], rows->rows[s], &b);
-      joined.rows.push_back(std::move(b));
+    for (size_t s = 0; s < prefix_rows.size(); ++s) {
+      count += Bitmap::AndCountInto(*prefix_rows[s], *(*rows)[s], &joined[s]);
     }
     if (count >= state.min_count) {
       extensions.emplace_back(item, std::move(joined));
       extension_counts.push_back(count);
     }
   }
+  std::vector<ShardedRows> views(extensions.size());
+  for (size_t i = 0; i < extensions.size(); ++i) {
+    for (const Bitmap& b : extensions[i].second) views[i].push_back(&b);
+  }
   for (size_t i = 0; i < extensions.size(); ++i) {
     Itemset extended = prefix.WithItem(extensions[i].first);
     state.out->push_back(FrequentItemset{extended, extension_counts[i]});
     std::vector<std::pair<ItemId, const ShardedRows*>> next_tail;
     for (size_t j = i + 1; j < extensions.size(); ++j) {
-      next_tail.emplace_back(extensions[j].first, &extensions[j].second);
+      next_tail.emplace_back(extensions[j].first, &views[j]);
     }
     if (!next_tail.empty()) {
-      ExtendSharded(extended, extensions[i].second, next_tail, state);
+      ExtendSharded(extended, views[i], next_tail, state);
     }
   }
 }
@@ -213,28 +208,27 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
 
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const ShardedTransactionDatabase& db, const EclatOptions& options) {
+  return MineFrequentItemsetsEclat(db, ShardedCountProvider(db), options);
+}
+
+StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
+    const ShardedTransactionDatabase& db, const ShardedCountProvider& index,
+    const EclatOptions& options) {
   CORRMINE_RETURN_NOT_OK(ValidateEclatOptions(db.num_baskets(), options));
   uint64_t min_count =
       EclatMinCount(db.num_baskets(), options.min_support_fraction);
 
-  // One vertical index per shard; a singleton's basket set is its
-  // per-shard bitmap vector. Marginals come from the database's exact
-  // per-shard sums, so the frequent-singleton set matches the monolithic
-  // overload bit for bit.
-  const size_t num_shards = db.num_shards();
-  std::vector<VerticalIndex> indexes;
-  indexes.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) indexes.emplace_back(db.shard(s));
-
+  // A singleton's basket set is its bitmap in each shard's index.
+  // Marginals come from the database's exact per-shard sums, so the
+  // frequent-singleton set matches the monolithic overload bit for bit.
   std::vector<ItemId> frequent_ids;
   std::vector<ShardedRows> frequent_rows;
   for (ItemId i = 0; i < db.num_items(); ++i) {
     if (db.ItemCount(i) < min_count) continue;
     frequent_ids.push_back(i);
     ShardedRows rows;
-    rows.rows.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      rows.rows.push_back(indexes[s].item_bitmap(i));
+    for (size_t s = 0; s < index.num_shards(); ++s) {
+      rows.push_back(&index.shard_index(s).item_bitmap(i));
     }
     frequent_rows.push_back(std::move(rows));
   }
@@ -259,7 +253,7 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
                            &branch_intersections[i]};
           Itemset single{frequent_ids[i]};
           branch_results[i].push_back(
-              FrequentItemset{single, frequent_rows[i].Count()});
+              FrequentItemset{single, db.ItemCount(frequent_ids[i])});
           std::vector<std::pair<ItemId, const ShardedRows*>> tail;
           tail.reserve(frequent_ids.size() - i - 1);
           for (size_t j = i + 1; j < frequent_ids.size(); ++j) {

@@ -46,6 +46,12 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const ShardedTransactionDatabase& db, const EclatOptions& options = {});
 
+/// The shard-native overload over per-shard indexes built already (a
+/// MiningSession's provider, built over `db`), so the mine builds none.
+StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
+    const ShardedTransactionDatabase& db, const ShardedCountProvider& index,
+    const EclatOptions& options = {});
+
 }  // namespace corrmine
 
 #endif  // CORRMINE_MINING_ECLAT_H_

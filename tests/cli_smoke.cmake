@@ -52,6 +52,13 @@ foreach(arg "--suport-count;25" "--provider;compressed")
     message(FATAL_ERROR "mine ${arg} should exit 2 naming ${flag}: ${rc} ${err}")
   endif()
 endforeach()
+# `check` reads its file into one row store: it has no shards to set.
+execute_process(
+  COMMAND ${CLI} check ${WORKDIR}/smoke.txt --items 0,1 --rounds 5 --shards 2
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --shards")
+  message(FATAL_ERROR "check --shards 2 should exit 2 naming --shards: ${rc} ${err}")
+endif()
 
 # A ten-byte varint whose last byte carries bits past 2^64 is corrupt to
 # every CMB1 reader: the out-of-core stream must refuse the file exactly

@@ -17,6 +17,7 @@
 #include "core/brute_force.h"
 #include "core/chi_squared_miner.h"
 #include "datagen/quest_generator.h"
+#include "datagen/rng.h"
 #include "itemset/count_provider.h"
 #include "itemset/sharded_database.h"
 #include "mining/apriori.h"
@@ -238,6 +239,34 @@ TEST(DifferentialMinersTest, ShardedEclatMatchesMonolithic) {
   }
 }
 
+/// The level-wise miner's rules and level stats against the brute-force
+/// reference's. The brute-force miner enumerates in lexicographic order per
+/// level; the level-wise miner streams joins. Compare as sets plus level
+/// stats.
+void ExpectMatchesBruteForce(const MiningResult& level_wise,
+                             const MiningResult& brute) {
+  auto sorted_rules = [](const MiningResult& r) {
+    std::vector<std::pair<Itemset, double>> rules;
+    for (const CorrelationRule& rule : r.significant) {
+      rules.emplace_back(rule.itemset, rule.chi2.statistic);
+    }
+    std::sort(rules.begin(), rules.end());
+    return rules;
+  };
+  EXPECT_EQ(sorted_rules(level_wise), sorted_rules(brute));
+  ASSERT_EQ(level_wise.levels.size(), brute.levels.size());
+  for (size_t i = 0; i < level_wise.levels.size(); ++i) {
+    const LevelStats& a = level_wise.levels[i];
+    const LevelStats& b = brute.levels[i];
+    EXPECT_EQ(a.candidates, b.candidates) << "level " << a.level;
+    EXPECT_EQ(a.discards, b.discards) << "level " << a.level;
+    EXPECT_EQ(a.chi2_tests, b.chi2_tests) << "level " << a.level;
+    EXPECT_EQ(a.masked_cells, b.masked_cells) << "level " << a.level;
+    EXPECT_EQ(a.significant, b.significant) << "level " << a.level;
+    EXPECT_EQ(a.not_significant, b.not_significant) << "level " << a.level;
+  }
+}
+
 TEST(DifferentialMinersTest, LevelWiseMatchesBruteForceMiner) {
   TransactionDatabase db = SeededQuest(7);
   BitmapCountProvider provider(db);
@@ -252,28 +281,49 @@ TEST(DifferentialMinersTest, LevelWiseMatchesBruteForceMiner) {
   auto brute = MineCorrelationsBruteForce(provider, db.num_items(), options,
                                           /*max_level=*/4);
   ASSERT_TRUE(brute.ok()) << brute.status().ToString();
+  ExpectMatchesBruteForce(*level_wise, *brute);
+}
 
-  // The brute-force miner enumerates in lexicographic order per level; the
-  // level-wise miner streams joins. Compare as sets plus level stats.
-  auto sorted_rules = [](const MiningResult& r) {
-    std::vector<std::pair<Itemset, double>> rules;
-    for (const CorrelationRule& rule : r.significant) {
-      rules.emplace_back(rule.itemset, rule.chi2.statistic);
+// A lattice five levels deep: level 5's candidates are joined from level
+// 4's NOTSIG members, so evaluating them follows the subset indexes Step 8
+// carried from level 5 down through levels 4 and 3 to level 2. Three items
+// share a latent cause and the other nine are independent, and the strict
+// cutoff keeps most small sets NOTSIG, so every level past 2 holds
+// hundreds of candidates with discards, SIG and NOTSIG at level 5.
+TEST(DifferentialMinersTest, LevelWiseMatchesBruteForceMinerToLevelFive) {
+  datagen::Rng rng(3);
+  TransactionDatabase db(12);
+  for (int row = 0; row < 850; ++row) {
+    const bool cause = rng.NextBelow(2) == 0;
+    std::vector<ItemId> basket;
+    for (ItemId i = 0; i < db.num_items(); ++i) {
+      const uint64_t percent = i < 3 ? (cause ? 75 : 25) : 25 + 3 * i;
+      if (rng.NextBelow(100) < percent) basket.push_back(i);
     }
-    std::sort(rules.begin(), rules.end());
-    return rules;
-  };
-  EXPECT_EQ(sorted_rules(*level_wise), sorted_rules(*brute));
-  ASSERT_EQ(level_wise->levels.size(), brute->levels.size());
-  for (size_t i = 0; i < level_wise->levels.size(); ++i) {
-    const LevelStats& a = level_wise->levels[i];
-    const LevelStats& b = brute->levels[i];
-    EXPECT_EQ(a.candidates, b.candidates) << "level " << a.level;
-    EXPECT_EQ(a.discards, b.discards) << "level " << a.level;
-    EXPECT_EQ(a.chi2_tests, b.chi2_tests) << "level " << a.level;
-    EXPECT_EQ(a.masked_cells, b.masked_cells) << "level " << a.level;
-    EXPECT_EQ(a.significant, b.significant) << "level " << a.level;
-    EXPECT_EQ(a.not_significant, b.not_significant) << "level " << a.level;
+    ASSERT_TRUE(db.AddBasket(std::move(basket)).ok());
+  }
+  BitmapCountProvider provider(db);
+
+  MinerOptions options;
+  options.confidence_level = 0.9999;
+  options.support.min_count = 25;
+  options.support.cell_fraction = 0.5;
+  options.chi2.min_expected_cell = 1.0;
+  options.max_level = 5;
+  auto brute = MineCorrelationsBruteForce(provider, db.num_items(), options,
+                                          /*max_level=*/5);
+  ASSERT_TRUE(brute.ok()) << brute.status().ToString();
+  ASSERT_EQ(brute->levels.size(), 4u);
+  EXPECT_GT(brute->levels[2].not_significant, 0u);
+  EXPECT_GT(brute->levels[3].candidates, 0u);
+  EXPECT_GT(brute->levels[3].discards, 0u);
+  EXPECT_GT(brute->levels[3].not_significant, 0u);
+  for (int threads : {1, 4}) {
+    options.num_threads = threads;
+    auto level_wise = MineCorrelations(provider, db.num_items(), options);
+    ASSERT_TRUE(level_wise.ok()) << level_wise.status().ToString();
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExpectMatchesBruteForce(*level_wise, *brute);
   }
 }
 

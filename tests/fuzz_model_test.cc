@@ -2,13 +2,15 @@
 // operation sequences and compare against trusted standard-library models,
 // plus robustness checks feeding random bytes into the parsers.
 
+#include <algorithm>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/chi_squared_miner.h"
 #include "datagen/rng.h"
-#include "hash/itemset_set.h"
+#include "hash/itemset_table.h"
 #include "io/csv.h"
 #include "io/result_io.h"
 #include "io/transaction_io.h"
@@ -63,35 +65,67 @@ TEST_P(ItemsetModel, OperationsMatchStdSet) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ItemsetModel,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// --- ItemsetPerfectSet vs std::set<Itemset> ---
+// --- hash::ItemsetTable vs std::set<Itemset> ---
 
-class PerfectSetModel : public ::testing::TestWithParam<uint64_t> {};
+class ItemsetTableModel : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PerfectSetModel, InsertContainsMatchReference) {
-  datagen::Rng rng(GetParam() * 31);
-  hash::ItemsetPerfectSet subject;
-  std::set<Itemset> model;
-  for (int op = 0; op < 2000; ++op) {
-    std::vector<ItemId> items;
-    size_t size = 1 + rng.NextBelow(4);
-    for (size_t i = 0; i < size; ++i) {
-      items.push_back(static_cast<ItemId>(rng.NextBelow(12)));
+/// `width` distinct items drawn below `universe`, as a sorted Itemset.
+Itemset RandomItemset(datagen::Rng* rng, size_t width, ItemId universe) {
+  std::set<ItemId> items;
+  while (items.size() < width) {
+    items.insert(static_cast<ItemId>(rng->NextBelow(universe)));
+  }
+  return Itemset(std::vector<ItemId>(items.begin(), items.end()));
+}
+
+/// Builds a table over `model` in lex order (the order a NOTSIG level is
+/// committed in) and checks Find against it: every member at its build
+/// index, and random probes of the table's width and of the next width,
+/// present or absent.
+void ExpectTableMatchesModel(const std::set<Itemset>& model, size_t width,
+                             datagen::Rng* rng) {
+  std::vector<ItemId> arena;
+  for (const Itemset& s : model) arena.insert(arena.end(), s.begin(), s.end());
+  auto table = hash::ItemsetTable::Build(width, arena);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->size(), model.size());
+  size_t index = 0;
+  for (const Itemset& s : model) {
+    ASSERT_EQ(table->Find(s.items()), index) << s.ToString();
+    ++index;
+  }
+  for (int probe = 0; probe < 500; ++probe) {
+    const Itemset s = RandomItemset(rng, width, 16);
+    const uint32_t found = table->Find(s.items());
+    if (model.count(s) == 0) {
+      ASSERT_EQ(found, hash::ItemsetTable::kAbsent) << s.ToString();
+    } else {
+      ASSERT_NE(found, hash::ItemsetTable::kAbsent) << s.ToString();
+      ASSERT_TRUE(std::ranges::equal(table->member(found), s.items()));
     }
-    Itemset s(items);
-    bool was_new = model.insert(s).second;
-    ASSERT_EQ(subject.Insert(s), was_new) << s.ToString();
-    ASSERT_EQ(subject.size(), model.size());
-    // Spot-check membership of a random probe.
-    std::vector<ItemId> probe_items;
-    for (size_t i = 0; i < 1 + rng.NextBelow(4); ++i) {
-      probe_items.push_back(static_cast<ItemId>(rng.NextBelow(12)));
-    }
-    Itemset probe(probe_items);
-    ASSERT_EQ(subject.Contains(probe), model.count(probe) > 0);
+    ASSERT_EQ(table->Find(RandomItemset(rng, width + 1, 16).items()),
+              hash::ItemsetTable::kAbsent);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PerfectSetModel,
+TEST_P(ItemsetTableModel, FindMatchesReference) {
+  datagen::Rng rng(GetParam() * 31);
+  for (size_t width = 2; width <= 5; ++width) {
+    // About half of the C(16, width) possible itemsets, so probes hit and
+    // miss alike.
+    std::set<Itemset> model;
+    while (model.size() < BinomialCount(16, width) / 2) {
+      model.insert(RandomItemset(&rng, width, 16));
+    }
+    ExpectTableMatchesModel(model, width, &rng);
+    ExpectTableMatchesModel({}, width, &rng);
+    ExpectTableMatchesModel({*model.begin()}, width, &rng);
+  }
+  EXPECT_EQ(hash::ItemsetTable().Find(Itemset{1, 2}.items()),
+            hash::ItemsetTable::kAbsent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ItemsetTableModel,
                          ::testing::Values(10, 20, 30, 40));
 
 // --- Parser robustness: random bytes must never crash, only error ---

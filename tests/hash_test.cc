@@ -1,11 +1,9 @@
-#include <unordered_map>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
-#include "hash/dynamic_perfect_hash.h"
 #include "hash/fks_perfect_hash.h"
-#include "hash/itemset_set.h"
+#include "hash/itemset_table.h"
 #include "hash/universal_hash.h"
 
 namespace corrmine::hash {
@@ -83,105 +81,35 @@ TEST(FksTest, SpaceIsLinear) {
   EXPECT_LE(table->slot_count(), 4 * keys.size());
 }
 
-// --- Dynamic perfect hashing ---
+// --- Static itemset table ---
 
-TEST(DynamicPerfectHashTest, InsertFindErase) {
-  DynamicPerfectHash table;
-  EXPECT_TRUE(table.Insert(10, 100));
-  EXPECT_TRUE(table.Insert(20, 200));
-  EXPECT_FALSE(table.Insert(10, 111));  // Overwrite, not new.
-  ASSERT_TRUE(table.Find(10).has_value());
-  EXPECT_EQ(*table.Find(10), 111u);
-  EXPECT_EQ(*table.Find(20), 200u);
-  EXPECT_FALSE(table.Find(30).has_value());
-  EXPECT_TRUE(table.Erase(10));
-  EXPECT_FALSE(table.Erase(10));
-  EXPECT_FALSE(table.Contains(10));
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(DynamicPerfectHashTest, ChurnMatchesReferenceMap) {
-  DynamicPerfectHash table;
-  std::unordered_map<uint64_t, uint64_t> reference;
-  SplitMix64 rng(123);
-  for (int op = 0; op < 20000; ++op) {
-    uint64_t key = rng.Next() % 512;  // Small key space forces collisions.
-    uint64_t action = rng.Next() % 3;
-    if (action < 2) {
-      uint64_t value = rng.Next();
-      bool was_new = !reference.count(key);
-      EXPECT_EQ(table.Insert(key, value), was_new);
-      reference[key] = value;
-    } else {
-      EXPECT_EQ(table.Erase(key), reference.erase(key) > 0);
-    }
-    if (op % 500 == 0) {
-      EXPECT_EQ(table.size(), reference.size());
-    }
-  }
-  EXPECT_EQ(table.size(), reference.size());
-  for (const auto& [key, value] : reference) {
-    auto found = table.Find(key);
-    ASSERT_TRUE(found.has_value()) << key;
-    EXPECT_EQ(*found, value);
-  }
-  EXPECT_EQ(table.Entries().size(), reference.size());
-}
-
-TEST(DynamicPerfectHashTest, GrowsThroughGlobalRebuilds) {
-  DynamicPerfectHash table;
-  for (uint64_t i = 0; i < 5000; ++i) {
-    table.Insert(i * 7919, i);
-  }
-  EXPECT_EQ(table.size(), 5000u);
-  EXPECT_GT(table.global_rebuilds(), 0u);
-  for (uint64_t i = 0; i < 5000; ++i) {
-    auto found = table.Find(i * 7919);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, i);
-  }
-}
-
-// --- ItemsetPerfectSet ---
-
-TEST(ItemsetPerfectSetTest, InsertContains) {
-  ItemsetPerfectSet set;
-  EXPECT_TRUE(set.Insert(Itemset{1, 2}));
-  EXPECT_TRUE(set.Insert(Itemset{2, 3}));
-  EXPECT_FALSE(set.Insert(Itemset{2, 1}));  // Same set, different order.
-  EXPECT_TRUE(set.Contains(Itemset{1, 2}));
-  EXPECT_FALSE(set.Contains(Itemset{1, 3}));
-  EXPECT_EQ(set.size(), 2u);
-  set.Clear();
-  EXPECT_TRUE(set.empty());
-  EXPECT_FALSE(set.Contains(Itemset{1, 2}));
-}
-
-TEST(ItemsetPerfectSetTest, ManyItemsets) {
-  ItemsetPerfectSet set;
+TEST(ItemsetTableTest, FindReturnsBuildIndexes) {
+  std::vector<ItemId> arena;
   for (ItemId a = 0; a < 60; ++a) {
-    for (ItemId b = a + 1; b < 60; ++b) {
-      EXPECT_TRUE(set.Insert(Itemset{a, b}));
-    }
+    for (ItemId b = a + 1; b < 60; ++b) arena.insert(arena.end(), {a, b});
   }
-  EXPECT_EQ(set.size(), 60u * 59u / 2u);
-  for (ItemId a = 0; a < 60; ++a) {
-    for (ItemId b = a + 1; b < 60; ++b) {
-      EXPECT_TRUE(set.Contains(Itemset{a, b}));
-    }
+  auto table = ItemsetTable::Build(2, arena);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->size(), 60u * 59u / 2u);
+  // The probe returns the build index, the key the miner's parallel count
+  // and subset-index arrays are addressed by.
+  for (size_t i = 0; i < table->size(); ++i) {
+    EXPECT_EQ(table->Find(table->member(i)), i);
   }
-  EXPECT_FALSE(set.Contains(Itemset{0, 60}));
-  EXPECT_FALSE(set.Contains(Itemset{0, 1, 2}));
-  // The span probe returns the insertion index, the key the miner's
-  // parallel count arrays are addressed by.
-  for (size_t i = 0; i < set.size(); ++i) {
-    const std::vector<ItemId>& items = set.itemsets()[i].items();
-    std::optional<size_t> found = set.Find(items);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, i);
-  }
-  const ItemId absent[] = {0, 1, 2};
-  EXPECT_FALSE(set.Find(absent).has_value());
+  const ItemId wrong_width[] = {0, 1, 2};
+  const ItemId out_of_range[] = {0, 60};
+  EXPECT_EQ(table->Find(wrong_width), ItemsetTable::kAbsent);
+  EXPECT_EQ(table->Find(out_of_range), ItemsetTable::kAbsent);
+  EXPECT_GT(table->MemoryBytes(), arena.size() * sizeof(ItemId));
+}
+
+TEST(ItemsetTableTest, BuildRejectsRepeatedAndRaggedMembers) {
+  EXPECT_TRUE(ItemsetTable::Build(2, {1, 2, 3, 4, 1, 2})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      ItemsetTable::Build(2, {1, 2, 3}).status().IsInvalidArgument());
+  EXPECT_TRUE(ItemsetTable::Build(0, {1}).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -171,5 +171,34 @@ TEST(StatsJsonTest, DeterministicSectionThreadCountInvariant) {
   }
 }
 
+// The miner's memory gauges (candidates, NOTSIG tables, SIG list) land in
+// the runtime section, never in the deterministic one.
+TEST(StatsJsonTest, MinerMemoryGaugesReportEveryStructure) {
+  auto db = datagen::GenerateQuestData(SmallQuest());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  BitmapCountProvider provider(*db);
+  MinerOptions options = SmallMinerOptions();
+  MetricsRegistry registry;
+  options.metrics = &registry;
+  auto result = MineCorrelations(provider, db->num_items(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->levels.size(), 3u);
+  EXPECT_EQ(result->levels[2].level, 4);
+
+  auto doc = io::ParseJson(RenderStatsJson(*result, registry));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const io::JsonValue* runtime = doc->Find("runtime");
+  ASSERT_NE(runtime, nullptr);
+  const io::JsonValue* gauges = runtime->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  for (const char* name : {"mem.miner_cand_bytes", "mem.miner_notsig_bytes",
+                           "mem.miner_sig_bytes"}) {
+    const io::JsonValue* gauge = gauges->Find(name);
+    ASSERT_NE(gauge, nullptr) << name;
+    EXPECT_GT(gauge->number_value, 0.0) << name;
+  }
+  EXPECT_EQ(RenderDeterministicStats(*result).find("mem."), std::string::npos);
+}
+
 }  // namespace
 }  // namespace corrmine

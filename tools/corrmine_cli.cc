@@ -167,7 +167,6 @@ constexpr char kUsage[] =
     "  check <file>     test one itemset exactly (Monte Carlo permutation)\n"
     "      --items A,B[,C...]     item ids to test (required)\n"
     "      --rounds N             permutation rounds (default 1000)\n"
-    "      --shards K             load-time sharding (default 1; 0 = auto)\n"
     "  rules <file>     support-confidence association rules (baseline)\n"
     "      --min-support F        support fraction (default 0.01)\n"
     "      --min-confidence C     confidence cutoff (default 0.5)\n"
@@ -208,7 +207,7 @@ StatusOr<int> GetIntFlag(const FlagParser& flags, const std::string& name,
   return static_cast<int>(value);
 }
 
-/// Session knobs shared by mine/rules/check: --threads and --shards follow
+/// Session knobs shared by mine and rules: --threads and --shards follow
 /// the same convention (default 1, 0 = one per hardware thread).
 StatusOr<SessionOptions> SessionOptionsFromFlags(const FlagParser& flags) {
   SessionOptions options;
@@ -557,14 +556,18 @@ Status RunCheck(const FlagParser& flags) {
   if (flags.positional().size() < 2) {
     return Status::InvalidArgument("check: missing transaction file");
   }
-  CORRMINE_ASSIGN_OR_RETURN(SessionOptions session_options,
-                            SessionOptionsFromFlags(flags));
-  CORRMINE_ASSIGN_OR_RETURN(
-      MiningSession session,
-      MiningSession::Open(flags.positional()[1], session_options));
-  // The permutation test shuffles a contiguous row store; reassemble it in
-  // original basket order from the session's shards.
-  TransactionDatabase db = session.Flatten();
+  // The permutation test shuffles one contiguous row store and needs no
+  // shards or index, so the file is read straight into one.
+  const std::string& path = flags.positional()[1];
+  StatusOr<TransactionDatabase> loaded = Status::Internal("not loaded");
+  if (flags.GetBool("names", false)) {
+    CORRMINE_ASSIGN_OR_RETURN(std::string text, io::ReadFileToString(path));
+    loaded = io::ParseNamedTransactions(text);
+  } else {
+    loaded = io::LoadTransactionFile(path);
+  }
+  CORRMINE_RETURN_NOT_OK(loaded.status());
+  const TransactionDatabase& db = *loaded;
   std::string items_arg = flags.GetString("items", "");
   if (items_arg.empty()) {
     return Status::InvalidArgument("check: --items A,B[,C...] is required");
@@ -776,7 +779,7 @@ const Command kCommands[] = {
       "walks", "resume-from", "append", "border-out", "out", "stats-json",
       "stats", "trace-out", "pmu", "profile-out", "progress", "report",
       "fdr"}},
-    {"check", RunCheck, {"items", "rounds", "threads", "shards", "names"}},
+    {"check", RunCheck, {"items", "rounds", "names"}},
     {"dependencies", RunDependencies, {"confidence-level", "min-expected"}},
     {"rules",
      RunRules,
