@@ -52,6 +52,14 @@ class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
 
+  /// Raises the gauge to `value` when that is higher: a high-water mark.
+  void SetMax(int64_t value) {
+    int64_t seen = value_.load(std::memory_order_relaxed);
+    while (seen < value && !value_.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
+    }
+  }
+
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

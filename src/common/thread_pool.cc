@@ -1,7 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +11,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -67,6 +70,44 @@ int CgroupCpuQuota() {
 }
 #endif  // __linux__
 
+/// The CPU each of `workers` pool threads binds itself to: distinct CPUs of
+/// the constructing thread's affinity mask, skipping the one that thread
+/// runs on now. Empty — placement left to the scheduler — unless the
+/// workers and that thread all fit in the mask, so an oversubscribed pool
+/// never stacks bound workers and nothing is bound outside the mask.
+std::vector<int> WorkerCpus(int workers) {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0 ||
+      workers + 1 > CPU_COUNT(&mask)) {
+    return cpus;
+  }
+  const int current = sched_getcpu();
+  for (int cpu = 0; cpu < CPU_SETSIZE && static_cast<int>(cpus.size()) < workers;
+       ++cpu) {
+    if (cpu != current && CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  }
+#else
+  (void)workers;
+#endif
+  return cpus;
+}
+
+/// Pins the calling thread to `cpu`. Best effort: a refused binding leaves
+/// the thread wherever the scheduler puts it.
+void BindCurrentThread(int cpu) {
+#if defined(__linux__)
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)sched_setaffinity(0, sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
+}
+
 }  // namespace
 
 int ThreadPool::UsableHardwareConcurrency() {
@@ -102,9 +143,14 @@ ThreadPool::ThreadPool(int num_threads)
       queue_depth_(MetricsRegistry::Global().GetGauge("pool.queue_depth")) {
   CORRMINE_CHECK(num_threads >= 1) << "thread pool needs at least one worker";
   workers_.reserve(static_cast<size_t>(num_threads));
+  const std::vector<int> cpus = WorkerCpus(num_threads);
   try {
     for (int i = 0; i < num_threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      const int cpu = cpus.empty() ? -1 : cpus[static_cast<size_t>(i)];
+      workers_.emplace_back([this, cpu] {
+        if (cpu >= 0) BindCurrentThread(cpu);
+        WorkerLoop();
+      });
     }
   } catch (...) {
     // A thread that could not start (std::system_error, e.g. no address
@@ -237,6 +283,35 @@ class SlotPool {
   std::vector<size_t> free_;
 };
 
+/// The distinct CPUs that ran a region's chunks: each participant ORs the
+/// CPU it is on into the mask once, when it joins.
+class RegionCpus {
+ public:
+  void AddCurrent() {
+#if defined(__linux__)
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || cpu >= kMaxCpus) return;
+    words_[static_cast<size_t>(cpu) / 64].fetch_or(
+        uint64_t{1} << (cpu % 64), std::memory_order_relaxed);
+#endif
+  }
+
+  /// Raises the "pool.region_cpus" gauge to this region's CPU count.
+  void Publish() const {
+    static Gauge* const gauge =
+        MetricsRegistry::Global().GetGauge("pool.region_cpus");
+    int64_t count = 0;
+    for (const std::atomic<uint64_t>& word : words_) {
+      count += std::popcount(word.load(std::memory_order_relaxed));
+    }
+    gauge->SetMax(count);
+  }
+
+ private:
+  static constexpr int kMaxCpus = 1024;
+  std::array<std::atomic<uint64_t>, kMaxCpus / 64> words_{};
+};
+
 /// Runs `fn`, turning an exception that escapes it into a Status: an
 /// allocation failure is ResourceExhausted, anything else Internal. No
 /// exception crosses a region.
@@ -302,6 +377,7 @@ struct ParallelForState {
   bool has_error = false;
   Status first_error;
   SlotPool slots;
+  RegionCpus cpus;
 
   // Completion latch over the queued helpers. Lives here (not on the
   // caller's stack) because the last helper touches it after the waiter may
@@ -329,6 +405,7 @@ void RunChunks(ParallelForState* state, size_t n, size_t grain,
   if (state->failed.load(std::memory_order_acquire)) return;
   if (state->next.load(std::memory_order_relaxed) >= n) return;
   const size_t slot = state->slots.Acquire();
+  state->cpus.AddCurrent();
   for (;;) {
     if (state->failed.load(std::memory_order_acquire)) break;
     size_t begin = state->next.fetch_add(grain, std::memory_order_relaxed);
@@ -392,6 +469,7 @@ Status ParallelForSlots(
   pool->HelpUntil(state->mu, state->cv, [&state] {
     return state->outstanding.load(std::memory_order_acquire) == 0;
   });
+  state->cpus.Publish();
 
   std::lock_guard<std::mutex> lock(state->error_mu);
   if (state->has_error) return state->first_error;
@@ -425,6 +503,7 @@ struct PipelineState {
   std::unique_ptr<std::atomic<uint8_t>[]> done;
   std::atomic<bool> failed{false};
   SlotPool slots;
+  RegionCpus cpus;
 
   std::mutex error_mu;
   bool has_error = false;
@@ -474,6 +553,7 @@ void RunStageChunks(PipelineState* state, size_t n, size_t grain,
                     const std::function<Status(size_t, size_t, size_t)>& stage) {
   if (state->next.load(std::memory_order_relaxed) >= n) return;
   const size_t slot = state->slots.Acquire();
+  state->cpus.AddCurrent();
   while (RunOneStageChunk(state, n, grain, slot, stage)) {
   }
   state->slots.Release(slot);
@@ -516,6 +596,7 @@ Status OrderedPipeline(
   // Ordered consumption, overlapped with the stage. The caller claims a
   // stage chunk itself whenever the chunk it needs next isn't done and the
   // cursor still has work — so a busy pool never stalls the pipeline.
+  state->cpus.AddCurrent();
   size_t consumer_slot = static_cast<size_t>(-1);
   for (size_t c = 0; c < num_chunks; ++c) {
     while (state->done[c].load(std::memory_order_acquire) == 0) {
@@ -550,6 +631,7 @@ Status OrderedPipeline(
   pool->HelpUntil(state->mu, state->cv, [&state] {
     return state->outstanding.load(std::memory_order_acquire) == 0;
   });
+  state->cpus.Publish();
 
   std::lock_guard<std::mutex> lock(state->error_mu);
   if (state->has_error) return state->first_error;

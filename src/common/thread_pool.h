@@ -36,7 +36,11 @@ class ThreadPool {
  public:
   /// Spawns `num_threads` workers. `num_threads` must be >= 1. If a worker
   /// cannot be started, the ones that were are joined and the
-  /// std::system_error propagates.
+  /// std::system_error propagates. When the workers plus the constructing
+  /// thread fit in that thread's sched_getaffinity mask, each worker binds
+  /// itself at start to a distinct CPU of the mask other than the one the
+  /// constructing thread is running on; an oversubscribed pool stays
+  /// unbound, and no thread is ever bound outside the mask.
   explicit ThreadPool(int num_threads);
 
   /// Drains the queue and joins the workers. Tasks submitted but not yet
@@ -89,6 +93,8 @@ class ThreadPool {
   // completions, per-task run time, the ns workers spent parked (total and
   // per-wait histogram), and the queue depth after the latest submit/pop.
   // Resolved once at construction; no registry lookups on the task path.
+  // The regions below add the "pool.region_cpus" gauge: the most distinct
+  // CPUs that ran any one region's chunks.
   Counter* tasks_submitted_;
   Counter* tasks_executed_;
   Counter* idle_ns_;

@@ -7,6 +7,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "io/binary_io.h"
+#include "io/format_detect.h"
 #include "io/sharded_loader.h"
 #include "io/transaction_io.h"
 
@@ -24,17 +25,20 @@ Status ValidateSessionOptions(const SessionOptions& options) {
   return Status::OK();
 }
 
-/// Reads `path` into the session's shard layout: named-item text is
-/// interned first, every other file goes through the sniffing loader.
-StatusOr<ShardedTransactionDatabase> LoadSessionDatabase(
-    const std::string& path, size_t shards, const SessionOptions& options) {
+MetricsRegistry& RegistryOf(const SessionOptions& options) {
+  return options.metrics != nullptr ? *options.metrics
+                                    : MetricsRegistry::Global();
+}
+
+/// Rows of a text or named-item input: named-item text is interned through
+/// the dictionary, other text parsed as integer ids.
+StatusOr<TransactionDatabase> LoadRows(const std::string& path,
+                                       const SessionOptions& options) {
   if (options.named_items) {
     CORRMINE_ASSIGN_OR_RETURN(std::string text, io::ReadFileToString(path));
-    CORRMINE_ASSIGN_OR_RETURN(TransactionDatabase db,
-                              io::ParseNamedTransactions(text));
-    return ShardedTransactionDatabase::Partition(db, shards);
+    return io::ParseNamedTransactions(text);
   }
-  return io::LoadTransactionFileSharded(path, shards, options.num_items_hint);
+  return io::ReadTransactionFile(path, options.num_items_hint);
 }
 
 }  // namespace
@@ -43,20 +47,15 @@ MiningSession::MiningSession(MiningSession&&) noexcept = default;
 MiningSession& MiningSession::operator=(MiningSession&&) noexcept = default;
 MiningSession::~MiningSession() = default;
 
-MiningSession::MiningSession(ShardedTransactionDatabase db,
+MiningSession::MiningSession(std::unique_ptr<ShardedCountProvider> provider,
+                             ItemDictionary dictionary,
                              const SessionOptions& options)
-    : db_(std::move(db)),
+    : provider_(std::move(provider)),
+      dictionary_(std::move(dictionary)),
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
-  {
-    Phase build_phase(metrics(), "session.build_index", -1,
-                      static_cast<int64_t>(db_.num_shards()),
-                      static_cast<int64_t>(db_.num_baskets()));
-    provider_ = std::make_unique<ShardedCountProvider>(db_);
-  }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-  metrics().GetGauge("mem.peak_rss_bytes")
-      ->Set(static_cast<int64_t>(PeakRssBytes()));
+  PublishMemoryGauges();
 }
 
 StatusOr<MiningSession> MiningSession::Open(const std::string& path,
@@ -64,15 +63,24 @@ StatusOr<MiningSession> MiningSession::Open(const std::string& path,
   CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   const size_t shards =
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  StatusOr<ShardedTransactionDatabase> db = Status::Internal("not loaded");
+  StatusOr<TransactionDatabase> rows = Status::Internal("not loaded");
   {
-    Phase load_phase(options.metrics != nullptr ? *options.metrics
-                                                : MetricsRegistry::Global(),
-                     "io.load", -1, static_cast<int64_t>(shards));
-    db = LoadSessionDatabase(path, shards, options);
+    Phase load_phase(RegistryOf(options), "io.load", -1,
+                     static_cast<int64_t>(shards));
+    if (!options.named_items) {
+      CORRMINE_ASSIGN_OR_RETURN(io::TransactionFileFormat format,
+                                io::DetectTransactionFileFormat(path));
+      if (format == io::TransactionFileFormat::kBinary) {
+        auto index = std::make_unique<ShardedCountProvider>(
+            ItemId{0}, shards, options.metrics);
+        CORRMINE_RETURN_NOT_OK(io::LoadBinaryIntoIndex(path, index.get()));
+        return MiningSession(std::move(index), ItemDictionary(), options);
+      }
+    }
+    rows = LoadRows(path, options);
   }
-  CORRMINE_RETURN_NOT_OK(db.status());
-  return MiningSession(std::move(*db), options);
+  CORRMINE_RETURN_NOT_OK(rows.status());
+  return FromDatabase(*rows, options);
 }
 
 StatusOr<MiningSession> MiningSession::FromDatabase(
@@ -80,14 +88,28 @@ StatusOr<MiningSession> MiningSession::FromDatabase(
   CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   const size_t shards =
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  return MiningSession(ShardedTransactionDatabase::Partition(db, shards),
-                       options);
+  auto index = std::make_unique<ShardedCountProvider>(db.num_items(), shards,
+                                                      options.metrics);
+  {
+    Phase build_phase(RegistryOf(options), "session.build_index", -1,
+                      static_cast<int64_t>(shards),
+                      static_cast<int64_t>(db.num_baskets()));
+    index->Append(db);
+  }
+  return MiningSession(std::move(index), db.dictionary(), options);
 }
 
 StatusOr<MiningSession> MiningSession::FromShardedDatabase(
     ShardedTransactionDatabase db, const SessionOptions& options) {
   CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
-  return MiningSession(std::move(db), options);
+  std::unique_ptr<ShardedCountProvider> index;
+  {
+    Phase build_phase(RegistryOf(options), "session.build_index", -1,
+                      static_cast<int64_t>(db.num_shards()),
+                      static_cast<int64_t>(db.num_baskets()));
+    index = std::make_unique<ShardedCountProvider>(db, options.metrics);
+  }
+  return MiningSession(std::move(index), std::move(db.dictionary()), options);
 }
 
 MetricsRegistry& MiningSession::metrics() const {
@@ -95,38 +117,36 @@ MetricsRegistry& MiningSession::metrics() const {
 }
 
 // Memory bookkeeping shared by every Mine* entry point: refreshed after each
-// run so a stats dump taken at any point reflects the high-water marks.
+// run so a stats dump taken at any point reflects the high-water mark. (The
+// provider keeps "mem.shard_index_bytes" current itself.)
 void MiningSession::PublishMemoryGauges() const {
-  MetricsRegistry& registry = metrics();
-  registry.GetGauge("mem.peak_rss_bytes")
+  metrics().GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
-  registry.GetGauge("mem.shard_index_bytes")
-      ->Set(static_cast<int64_t>(provider_->IndexMemoryBytes()));
+}
+
+TransactionDatabase MiningSession::Flatten() const {
+  TransactionDatabase rows = ReadRows(0, num_baskets());
+  rows.dictionary() = dictionary_;
+  return rows;
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
   Phase phase(metrics(), "session.append", -1,
               static_cast<int64_t>(chunk.num_baskets()),
               static_cast<int64_t>(chunk.num_items()));
-  if (chunk.num_items() > db_.num_items()) {
-    CORRMINE_RETURN_NOT_OK(db_.GrowItemSpace(chunk.num_items()));
-  }
-  for (size_t row = 0; row < chunk.num_baskets(); ++row) {
-    CORRMINE_RETURN_NOT_OK(db_.AddBasket(chunk.basket(row)));
-  }
-  provider_->AppendFrom(db_);
+  provider_->Append(chunk);
   PublishMemoryGauges();
   return Status::OK();
 }
 
 StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
   Phase phase(metrics(), "session.mine", -1,
-              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   if (options.metrics == nullptr) options.metrics = metrics_;
-  auto result = MineCorrelations(provider(), db_.num_items(), options);
+  auto result = MineCorrelations(provider(), num_items(), options);
   PublishMemoryGauges();
   return result;
 }
@@ -134,12 +154,12 @@ StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
 StatusOr<MiningResult> MiningSession::MineRandomWalk(
     RandomWalkOptions options) const {
   Phase phase(metrics(), "session.mine_random_walk", -1,
-              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.miner.num_threads = threads_;
   options.miner.pool = pool_.get();
   if (options.miner.metrics == nullptr) options.miner.metrics = metrics_;
-  auto result = MineCorrelationsRandomWalk(provider(), db_.num_items(), options);
+  auto result = MineCorrelationsRandomWalk(provider(), num_items(), options);
   PublishMemoryGauges();
   return result;
 }
@@ -147,11 +167,11 @@ StatusOr<MiningResult> MiningSession::MineRandomWalk(
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
     AprioriOptions options) const {
   Phase phase(metrics(), "session.mine_frequent", -1,
-              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
-  auto result = MineFrequentItemsets(provider(), db_.num_items(), options);
+  auto result = MineFrequentItemsets(provider(), num_items(), options);
   PublishMemoryGauges();
   return result;
 }
@@ -159,11 +179,11 @@ StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequentEclat(
     EclatOptions options) const {
   Phase phase(metrics(), "session.mine_frequent_eclat", -1,
-              static_cast<int64_t>(db_.num_shards()),
+              static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
-  auto result = MineFrequentItemsetsEclat(db_, *provider_, options);
+  auto result = MineFrequentItemsetsEclat(*provider_, options);
   PublishMemoryGauges();
   return result;
 }

@@ -42,27 +42,33 @@ struct SessionOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// One place that owns everything a mining run needs — the sharded dataset,
-/// its per-shard bitmap indexes (ShardedCountProvider), the thread pool,
-/// and the metrics registry — so front ends (the CLI, tests, benchmarks)
-/// stop hand-assembling provider/pool/option plumbing. Construction
-/// resolves the 0-means-auto conventions once; every Mine* method lends the
-/// session's pool to the run and wires the resolved thread count through,
-/// so results are identical to standalone calls with the same settings.
+/// One place that owns everything a mining run needs — the per-shard bitmap
+/// indexes (ShardedCountProvider, which also holds n, the item space and
+/// the exact item counts), the item dictionary, the thread pool, and the
+/// metrics registry — so front ends (the CLI, tests, benchmarks) stop
+/// hand-assembling provider/pool/option plumbing. The session keeps no row
+/// store: the bitmaps are the only copy of the data, and rows are read back
+/// from them on demand (ReadRows, Flatten). Construction resolves the
+/// 0-means-auto conventions once; every Mine* method lends the session's
+/// pool to the run and wires the resolved thread count through, so results
+/// are identical to standalone calls with the same settings.
 class MiningSession {
  public:
   /// Loads `path` (auto-detected CMB1 binary or text, io/format_detect.h)
-  /// straight into the session's K-shard layout. Named-item text inputs are
-  /// parsed through the dictionary first, then partitioned.
+  /// into the session's K-shard bitmaps. A CMB1 file decodes straight into
+  /// them (io::LoadBinaryIntoIndex), timed as one "io.load" phase; text and
+  /// named-item inputs are parsed into rows ("io.load"), indexed as in
+  /// FromDatabase, and the rows dropped.
   static StatusOr<MiningSession> Open(const std::string& path,
                                       const SessionOptions& options = {});
 
-  /// Adopts an already-built database, partitioning it into K shards.
+  /// Indexes `db`'s rows into K shards ("session.build_index"); the session
+  /// keeps no reference to `db`.
   static StatusOr<MiningSession> FromDatabase(const TransactionDatabase& db,
                                               const SessionOptions& options = {});
 
-  /// Adopts an already-sharded database as-is (its K wins over
-  /// options.num_shards).
+  /// Indexes an already-sharded database shard by shard (its K wins over
+  /// options.num_shards) and drops its rows.
   static StatusOr<MiningSession> FromShardedDatabase(
       ShardedTransactionDatabase db, const SessionOptions& options = {});
 
@@ -79,9 +85,9 @@ class MiningSession {
   /// Delta ingestion: appends `chunk`'s baskets in order (round-robin
   /// placement continues where loading left off), growing the item space to
   /// cover chunk.num_items() when the delta introduces new items. The
-  /// per-shard vertical indexes are caught up in place — no rebuild. After
-  /// the call every count is exactly what a fresh session over base+delta
-  /// would produce. Must not race with Mine* calls.
+  /// chunk's bits are set in the per-shard bitmaps in place — no rebuild.
+  /// After the call every count is exactly what a fresh session over
+  /// base+delta would produce. Must not race with Mine* calls.
   Status AppendBatch(const TransactionDatabase& chunk);
 
   /// The random-walk border sampler, same wiring as Mine.
@@ -92,38 +98,45 @@ class MiningSession {
   StatusOr<std::vector<FrequentItemset>> MineFrequent(
       AprioriOptions options = {}) const;
 
-  /// Shard-native Eclat over the session's database.
+  /// Shard-native Eclat over the session's per-shard bitmaps.
   StatusOr<std::vector<FrequentItemset>> MineFrequentEclat(
       EclatOptions options = {}) const;
 
-  const ShardedTransactionDatabase& database() const { return db_; }
   /// The per-shard bitmap provider every Mine* call counts with.
   const CountProvider& provider() const { return *provider_; }
 
-  size_t num_shards() const { return db_.num_shards(); }
+  size_t num_shards() const { return provider_->num_shards(); }
   /// Resolved thread count (the 0-means-auto convention already applied).
   int num_threads() const { return threads_; }
   /// The session's lending pool; nullptr when running sequentially.
   ThreadPool* pool() const { return pool_.get(); }
   MetricsRegistry& metrics() const;
 
-  ItemId num_items() const { return db_.num_items(); }
-  uint64_t num_baskets() const { return db_.num_baskets(); }
-  const ItemDictionary& dictionary() const { return db_.dictionary(); }
+  ItemId num_items() const { return provider_->num_items(); }
+  uint64_t num_baskets() const { return provider_->num_baskets(); }
+  const ItemDictionary& dictionary() const { return dictionary_; }
 
-  /// Monolithic copy in original basket order, for consumers that need a
-  /// contiguous row store (e.g. the permutation independence test).
-  TransactionDatabase Flatten() const { return db_.Flatten(); }
+  /// Baskets [begin, end) in arrival order, read back from the bitmaps
+  /// (ShardedCountProvider::ReadRows), without the dictionary.
+  TransactionDatabase ReadRows(uint64_t begin, uint64_t end) const {
+    return provider_->ReadRows(begin, end);
+  }
+
+  /// Every basket in arrival order, with the dictionary, for consumers
+  /// that need a contiguous row store (e.g. the permutation independence
+  /// test). Read back from the bitmaps on each call.
+  TransactionDatabase Flatten() const;
 
  private:
-  MiningSession(ShardedTransactionDatabase db, const SessionOptions& options);
+  MiningSession(std::unique_ptr<ShardedCountProvider> provider,
+                ItemDictionary dictionary, const SessionOptions& options);
 
-  /// Refreshes the "mem.*" gauges (peak RSS, shard-index bytes) in the
-  /// session's registry; called after every Mine* run.
+  /// Refreshes the "mem.peak_rss_bytes" gauge in the session's registry;
+  /// called after every Mine* run.
   void PublishMemoryGauges() const;
 
-  ShardedTransactionDatabase db_;
   std::unique_ptr<ShardedCountProvider> provider_;
+  ItemDictionary dictionary_;
   std::unique_ptr<ThreadPool> pool_;
   int threads_ = 1;
   MetricsRegistry* metrics_ = nullptr;

@@ -79,6 +79,26 @@ StatusOr<ShardedTransactionDatabase> LoadTextSharded(
 
 }  // namespace
 
+Status LoadBinaryIntoIndex(const std::string& path,
+                           ShardedCountProvider* index) {
+  CORRMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  Cmb1Decoder decoder;
+  return DecodeCmb1(
+      bytes, /*single_segment=*/false, &decoder,
+      [&](size_t offset) {
+        if (decoder.segment_baskets() > bytes.size() - offset) {
+          return Status::Corruption("basket count exceeds the bytes left");
+        }
+        index->Reserve(decoder.max_items(),
+                       index->num_baskets() + decoder.segment_baskets());
+        return Status::OK();
+      },
+      [&](std::vector<ItemId>& basket) {
+        index->AddBasket(basket);
+        return Status::OK();
+      });
+}
+
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
                                                   ItemId num_items_hint) {
   CORRMINE_ASSIGN_OR_RETURN(TransactionFileFormat format,

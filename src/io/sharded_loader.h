@@ -27,6 +27,17 @@ StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
 StatusOr<ShardedTransactionDatabase> LoadTransactionFileSharded(
     const std::string& path, size_t num_shards, ItemId num_items_hint = 0);
 
+/// Decodes a CMB1 file (one or more segments) straight into `index`'s
+/// per-shard bitmaps — basket j goes to shard j % K at row j / K — with no
+/// row store in between. Every Cmb1Decoder check applies. Each segment
+/// header widens the item space and reserves the bitmaps for its baskets;
+/// since every basket record takes at least one byte, a header whose basket
+/// count exceeds the bytes from its magic to the end of the file is
+/// Corruption before that count sizes anything. `index` must hold no
+/// baskets yet; on error its contents are unspecified.
+Status LoadBinaryIntoIndex(const std::string& path,
+                           ShardedCountProvider* index);
+
 }  // namespace corrmine::io
 
 #endif  // CORRMINE_IO_SHARDED_LOADER_H_

@@ -37,33 +37,39 @@ uint64_t Bitmap::AndCountInto(const Bitmap& a, const Bitmap& b, Bitmap* dst) {
 uint64_t MultiAndCount(const std::vector<const Bitmap*>& bitmaps) {
   if (bitmaps.empty()) return 0;
   const size_t num_words = bitmaps[0]->words().size();
+  std::vector<const uint64_t*> operands;
+  operands.reserve(bitmaps.size());
   for (const Bitmap* b : bitmaps) {
     CORRMINE_CHECK(b->words().size() == num_words)
         << "MultiAndCount on differently-sized bitmaps";
+    operands.push_back(b->words().data());
   }
+  return MultiAndCount(std::move(operands), num_words);
+}
+
+uint64_t MultiAndCount(std::vector<const uint64_t*> operands,
+                       size_t num_words) {
+  if (operands.empty()) return 0;
   const CountingKernels& kernels = ActiveKernels();
-  if (bitmaps.size() == 1) {
-    return kernels.popcount(bitmaps[0]->words().data(), num_words);
-  }
+  if (operands.size() == 1) return kernels.popcount(operands[0], num_words);
   // Lead with the sparsest operand: the kernels stop ANDing a word/chunk
   // once its accumulator is all-zero, and a sparse leader zeroes chunks
   // soonest. The ordering pass is one popcount per operand — cheap next to
   // the (k-1)-way AND stream it prunes — and a stable sort keeps the
   // operand order (hence the execution trace) deterministic on ties.
   std::vector<std::pair<uint64_t, const uint64_t*>> by_density;
-  by_density.reserve(bitmaps.size());
-  for (const Bitmap* b : bitmaps) {
-    by_density.emplace_back(kernels.popcount(b->words().data(), num_words),
-                            b->words().data());
+  by_density.reserve(operands.size());
+  for (const uint64_t* words : operands) {
+    by_density.emplace_back(kernels.popcount(words, num_words), words);
   }
   std::stable_sort(by_density.begin(), by_density.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  std::vector<const uint64_t*> ops;
-  ops.reserve(by_density.size());
-  for (const auto& [count, words] : by_density) ops.push_back(words);
-  return kernels.multi_and_count(ops.data(), ops.size(), num_words);
+  for (size_t i = 0; i < by_density.size(); ++i) {
+    operands[i] = by_density[i].second;
+  }
+  return kernels.multi_and_count(operands.data(), operands.size(), num_words);
 }
 
 }  // namespace corrmine

@@ -64,6 +64,10 @@ class Bitmap {
 /// soon as possible (AND is commutative, so the count is unchanged).
 uint64_t MultiAndCount(const std::vector<const Bitmap*>& bitmaps);
 
+/// MultiAndCount over raw bitmaps of `num_words` words each.
+uint64_t MultiAndCount(std::vector<const uint64_t*> operands,
+                       size_t num_words);
+
 }  // namespace corrmine
 
 #endif  // CORRMINE_ITEMSET_BITMAP_H_

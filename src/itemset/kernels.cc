@@ -203,7 +203,7 @@ void ExecuteStripes(const BlockedCountPlan& plan, const VerticalIndex& index,
   const size_t stripe = plan.stripe_words;
   std::vector<const uint64_t*> columns(plan.item_bound);
   for (ItemId item = 0; item < plan.item_bound; ++item) {
-    columns[item] = index.item_bitmap(item).words().data();
+    columns[item] = index.item_words(item);
   }
   alignas(64) uint64_t tile[kMaxStripeWords];
   std::array<const uint64_t*, 32> prefix_ops;

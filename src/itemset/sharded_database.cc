@@ -1,6 +1,7 @@
 #include "itemset/sharded_database.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -45,14 +46,6 @@ Status ShardedTransactionDatabase::AddBasket(std::vector<ItemId> items) {
   return Status::OK();
 }
 
-Status ShardedTransactionDatabase::AppendBatch(
-    std::vector<std::vector<ItemId>> baskets) {
-  for (std::vector<ItemId>& basket : baskets) {
-    CORRMINE_RETURN_NOT_OK(AddBasket(std::move(basket)));
-  }
-  return Status::OK();
-}
-
 Status ShardedTransactionDatabase::GrowItemSpace(ItemId num_items) {
   if (num_items < num_items_) {
     return Status::InvalidArgument(
@@ -92,40 +85,113 @@ TransactionDatabase ShardedTransactionDatabase::Flatten() const {
   return out;
 }
 
-ShardedCountProvider::ShardedCountProvider(
-    const ShardedTransactionDatabase& db)
-    : num_baskets_(db.num_baskets()),
-      shard_batch_ns_(
-          MetricsRegistry::Global().GetHistogram("sharded.shard_batch_ns")),
-      batch_imbalance_(MetricsRegistry::Global().GetGauge(
-          "sharded.batch_imbalance_x1000")) {
-  indexes_.reserve(db.num_shards());
-  for (size_t k = 0; k < db.num_shards(); ++k) {
-    indexes_.emplace_back(db.shard(k));
-  }
-  MetricsRegistry::Global().GetGauge("sharded.shards")
-      ->Set(static_cast<int64_t>(indexes_.size()));
-  MetricsRegistry::Global().GetGauge("mem.shard_index_bytes")
-      ->Set(static_cast<int64_t>(IndexMemoryBytes()));
+namespace {
+
+MetricsRegistry& RegistryOrGlobal(MetricsRegistry* metrics) {
+  return metrics != nullptr ? *metrics : MetricsRegistry::Global();
 }
 
-void ShardedCountProvider::AppendFrom(const ShardedTransactionDatabase& db) {
-  CORRMINE_CHECK(db.num_shards() == indexes_.size())
-      << "AppendFrom across a different shard layout";
+}  // namespace
+
+ShardedCountProvider::ShardedCountProvider(ItemId num_items,
+                                           size_t num_shards,
+                                           MetricsRegistry* metrics)
+    : num_items_(num_items),
+      shard_batch_ns_(RegistryOrGlobal(metrics).GetHistogram(
+          "sharded.shard_batch_ns")),
+      batch_imbalance_(RegistryOrGlobal(metrics).GetGauge(
+          "sharded.batch_imbalance_x1000")),
+      index_bytes_(
+          RegistryOrGlobal(metrics).GetGauge("mem.shard_index_bytes")) {
+  num_shards = std::max<size_t>(num_shards, 1);
+  indexes_.reserve(num_shards);
+  for (size_t k = 0; k < num_shards; ++k) indexes_.emplace_back(num_items, 0);
+  RegistryOrGlobal(metrics).GetGauge("sharded.shards")
+      ->Set(static_cast<int64_t>(num_shards));
+  index_bytes_->Set(0);
+}
+
+ShardedCountProvider::ShardedCountProvider(
+    const ShardedTransactionDatabase& db, MetricsRegistry* metrics)
+    : ShardedCountProvider(db.num_items(), db.num_shards(), metrics) {
   for (size_t k = 0; k < indexes_.size(); ++k) {
-    indexes_[k].AppendFrom(db.shard(k), indexes_[k].num_baskets());
+    indexes_[k] = VerticalIndex(db.shard(k));
   }
   num_baskets_ = db.num_baskets();
-  MetricsRegistry::Global().GetGauge("mem.shard_index_bytes")
-      ->Set(static_cast<int64_t>(IndexMemoryBytes()));
+  next_shard_ = num_baskets_ % indexes_.size();
+  next_row_ = num_baskets_ / indexes_.size();
+  index_bytes_->Set(static_cast<int64_t>(IndexMemoryBytes()));
+}
+
+void ShardedCountProvider::Reserve(ItemId num_items, uint64_t num_baskets) {
+  num_items_ = std::max(num_items_, num_items);
+  const uint64_t shards = indexes_.size();
+  for (uint64_t k = 0; k < shards; ++k) {
+    // Shard k holds the baskets j < num_baskets with j % K == k.
+    const uint64_t rows = (num_baskets + shards - 1 - k) / shards;
+    VerticalIndex& index = indexes_[k];
+    index.Grow(num_items_, std::max<size_t>(rows, index.num_baskets()));
+  }
+  index_bytes_->Set(static_cast<int64_t>(IndexMemoryBytes()));
+}
+
+void ShardedCountProvider::Append(const TransactionDatabase& chunk) {
+  Reserve(chunk.num_items(), num_baskets_ + chunk.num_baskets());
+  for (size_t row = 0; row < chunk.num_baskets(); ++row) {
+    AddBasket(chunk.basket(row));
+  }
+}
+
+TransactionDatabase ShardedCountProvider::ReadRows(uint64_t begin,
+                                                   uint64_t end) const {
+  CORRMINE_CHECK(begin <= end && end <= num_baskets_)
+      << "ReadRows [" << begin << ", " << end << ") past basket "
+      << num_baskets_;
+  std::vector<std::vector<ItemId>> rows(end - begin);
+  const uint64_t shards = indexes_.size();
+  for (uint64_t k = 0; k < shards; ++k) {
+    // The baskets of [begin, end) that shard k holds are its rows
+    // [first, last); item by item, their set bits are appended to the rows
+    // they belong to, so every row comes out ascending.
+    const uint64_t first = (begin + shards - 1 - k) / shards;
+    const uint64_t last = (end + shards - 1 - k) / shards;
+    if (first == last) continue;
+    const uint64_t first_word = first / 64;
+    const uint64_t last_word = (last - 1) / 64;
+    const uint64_t head_mask = ~uint64_t{0} << (first % 64);
+    const uint64_t tail_mask = ~uint64_t{0} >> (63 - (last - 1) % 64);
+    for (ItemId item = 0; item < num_items_; ++item) {
+      const uint64_t* words = indexes_[k].item_words(item);
+      for (uint64_t w = first_word; w <= last_word; ++w) {
+        uint64_t bits = words[w];
+        if (w == first_word) bits &= head_mask;
+        if (w == last_word) bits &= tail_mask;
+        while (bits != 0) {
+          const uint64_t row =
+              w * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+          rows[row * shards + k - begin].push_back(item);
+          bits &= bits - 1;
+        }
+      }
+    }
+  }
+  TransactionDatabase out(num_items_);
+  for (std::vector<ItemId>& row : rows) {
+    Status status = out.AddBasket(std::move(row));
+    CORRMINE_CHECK(status.ok()) << status.ToString();
+  }
+  return out;
+}
+
+uint64_t ShardedCountProvider::ItemCount(ItemId item) const {
+  uint64_t total = 0;
+  for (const VerticalIndex& index : indexes_) total += index.ItemCount(item);
+  return total;
 }
 
 uint64_t ShardedCountProvider::IndexMemoryBytes() const {
   uint64_t bytes = 0;
-  for (const VerticalIndex& index : indexes_) {
-    bytes += static_cast<uint64_t>(index.num_items()) *
-             index.words_per_bitmap() * sizeof(uint64_t);
-  }
+  for (const VerticalIndex& index : indexes_) bytes += index.MemoryBytes();
   return bytes;
 }
 

@@ -2,6 +2,7 @@
 #define CORRMINE_ITEMSET_SHARDED_DATABASE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status_or.h"
@@ -12,6 +13,7 @@ namespace corrmine {
 
 class Gauge;
 class Histogram;
+class MetricsRegistry;
 
 /// Horizontal partition of the paper's basket data into K shards: basket j
 /// (in arrival order) lives in shard j % K at row j / K. Round-robin
@@ -42,11 +44,6 @@ class ShardedTransactionDatabase {
   /// Appends a basket to the next shard in round-robin order; items are
   /// sorted/deduplicated. Errors if any item id is out of range.
   Status AddBasket(std::vector<ItemId> items);
-
-  /// Appends a whole delta chunk in arrival order (round-robin placement
-  /// continues where the last append left off, so the layout is identical
-  /// to having loaded base+delta in one pass).
-  Status AppendBatch(std::vector<std::vector<ItemId>> baskets);
 
   /// Widens the item space on every shard; errors if it would shrink.
   Status GrowItemSpace(ItemId num_items);
@@ -86,40 +83,79 @@ class ShardedTransactionDatabase {
   ItemDictionary dictionary_;
 };
 
-/// CountProvider over a sharded database: one vertical index per shard,
-/// built eagerly; every count is the sum of per-shard AND/popcounts. Batches
-/// run the stripe-major executor (kernels.h CountBlockedBatch) with every
-/// shard's word stripes as tasks of one region; each scheduler slot sums
-/// into its own partial array and the partials are added in slot order, so
-/// results are deterministic and identical for any K and any pool (the
-/// K-invariance contract above).
+/// CountProvider over the K-shard layout: one vertical index per shard,
+/// with basket j (in arrival order) at row j / K of shard j % K, and every
+/// count the sum of per-shard AND/popcounts. The indexes are the only copy
+/// of the data it needs: a reader fills them basket by basket (Reserve,
+/// then AddBasket), or they are built from a database's rows, which may be
+/// dropped afterwards; ReadRows reads rows back when a consumer needs them.
+/// Batches run the stripe-major executor (kernels.h CountBlockedBatch) with
+/// every shard's word stripes as tasks of one region; each scheduler slot
+/// sums into its own partial array and the partials are added in slot
+/// order, so results are deterministic and identical for any K and any
+/// pool (the K-invariance contract above).
 ///
-/// Run-health telemetry (DESIGN.md §8): each batch accumulates per-shard
-/// wall time into histogram "sharded.shard_batch_ns" and publishes gauge
+/// Run-health telemetry (DESIGN.md §8), in the registry given at
+/// construction: gauge "sharded.shards", gauge "mem.shard_index_bytes"
+/// (refreshed whenever the bitmaps grow), per-shard batch wall time in
+/// histogram "sharded.shard_batch_ns", and gauge
 /// "sharded.batch_imbalance_x1000" = 1000 * max/mean of the per-shard batch
-/// times — the skew signal the flat counters can't see. Per-(shard,
-/// stripe) "bitmap.count_stripe" trace spans land in the worker threads'
-/// rings when tracing is active.
+/// times — the skew signal the flat counters can't see. Per-(shard, stripe)
+/// "bitmap.count_stripe" trace spans land in the worker threads' rings
+/// when tracing is active.
 class ShardedCountProvider : public CountProvider {
  public:
-  /// Builds the per-shard indexes eagerly; `db` must outlive this provider
-  /// only if shard_index()/num_shards() introspection is not enough for the
-  /// caller (the provider itself keeps no reference after construction).
-  explicit ShardedCountProvider(const ShardedTransactionDatabase& db);
+  /// An index of `num_items` items and no baskets over `num_shards` shards
+  /// (clamped to >= 1). Telemetry goes to `metrics`; nullptr means
+  /// MetricsRegistry::Global().
+  ShardedCountProvider(ItemId num_items, size_t num_shards,
+                       MetricsRegistry* metrics = nullptr);
 
-  /// Catches the per-shard indexes up with rows appended to `db` since
-  /// construction (or the last AppendFrom). Each shard's bitmaps grow in
-  /// place — no rebuild — and the result is byte-identical to constructing
-  /// a fresh provider over the grown database. Must not race with queries.
-  void AppendFrom(const ShardedTransactionDatabase& db);
+  /// Builds each shard's index from `db`'s rows; `db` may be discarded
+  /// afterwards.
+  explicit ShardedCountProvider(const ShardedTransactionDatabase& db,
+                                MetricsRegistry* metrics = nullptr);
+
+  /// Widens the item space to `num_items` and sizes every shard's bitmaps
+  /// for `num_baskets` baskets in all, so the AddBasket calls up to that
+  /// many allocate nothing. Never shrinks.
+  void Reserve(ItemId num_items, uint64_t num_baskets);
+
+  /// Sets the bits of the next basket in arrival order, j = num_baskets():
+  /// shard j % K, row j / K. `items` must be strictly increasing ids below
+  /// num_items(), and Reserve must have made room for basket j.
+  void AddBasket(std::span<const ItemId> items) {
+    indexes_[next_shard_].SetRow(next_row_, items);
+    ++num_baskets_;
+    if (++next_shard_ == indexes_.size()) {
+      next_shard_ = 0;
+      ++next_row_;
+    }
+  }
+
+  /// Appends `chunk`'s baskets in order, widening the item space to the
+  /// chunk's: every count afterwards is what a provider built over the
+  /// concatenated rows would give. Must not race with queries.
+  void Append(const TransactionDatabase& chunk);
+
+  /// Baskets [begin, end) in arrival order, read back from the bitmaps
+  /// (ids ascending, over this item space) — the one transposition from
+  /// the vertical layout back to rows. Costs one pass over the words that
+  /// cover the range in every item's bitmap.
+  TransactionDatabase ReadRows(uint64_t begin, uint64_t end) const;
 
   uint64_t num_baskets() const override { return num_baskets_; }
+  ItemId num_items() const { return num_items_; }
+
+  /// Exact global marginal O(i): the sum of the per-shard counts.
+  uint64_t ItemCount(ItemId item) const;
 
   size_t num_shards() const { return indexes_.size(); }
   const VerticalIndex& shard_index(size_t i) const { return indexes_[i]; }
 
-  /// Bytes held by the per-shard vertical indexes (bitmap words only — the
-  /// dominant term). Feeds the "mem.shard_index_bytes" gauge.
+  /// Bytes held by the per-shard vertical indexes (bitmap words, growth
+  /// slack included — the dominant term). Feeds the
+  /// "mem.shard_index_bytes" gauge.
   uint64_t IndexMemoryBytes() const;
 
  protected:
@@ -130,11 +166,17 @@ class ShardedCountProvider : public CountProvider {
 
  private:
   std::vector<VerticalIndex> indexes_;
-  uint64_t num_baskets_;
-  // Telemetry handles, resolved once from MetricsRegistry::Global() so the
-  // batch fan-out pays relaxed atomics, not registry lookups.
+  ItemId num_items_;
+  uint64_t num_baskets_ = 0;
+  // Where basket num_baskets_ goes: shard num_baskets_ % K, row
+  // num_baskets_ / K.
+  size_t next_shard_ = 0;
+  size_t next_row_ = 0;
+  // Telemetry handles, resolved once from the registry so the batch
+  // fan-out pays relaxed atomics, not registry lookups.
   Histogram* shard_batch_ns_;
   Gauge* batch_imbalance_;
+  Gauge* index_bytes_;
 };
 
 }  // namespace corrmine

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "common/logging.h"
 #include "itemset/bitmap.h"
+#include "itemset/kernels.h"
 
 namespace corrmine {
 
@@ -80,54 +82,53 @@ bool TransactionDatabase::BasketContainsAll(size_t row,
   return std::includes(basket.begin(), basket.end(), s.begin(), s.end());
 }
 
+VerticalIndex::VerticalIndex(ItemId num_items, size_t num_baskets) {
+  Grow(num_items, num_baskets);
+}
+
 VerticalIndex::VerticalIndex(const TransactionDatabase& db)
-    : num_baskets_(db.num_baskets()) {
-  bitmaps_.reserve(db.num_items());
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    bitmaps_.emplace_back(num_baskets_);
-  }
+    : VerticalIndex(db.num_items(), db.num_baskets()) {
   for (size_t row = 0; row < db.num_baskets(); ++row) {
-    for (ItemId item : db.basket(row)) {
-      bitmaps_[item].Set(row);
-    }
+    SetRow(row, db.basket(row));
   }
 }
 
-void VerticalIndex::AppendFrom(const TransactionDatabase& db,
-                               size_t from_row) {
-  CORRMINE_CHECK(from_row == num_baskets_)
-      << "AppendFrom row gap: index has " << num_baskets_
-      << " baskets, caller resumes at " << from_row;
-  CORRMINE_CHECK(db.num_baskets() >= from_row)
-      << "database shrank under the index";
-  num_baskets_ = db.num_baskets();
-  for (Bitmap& bitmap : bitmaps_) bitmap.Resize(num_baskets_);
-  for (ItemId i = static_cast<ItemId>(bitmaps_.size()); i < db.num_items();
-       ++i) {
-    bitmaps_.emplace_back(num_baskets_);
-  }
-  for (size_t row = from_row; row < num_baskets_; ++row) {
-    for (ItemId item : db.basket(row)) {
-      bitmaps_[item].Set(row);
+void VerticalIndex::Grow(ItemId num_items, size_t num_baskets) {
+  CORRMINE_CHECK(num_items >= this->num_items() && num_baskets >= num_baskets_)
+      << "VerticalIndex cannot shrink";
+  const size_t words = (num_baskets + 63) / 64;
+  if (words > pitch_) {
+    const size_t pitch = std::max(words, pitch_ + pitch_ / 8);
+    std::vector<uint64_t> arena(static_cast<size_t>(num_items) * pitch, 0);
+    for (size_t item = 0; item < item_counts_.size(); ++item) {
+      std::copy_n(words_.data() + item * pitch_, words_per_bitmap(),
+                  arena.data() + item * pitch);
     }
+    words_ = std::move(arena);
+    pitch_ = pitch;
+  } else {
+    words_.resize(static_cast<size_t>(num_items) * pitch_, 0);
   }
+  num_baskets_ = num_baskets;
+  item_counts_.resize(num_items, 0);
 }
 
-const Bitmap& VerticalIndex::item_bitmap(ItemId item) const {
-  CORRMINE_CHECK(item < bitmaps_.size()) << "item id out of range";
-  return bitmaps_[item];
+const uint64_t* VerticalIndex::item_words(ItemId item) const {
+  CORRMINE_CHECK(item < num_items()) << "item id out of range";
+  return words_.data() + static_cast<size_t>(item) * pitch_;
 }
 
 uint64_t VerticalIndex::CountAllPresent(const Itemset& s) const {
   CORRMINE_CHECK(!s.empty()) << "CountAllPresent requires a non-empty set";
-  if (s.size() == 1) return bitmaps_[s.item(0)].Count();
   if (s.size() == 2) {
-    return bitmaps_[s.item(0)].AndCount(bitmaps_[s.item(1)]);
+    return ActiveKernels().and_count(item_words(s.item(0)),
+                                     item_words(s.item(1)),
+                                     words_per_bitmap());
   }
-  std::vector<const Bitmap*> maps;
-  maps.reserve(s.size());
-  for (ItemId item : s) maps.push_back(&bitmaps_[item]);
-  return MultiAndCount(maps);
+  std::vector<const uint64_t*> operands;
+  operands.reserve(s.size());
+  for (ItemId item : s) operands.push_back(item_words(item));
+  return MultiAndCount(std::move(operands), words_per_bitmap());
 }
 
 }  // namespace corrmine

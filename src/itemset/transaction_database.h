@@ -1,6 +1,7 @@
 #ifndef CORRMINE_ITEMSET_TRANSACTION_DATABASE_H_
 #define CORRMINE_ITEMSET_TRANSACTION_DATABASE_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,40 +83,69 @@ class TransactionDatabase {
   ItemDictionary dictionary_;
 };
 
-/// Per-item vertical index: one Bitmap per item over the basket axis.
-/// Construction is one pass over the database; afterwards any
-/// all-items-present count is an AND/popcount. Appended database rows can
-/// be folded in with AppendFrom — the index never needs a full rebuild on
-/// delta ingestion.
+/// Per-item vertical index: one bitmap per item over the basket axis, plus
+/// the exact per-item occurrence counts O(i). The bitmaps share one
+/// item-major word arena — item i's words_per_bitmap() words start at
+/// item_words(i) — so an item costs its words and its count, nothing more.
+/// Built in one pass over a database's rows, or filled row by row (SetRow)
+/// by a reader that never materialises rows; afterwards any
+/// all-items-present count is an AND/popcount.
+///
+/// The first sizing is exact. Growing past it re-lays the arena out with
+/// at least an eighth more words per item than asked, so a run of small
+/// appends (delta chunks, CMB1 segments) copies the index only
+/// geometrically often.
 class VerticalIndex {
  public:
-  /// Builds bitmaps for all items of `db`. The database must not change
-  /// afterwards (the index does not track it) except by appending rows,
-  /// which AppendFrom catches the index up on.
+  /// An index of `num_items` items over `num_baskets` empty rows.
+  VerticalIndex(ItemId num_items, size_t num_baskets);
+
+  /// Builds bitmaps for all items of `db`; `db` may be discarded afterwards.
   explicit VerticalIndex(const TransactionDatabase& db);
 
-  /// Catches the index up with rows appended to `db` since it was built
-  /// (or last caught up): `from_row` must equal num_baskets(). Existing
-  /// bitmaps grow in place; items beyond the old space gain fresh bitmaps,
-  /// so the result is byte-identical to rebuilding from scratch.
-  void AppendFrom(const TransactionDatabase& db, size_t from_row);
+  /// Widens the index to `num_items` items and `num_baskets` rows; new
+  /// bits are 0. Never shrinks.
+  void Grow(ItemId num_items, size_t num_baskets);
+
+  /// Sets row `row`'s bits for `items`, which must be strictly increasing
+  /// ids below num_items(), and counts them in ItemCount. Each row is set
+  /// once.
+  void SetRow(size_t row, std::span<const ItemId> items) {
+    uint64_t* column = words_.data() + (row >> 6);
+    const uint64_t bit = uint64_t{1} << (row & 63);
+    for (const ItemId item : items) {
+      column[item * pitch_] |= bit;
+      ++item_counts_[item];
+    }
+  }
 
   size_t num_baskets() const { return num_baskets_; }
-  ItemId num_items() const { return static_cast<ItemId>(bitmaps_.size()); }
-  const Bitmap& item_bitmap(ItemId item) const;
+  ItemId num_items() const { return static_cast<ItemId>(item_counts_.size()); }
+
+  /// Item `item`'s bitmap: words_per_bitmap() words, bit b set iff basket
+  /// b contains the item (bits past num_baskets() are 0).
+  const uint64_t* item_words(ItemId item) const;
+
+  /// Occurrence count O(i) over this index's rows.
+  uint64_t ItemCount(ItemId item) const { return item_counts_[item]; }
 
   /// Words per item bitmap — the unit the mining cost model counts AND
   /// operations in.
-  size_t words_per_bitmap() const {
-    return bitmaps_.empty() ? 0 : bitmaps_[0].words().size();
-  }
+  size_t words_per_bitmap() const { return (num_baskets_ + 63) / 64; }
+
+  /// Bytes of the word arena, growth slack included.
+  size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
   /// Number of baskets containing every item of `s`; s must be non-empty.
   uint64_t CountAllPresent(const Itemset& s) const;
 
  private:
-  size_t num_baskets_;
-  std::vector<Bitmap> bitmaps_;
+  size_t num_baskets_ = 0;
+  /// Words from one item's bitmap to the next: words_per_bitmap() plus the
+  /// slack growth left.
+  size_t pitch_ = 0;
+  std::vector<uint64_t> words_;
+  std::vector<uint64_t> item_counts_;
 };
 
 }  // namespace corrmine

@@ -8,92 +8,73 @@
 #include "common/metrics.h"
 #include "common/phase.h"
 #include "common/thread_pool.h"
-#include "itemset/bitmap.h"
+#include "itemset/kernels.h"
 
 namespace corrmine {
 
 namespace {
 
+/// Per-shard basket set of an itemset: one bitmap per shard, borrowed from
+/// the shard indexes for singletons and from the owning extension below
+/// them. Support is the sum of per-shard popcounts, exact by construction.
+using ShardedRows = std::vector<const uint64_t*>;
+
 struct EclatState {
   uint64_t min_count;
   int max_level;  // 0 = unbounded.
+  /// Words per bitmap in each shard, and their sum.
+  const std::vector<size_t>* shard_words;
+  size_t total_words;
   std::vector<FrequentItemset>* out;
   /// Tidset intersections performed in this branch (private per branch so
   /// the hot loop stays atomic-free; summed into the registry at the end).
   uint64_t* intersections;
 };
 
-/// Depth-first extension: `prefix` is frequent with basket set
+/// Depth-first extension: `prefix` is frequent with basket sets
 /// `prefix_rows`; `tail` holds the frequent items greater than prefix's
-/// last item, each with its own basket bitmap.
-void Extend(const Itemset& prefix, const Bitmap& prefix_rows,
-            const std::vector<std::pair<ItemId, const Bitmap*>>& tail,
+/// last item, each with its own per-shard bitmaps. One *logical*
+/// intersection per tail item (K short per-shard ANDs), counted once so
+/// "eclat.intersections" is K-invariant. The fused and_count_into kernel
+/// materializes the joined bitmaps and counts them in one pass, and the
+/// count is kept so the emit below never re-popcounts them.
+void Extend(const Itemset& prefix, const ShardedRows& prefix_rows,
+            const std::vector<std::pair<ItemId, const ShardedRows*>>& tail,
             const EclatState& state) {
   if (state.max_level != 0 &&
       static_cast<int>(prefix.size()) >= state.max_level) {
     return;
   }
-  // Intersect the prefix's rows with each tail item; survivors recurse.
-  // The fused AndCountInto kernel materializes the joined tidset and
-  // counts it in one pass, and the count is kept so the emit below never
-  // re-popcounts the bitmap.
-  std::vector<std::pair<ItemId, Bitmap>> extensions;
+  const CountingKernels& kernels = ActiveKernels();
+  const std::vector<size_t>& shard_words = *state.shard_words;
+  // A surviving extension keeps its K joined bitmaps back to back in one
+  // buffer; a failed one leaves the buffer for the next tail item.
+  std::vector<std::pair<ItemId, std::vector<uint64_t>>> extensions;
   std::vector<uint64_t> extension_counts;
+  std::vector<uint64_t> joined;
   for (const auto& [item, rows] : tail) {
     ++*state.intersections;
-    Bitmap joined;
-    const uint64_t count = Bitmap::AndCountInto(prefix_rows, *rows, &joined);
-    if (count >= state.min_count) {
-      extensions.emplace_back(item, std::move(joined));
-      extension_counts.push_back(count);
-    }
-  }
-  for (size_t i = 0; i < extensions.size(); ++i) {
-    Itemset extended = prefix.WithItem(extensions[i].first);
-    state.out->push_back(FrequentItemset{extended, extension_counts[i]});
-    std::vector<std::pair<ItemId, const Bitmap*>> next_tail;
-    for (size_t j = i + 1; j < extensions.size(); ++j) {
-      next_tail.emplace_back(extensions[j].first, &extensions[j].second);
-    }
-    if (!next_tail.empty()) {
-      Extend(extended, extensions[i].second, next_tail, state);
-    }
-  }
-}
-
-/// Per-shard basket set of an itemset: one bitmap per database shard,
-/// borrowed from the shard indexes for singletons and from the owning
-/// extension below them. Support is the sum of per-shard popcounts, exact
-/// by construction.
-using ShardedRows = std::vector<const Bitmap*>;
-
-/// Sharded analog of Extend: one *logical* intersection per tail item (K
-/// short per-shard ANDs), counted once so "eclat.intersections" is
-/// K-invariant.
-void ExtendSharded(const Itemset& prefix, const ShardedRows& prefix_rows,
-                   const std::vector<std::pair<ItemId, const ShardedRows*>>& tail,
-                   const EclatState& state) {
-  if (state.max_level != 0 &&
-      static_cast<int>(prefix.size()) >= state.max_level) {
-    return;
-  }
-  std::vector<std::pair<ItemId, std::vector<Bitmap>>> extensions;
-  std::vector<uint64_t> extension_counts;
-  for (const auto& [item, rows] : tail) {
-    ++*state.intersections;
-    std::vector<Bitmap> joined(prefix_rows.size());
+    joined.resize(state.total_words);
     uint64_t count = 0;
+    size_t offset = 0;
     for (size_t s = 0; s < prefix_rows.size(); ++s) {
-      count += Bitmap::AndCountInto(*prefix_rows[s], *(*rows)[s], &joined[s]);
+      count += kernels.and_count_into(joined.data() + offset, prefix_rows[s],
+                                      (*rows)[s], shard_words[s]);
+      offset += shard_words[s];
     }
     if (count >= state.min_count) {
       extensions.emplace_back(item, std::move(joined));
       extension_counts.push_back(count);
+      joined = {};
     }
   }
   std::vector<ShardedRows> views(extensions.size());
   for (size_t i = 0; i < extensions.size(); ++i) {
-    for (const Bitmap& b : extensions[i].second) views[i].push_back(&b);
+    size_t offset = 0;
+    for (const size_t words : shard_words) {
+      views[i].push_back(extensions[i].second.data() + offset);
+      offset += words;
+    }
   }
   for (size_t i = 0; i < extensions.size(); ++i) {
     Itemset extended = prefix.WithItem(extensions[i].first);
@@ -103,7 +84,7 @@ void ExtendSharded(const Itemset& prefix, const ShardedRows& prefix_rows,
       next_tail.emplace_back(extensions[j].first, &views[j]);
     }
     if (!next_tail.empty()) {
-      ExtendSharded(extended, views[i], next_tail, state);
+      Extend(extended, views[i], next_tail, state);
     }
   }
 }
@@ -144,91 +125,39 @@ void SortFrequent(std::vector<FrequentItemset>* result) {
 
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const TransactionDatabase& db, const EclatOptions& options) {
-  CORRMINE_RETURN_NOT_OK(ValidateEclatOptions(db.num_baskets(), options));
-  uint64_t min_count =
-      EclatMinCount(db.num_baskets(), options.min_support_fraction);
-
-  VerticalIndex index(db);
-
-  // Frequent singletons seed the depth-first search.
-  std::vector<std::pair<ItemId, const Bitmap*>> frequent_items;
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    if (db.ItemCount(i) >= min_count) {
-      frequent_items.emplace_back(i, &index.item_bitmap(i));
-    }
-  }
-
-  // Each singleton's subtree is independent: mine it into a private buffer
-  // (parallel across subtrees), then concatenate in item order. The final
-  // (size, lex) sort makes the order question moot, but keeping the merge
-  // deterministic means the pre-sort vector is reproducible too.
-  const int threads = ThreadPool::ResolveThreadCount(options.num_threads);
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(threads - 1);
-    pool = owned_pool.get();
-  }
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Phase phase(registry, "eclat.mine");
-  std::vector<std::vector<FrequentItemset>> branch_results(
-      frequent_items.size());
-  std::vector<uint64_t> branch_intersections(frequent_items.size(), 0);
-  CORRMINE_RETURN_NOT_OK(ParallelFor(
-      pool, frequent_items.size(), /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          EclatState state{min_count, options.max_level, &branch_results[i],
-                           &branch_intersections[i]};
-          Itemset single{frequent_items[i].first};
-          branch_results[i].push_back(
-              FrequentItemset{single, frequent_items[i].second->Count()});
-          std::vector<std::pair<ItemId, const Bitmap*>> tail(
-              frequent_items.begin() + i + 1, frequent_items.end());
-          if (!tail.empty()) {
-            Extend(single, *frequent_items[i].second, tail, state);
-          }
-        }
-        return Status::OK();
-      }));
-
-  std::vector<FrequentItemset> result;
-  for (std::vector<FrequentItemset>& branch : branch_results) {
-    result.insert(result.end(), std::make_move_iterator(branch.begin()),
-                  std::make_move_iterator(branch.end()));
-  }
-  uint64_t total_intersections = 0;
-  for (uint64_t c : branch_intersections) total_intersections += c;
-  registry.GetCounter("eclat.intersections")->Add(total_intersections);
-  registry.GetCounter("eclat.frequent")->Add(result.size());
-
-  SortFrequent(&result);
-  return result;
+  ShardedCountProvider index(db.num_items(), 1);
+  index.Append(db);
+  return MineFrequentItemsetsEclat(index, options);
 }
 
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const ShardedTransactionDatabase& db, const EclatOptions& options) {
-  return MineFrequentItemsetsEclat(db, ShardedCountProvider(db), options);
+  return MineFrequentItemsetsEclat(ShardedCountProvider(db), options);
 }
 
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
-    const ShardedTransactionDatabase& db, const ShardedCountProvider& index,
-    const EclatOptions& options) {
-  CORRMINE_RETURN_NOT_OK(ValidateEclatOptions(db.num_baskets(), options));
+    const ShardedCountProvider& index, const EclatOptions& options) {
+  CORRMINE_RETURN_NOT_OK(ValidateEclatOptions(index.num_baskets(), options));
   uint64_t min_count =
-      EclatMinCount(db.num_baskets(), options.min_support_fraction);
+      EclatMinCount(index.num_baskets(), options.min_support_fraction);
 
   // A singleton's basket set is its bitmap in each shard's index.
-  // Marginals come from the database's exact per-shard sums, so the
-  // frequent-singleton set matches the monolithic overload bit for bit.
+  // Marginals are the index's exact per-shard sums, so the
+  // frequent-singleton set is the same for any K.
+  std::vector<size_t> shard_words;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    shard_words.push_back(index.shard_index(s).words_per_bitmap());
+  }
+  size_t total_words = 0;
+  for (const size_t words : shard_words) total_words += words;
   std::vector<ItemId> frequent_ids;
   std::vector<ShardedRows> frequent_rows;
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    if (db.ItemCount(i) < min_count) continue;
+  for (ItemId i = 0; i < index.num_items(); ++i) {
+    if (index.ItemCount(i) < min_count) continue;
     frequent_ids.push_back(i);
     ShardedRows rows;
     for (size_t s = 0; s < index.num_shards(); ++s) {
-      rows.push_back(&index.shard_index(s).item_bitmap(i));
+      rows.push_back(index.shard_index(s).item_words(i));
     }
     frequent_rows.push_back(std::move(rows));
   }
@@ -249,18 +178,19 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
       pool, frequent_ids.size(), /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          EclatState state{min_count, options.max_level, &branch_results[i],
-                           &branch_intersections[i]};
+          EclatState state{min_count,          options.max_level,
+                           &shard_words,       total_words,
+                           &branch_results[i], &branch_intersections[i]};
           Itemset single{frequent_ids[i]};
           branch_results[i].push_back(
-              FrequentItemset{single, db.ItemCount(frequent_ids[i])});
+              FrequentItemset{single, index.ItemCount(frequent_ids[i])});
           std::vector<std::pair<ItemId, const ShardedRows*>> tail;
           tail.reserve(frequent_ids.size() - i - 1);
           for (size_t j = i + 1; j < frequent_ids.size(); ++j) {
             tail.emplace_back(frequent_ids[j], &frequent_rows[j]);
           }
           if (!tail.empty()) {
-            ExtendSharded(single, frequent_rows[i], tail, state);
+            Extend(single, frequent_rows[i], tail, state);
           }
         }
         return Status::OK();

@@ -32,6 +32,7 @@ struct EclatOptions {
 /// generation/scan cycle exists.
 ///
 /// Results ordered by (size, lexicographic), matching the other miners.
+/// `db`'s rows are indexed as one shard and mined as below.
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const TransactionDatabase& db, const EclatOptions& options = {});
 
@@ -47,10 +48,11 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const ShardedTransactionDatabase& db, const EclatOptions& options = {});
 
 /// The shard-native overload over per-shard indexes built already (a
-/// MiningSession's provider, built over `db`), so the mine builds none.
+/// MiningSession's provider), so the mine builds none: the singletons'
+/// bitmaps are borrowed from `index`, and their supports are its exact
+/// item counts.
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
-    const ShardedTransactionDatabase& db, const ShardedCountProvider& index,
-    const EclatOptions& options = {});
+    const ShardedCountProvider& index, const EclatOptions& options = {});
 
 }  // namespace corrmine
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
 #include "io/binary_io.h"
 #include "io/cmb1_decoder.h"
 #include "io/sharded_loader.h"
@@ -217,6 +218,22 @@ std::vector<ReaderOutcome> ReadEveryWay(const std::string& path) {
     }
     outcomes.push_back(std::move(out));
   }
+  for (int shards : {1, 3}) {
+    ReaderOutcome out;
+    out.reader = "MiningSession::Open K=" + std::to_string(shards);
+    SessionOptions options;
+    options.num_shards = shards;
+    auto session = MiningSession::Open(path, options);
+    out.status = session.status();
+    if (session.ok()) {
+      const TransactionDatabase db = session->Flatten();
+      out.num_items = db.num_items();
+      for (size_t row = 0; row < db.num_baskets(); ++row) {
+        out.rows.push_back(db.basket(row));
+      }
+    }
+    outcomes.push_back(std::move(out));
+  }
   ReaderOutcome out;
   out.reader = "StreamTransactionFile";
   out.status = StreamTransactionFile(
@@ -293,6 +310,34 @@ TEST(BinaryIoTest, OverlongVarintIsCorruptionForEveryReader) {
   const Status streamed = StreamTransactionFile(
       path, &num_items, [](std::vector<ItemId>) { return Status::OK(); });
   EXPECT_TRUE(streamed.IsCorruption()) << streamed.ToString();
+  std::remove(path.c_str());
+  EXPECT_EQ(ReaderDisagreement(bytes), "");
+}
+
+TEST(BinaryIoTest, OpenRejectsABasketCountBeyondTheBytesLeft) {
+  // Item space 4 and a claimed 2^50 baskets, followed by three one-item
+  // baskets. Every basket record takes at least one byte, so the count is
+  // Corruption before it sizes a bitmap: 2^50 rows would take 128 TiB per
+  // item.
+  std::string bytes = "CMB1";
+  bytes += '\x04';
+  AppendVarint(&bytes, uint64_t{1} << 50);
+  for (const char id : {'\x00', '\x01', '\x02'}) {
+    bytes += '\x01';
+    bytes += id;
+  }
+  const std::string path = ::testing::TempDir() + "/corrmine_huge_count.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  for (int shards : {1, 3}) {
+    SessionOptions options;
+    options.num_shards = shards;
+    const Status status = MiningSession::Open(path, options).status();
+    EXPECT_TRUE(status.IsCorruption()) << "K=" << shards << ": "
+                                       << status.ToString();
+  }
   std::remove(path.c_str());
   EXPECT_EQ(ReaderDisagreement(bytes), "");
 }

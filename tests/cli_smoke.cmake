@@ -126,6 +126,60 @@ if(NOT rc EQUAL 0 OR NOT EXISTS ${WORKDIR}/result.txt)
   message(FATAL_ERROR "mine --out failed")
 endif()
 
+# Resume over a grown CMB1 input: mine with --border-out, `ingest --append`
+# a delta (a second segment), then mine with --resume-from. The rows past
+# the snapshot are read back from the session's bitmaps and folded into
+# it, and the repaired --out rules must equal a from-scratch mine of the
+# grown file byte for byte. 601 base baskets over 4 shards make the tail
+# start inside a shard's bitmap word.
+set(resume_mine --support-count 15 --cell-fraction 0.26 --max-level 2)
+execute_process(
+  COMMAND ${CLI} generate quest --baskets 601 --seed 5 --format binary
+          --out ${WORKDIR}/resume.cmb
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+execute_process(
+  COMMAND ${CLI} generate quest --baskets 60 --seed 6
+          --out ${WORKDIR}/resume_delta.txt
+  RESULT_VARIABLE rc2 OUTPUT_QUIET)
+if(NOT rc EQUAL 0 OR NOT rc2 EQUAL 0)
+  message(FATAL_ERROR "generate for the resume case failed: ${rc} ${rc2}")
+endif()
+execute_process(
+  COMMAND ${CLI} mine ${WORKDIR}/resume.cmb ${resume_mine}
+          --border-out ${WORKDIR}/resume.cbs
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mine --border-out failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${CLI} ingest ${WORKDIR}/resume.cmb
+          --append ${WORKDIR}/resume_delta.txt
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "ingest --append failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${CLI} mine ${WORKDIR}/resume.cmb ${resume_mine} --shards 4
+          --resume-from ${WORKDIR}/resume.cbs
+          --out ${WORKDIR}/resume_repaired.txt
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "folded 60 appended baskets")
+  message(FATAL_ERROR "mine --resume-from failed or folded no tail: ${rc} ${err}")
+endif()
+execute_process(
+  COMMAND ${CLI} mine ${WORKDIR}/resume.cmb ${resume_mine}
+          --out ${WORKDIR}/resume_scratch.txt
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "from-scratch mine of the grown file failed: ${rc}")
+endif()
+file(READ ${WORKDIR}/resume_repaired.txt repaired)
+file(READ ${WORKDIR}/resume_scratch.txt scratch)
+if(repaired STREQUAL "" OR NOT repaired STREQUAL scratch)
+  message(FATAL_ERROR
+          "--resume-from rules differ from a from-scratch mine of the grown file")
+endif()
+
 # Categorical dependencies from CSV.
 file(WRITE ${WORKDIR}/deps.csv
 "color,size\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nred,small\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nblue,big\nred,big\nred,big\nred,big\nblue,small\nblue,small\nblue,small\n")

@@ -13,6 +13,7 @@
 #include "core/session.h"
 #include "datagen/quest_generator.h"
 #include "io/binary_io.h"
+#include "io/transaction_io.h"
 #include "itemset/count_provider.h"
 
 namespace corrmine {
@@ -182,25 +183,38 @@ TEST(MinerMetricsTest, HeartbeatsCarryTheEvaluateAndGeneratePhases) {
   EXPECT_EQ(generate_ns, snap.histograms.at("miner.generate.ns").sum);
 }
 
-TEST(SessionMetricsTest, OpenTimesLoadAndIndexBuildOnce) {
+TEST(SessionMetricsTest, OpenTimesLoadOnceAndIndexesRowInputsOnce) {
   auto db = datagen::GenerateQuestData(SmallQuest());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ::testing::TempDir() + "/metrics_session.bin";
-  ASSERT_TRUE(io::WriteBinaryTransactionFile(*db, path).ok());
-  MetricsRegistry registry;
-  SessionOptions options;
-  options.num_shards = 2;
-  options.metrics = &registry;
-  auto session = MiningSession::Open(path, options);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  // Set-up is two phases, each with one name across histogram, trace and
-  // PMU: the decode (io.load) and the provider build (session.build_index).
-  MetricsRegistry::Snapshot snap = registry.Snap();
+  const std::string binary = ::testing::TempDir() + "/metrics_session.bin";
+  const std::string text = ::testing::TempDir() + "/metrics_session.txt";
+  ASSERT_TRUE(io::WriteBinaryTransactionFile(*db, binary).ok());
+  ASSERT_TRUE(io::WriteTransactionFile(*db, text).ok());
+  auto open = [](const std::string& path, MetricsRegistry* registry) {
+    SessionOptions options;
+    options.num_shards = 2;
+    options.metrics = registry;
+    auto session = MiningSession::Open(path, options);
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    return registry->Snap();
+  };
+  // A CMB1 file decodes straight into the bitmaps: set-up is one phase,
+  // io.load, with one name across histogram, trace and PMU.
+  MetricsRegistry binary_registry;
+  MetricsRegistry::Snapshot snap = open(binary, &binary_registry);
+  EXPECT_EQ(snap.counters.at("io.load.calls"), 1u);
+  EXPECT_EQ(snap.histograms.at("io.load.ns").count, 1u);
+  EXPECT_EQ(snap.counters.count("session.build_index.calls"), 0u);
+  // Text is parsed into rows (io.load), which are then indexed
+  // (session.build_index) and dropped.
+  MetricsRegistry text_registry;
+  snap = open(text, &text_registry);
   EXPECT_EQ(snap.counters.at("io.load.calls"), 1u);
   EXPECT_EQ(snap.counters.at("session.build_index.calls"), 1u);
   EXPECT_EQ(snap.histograms.at("io.load.ns").count, 1u);
   EXPECT_EQ(snap.histograms.at("session.build_index.ns").count, 1u);
-  std::remove(path.c_str());
+  std::remove(binary.c_str());
+  std::remove(text.c_str());
 }
 
 // --- §3.3 low-expectation masking accounting ---------------------------

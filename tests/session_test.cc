@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,16 @@ TransactionDatabase SeededQuest(uint64_t seed) {
   auto db = datagen::GenerateQuestData(quest);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   return std::move(*db);
+}
+
+using Rows = std::vector<std::vector<ItemId>>;
+
+Rows RowsOf(const TransactionDatabase& db) {
+  Rows rows;
+  for (size_t row = 0; row < db.num_baskets(); ++row) {
+    rows.push_back(db.basket(row));
+  }
+  return rows;
 }
 
 std::string Fingerprint(const MiningResult& result) {
@@ -180,6 +191,114 @@ TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
     ASSERT_TRUE(scratch_result.ok());
     EXPECT_EQ(Fingerprint(*appended_result), Fingerprint(*scratch_result))
         << "shards " << shards;
+  }
+}
+
+// The session keeps no row store: Flatten and ReadRows transpose the
+// per-shard bitmaps back into rows, for any K, before and after an append
+// that widens the item space, and from a multi-segment CMB1 file.
+TEST(MiningSessionTest, ReadsRowsBackFromTheBitmaps) {
+  TransactionDatabase base = SeededQuest(1997);
+  TransactionDatabase delta(base.num_items() + 5);
+  ASSERT_TRUE(delta.AddBasket({0, base.num_items() + 4}).ok());
+  ASSERT_TRUE(delta.AddBasket({}).ok());
+  ASSERT_TRUE(delta.AddBasket({3, 4, base.num_items()}).ok());
+  Rows expected = RowsOf(base);
+  for (size_t row = 0; row < delta.num_baskets(); ++row) {
+    expected.push_back(delta.basket(row));
+  }
+  const std::string path = ::testing::TempDir() + "/session_segments.bin";
+  ASSERT_TRUE(io::WriteStringToFile(io::EncodeBinaryTransactions(base) +
+                                        io::EncodeBinaryTransactions(delta),
+                                    path)
+                  .ok());
+
+  for (int shards : {1, 2, 3, 7}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    SessionOptions options;
+    options.num_shards = shards;
+    auto session = MiningSession::FromDatabase(base, options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(RowsOf(session->Flatten()), RowsOf(base));
+    ASSERT_TRUE(session->AppendBatch(delta).ok());
+    const TransactionDatabase flat = session->Flatten();
+    EXPECT_EQ(flat.num_items(), delta.num_items());
+    EXPECT_EQ(RowsOf(flat), expected);
+    // Any range, including ones that start and end inside a shard's word.
+    for (const auto& [begin, end] :
+         std::vector<std::pair<uint64_t, uint64_t>>{
+             {0, 0}, {5, 6}, {63, 131}, {base.num_baskets() - 1,
+                                          expected.size()}}) {
+      const Rows range = RowsOf(session->ReadRows(begin, end));
+      EXPECT_EQ(range, Rows(expected.begin() + begin, expected.begin() + end))
+          << "[" << begin << ", " << end << ")";
+    }
+
+    auto opened = MiningSession::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->num_items(), delta.num_items());
+    EXPECT_EQ(RowsOf(opened->Flatten()), expected);
+
+    // A run of small appends, some inside the growth slack and some past
+    // it, leaves the same rows and counts as one session over them all.
+    Rows grown = expected;
+    TransactionDatabase all(delta.num_items());
+    for (const std::vector<ItemId>& row : expected) {
+      ASSERT_TRUE(all.AddBasket(row).ok());
+    }
+    for (int chunk = 0; chunk < 12; ++chunk) {
+      TransactionDatabase small = SeededQuest(100 + chunk);
+      TransactionDatabase head(small.num_items());
+      for (size_t row = 0; row < 40; ++row) {
+        ASSERT_TRUE(head.AddBasket(small.basket(row)).ok());
+        ASSERT_TRUE(all.AddBasket(small.basket(row)).ok());
+        grown.push_back(small.basket(row));
+      }
+      ASSERT_TRUE(session->AppendBatch(head).ok());
+    }
+    EXPECT_EQ(RowsOf(session->Flatten()), grown);
+    auto scratch = MiningSession::FromDatabase(all, options);
+    ASSERT_TRUE(scratch.ok());
+    auto appended_result = session->Mine(TestMinerOptions());
+    auto scratch_result = scratch->Mine(TestMinerOptions());
+    ASSERT_TRUE(appended_result.ok() && scratch_result.ok());
+    EXPECT_EQ(Fingerprint(*appended_result), Fingerprint(*scratch_result));
+  }
+  std::remove(path.c_str());
+}
+
+// Shard telemetry lands in the registry the session was given, not in the
+// global one.
+TEST(MiningSessionTest, ShardTelemetryGoesToTheSessionRegistry) {
+  MetricsRegistry::Global().Reset();
+  MetricsRegistry registry;
+  SessionOptions options;
+  options.num_shards = 2;
+  options.metrics = &registry;
+  auto session = MiningSession::FromDatabase(SeededQuest(1997), options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
+
+  const MetricsRegistry::Snapshot snap = registry.Snap();
+  ASSERT_EQ(snap.gauges.count("sharded.shards"), 1u);
+  EXPECT_EQ(snap.gauges.at("sharded.shards"), 2);
+  ASSERT_EQ(snap.gauges.count("mem.shard_index_bytes"), 1u);
+  EXPECT_GT(snap.gauges.at("mem.shard_index_bytes"), 0);
+  EXPECT_EQ(snap.gauges.count("sharded.batch_imbalance_x1000"), 1u);
+  ASSERT_EQ(snap.histograms.count("sharded.shard_batch_ns"), 1u);
+  EXPECT_GT(snap.histograms.at("sharded.shard_batch_ns").count, 0u);
+
+  const MetricsRegistry::Snapshot global = MetricsRegistry::Global().Snap();
+  for (const char* gauge : {"sharded.shards", "mem.shard_index_bytes",
+                            "sharded.batch_imbalance_x1000"}) {
+    auto it = global.gauges.find(gauge);
+    if (it != global.gauges.end()) {
+      EXPECT_EQ(it->second, 0) << gauge;
+    }
+  }
+  auto batch_ns = global.histograms.find("sharded.shard_batch_ns");
+  if (batch_ns != global.histograms.end()) {
+    EXPECT_EQ(batch_ns->second.count, 0u);
   }
 }
 

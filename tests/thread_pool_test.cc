@@ -1,14 +1,23 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <gtest/gtest.h>
+
+#include "common/metrics.h"
 
 namespace corrmine {
 namespace {
@@ -387,6 +396,103 @@ TEST(ParallelForTest, ManySmallRegionsReuseOnePool) {
     ASSERT_TRUE(status.ok());
     EXPECT_EQ(sum.load(), 64u * 63u / 2u);
   }
+}
+
+#if defined(__linux__)
+/// The affinity mask of each of `pool`'s workers, as the worker reports it:
+/// one task per worker, each held until all have started, so no worker
+/// runs two of them.
+std::vector<cpu_set_t> WorkerMasks(ThreadPool& pool) {
+  struct Barrier {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t started = 0;
+    size_t finished = 0;
+    std::vector<cpu_set_t> masks;
+  };
+  const size_t workers = static_cast<size_t>(pool.num_threads());
+  auto barrier = std::make_shared<Barrier>();
+  barrier->masks.resize(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    pool.Submit([barrier, workers, i] {
+      std::unique_lock<std::mutex> lock(barrier->mu);
+      CPU_ZERO(&barrier->masks[i]);
+      EXPECT_EQ(sched_getaffinity(0, sizeof(cpu_set_t), &barrier->masks[i]),
+                0);
+      ++barrier->started;
+      barrier->cv.notify_all();
+      barrier->cv.wait(lock, [&] { return barrier->started == workers; });
+      ++barrier->finished;
+      barrier->cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(barrier->mu);
+  barrier->cv.wait(lock, [&] { return barrier->finished == workers; });
+  return barrier->masks;
+}
+
+TEST(ThreadPoolTest, WorkersBindToDistinctCpusOfTheMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const int cpus = CPU_COUNT(&mask);
+  if (cpus < 2) GTEST_SKIP() << "one usable CPU: a worker cannot fit";
+  const int workers = std::min(cpus - 1, 3);
+  ThreadPool pool(workers);
+  std::set<int> bound;
+  for (cpu_set_t& worker : WorkerMasks(pool)) {
+    ASSERT_EQ(CPU_COUNT(&worker), 1);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (!CPU_ISSET(cpu, &worker)) continue;
+      EXPECT_TRUE(CPU_ISSET(cpu, &mask)) << "bound outside the mask: " << cpu;
+      bound.insert(cpu);
+    }
+  }
+  EXPECT_EQ(bound.size(), static_cast<size_t>(workers));
+}
+
+TEST(ThreadPoolTest, OversubscribedPoolStaysUnbound) {
+  // Narrow this thread to one CPU: a 2-worker pool plus this thread does
+  // not fit, so the workers keep the mask they inherit and bind nowhere
+  // else.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  std::vector<cpu_set_t> masks;
+  {
+    ThreadPool pool(2);
+    masks = WorkerMasks(pool);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  ASSERT_EQ(masks.size(), 2u);
+  for (cpu_set_t& worker : masks) {
+    EXPECT_TRUE(CPU_EQUAL(&worker, &one));
+  }
+}
+#endif  // __linux__
+
+TEST(ParallelForTest, RegionCpusGaugeCountsTheCpusThatRanChunks) {
+  Gauge* region_cpus = MetricsRegistry::Global().GetGauge("pool.region_cpus");
+  region_cpus->Set(0);
+  ThreadPool pool(2);
+  std::atomic<uint64_t> sum{0};
+  ASSERT_TRUE(ParallelFor(&pool, 4096, /*grain=*/16,
+                          [&](size_t begin, size_t end) -> Status {
+                            for (size_t i = begin; i < end; ++i) {
+                              sum.fetch_add(i, std::memory_order_relaxed);
+                            }
+                            return Status::OK();
+                          })
+                  .ok());
+  // At least the caller's CPU; never more CPUs than participants.
+  EXPECT_GE(region_cpus->Value(), 1);
+  EXPECT_LE(region_cpus->Value(), 3);
 }
 
 }  // namespace

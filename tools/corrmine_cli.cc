@@ -460,12 +460,10 @@ Status RunMine(const FlagParser& flags) {
     if (session.num_baskets() > state->num_baskets) {
       // Rows past the snapshot's coverage are tail chunks appended since it
       // was written (ingest --append): fold them into the memo so the
-      // repair only ever re-counts the delta.
-      const ShardedTransactionDatabase& db = session.database();
-      TransactionDatabase tail(db.num_items());
-      for (size_t row = state->num_baskets; row < db.num_baskets(); ++row) {
-        CORRMINE_RETURN_NOT_OK(tail.AddBasket(db.basket(row)));
-      }
+      // repair only ever re-counts the delta. The tail's rows are read back
+      // from the session's bitmaps.
+      const TransactionDatabase tail =
+          session.ReadRows(state->num_baskets, session.num_baskets());
       CORRMINE_RETURN_NOT_OK(ApplyAppendedChunk(&*state, tail));
       std::cerr << "[repair] folded " << tail.num_baskets()
                 << " appended baskets from the input file into the "
