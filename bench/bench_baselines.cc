@@ -1,7 +1,6 @@
-// Head-to-head of the frequent-itemset miners this library ships —
-// Apriori, PCY, Partition, Toivonen sampling, Eclat, FP-growth — on the
-// same Quest data, verifying identical outputs while timing each, plus the
-// batch per-level table builder against per-candidate builds.
+// Head-to-head of the frequent-itemset miners behind `rules` — Apriori and
+// Eclat — on the same Quest data, verifying identical outputs while timing
+// each.
 
 #include <chrono>
 
@@ -11,18 +10,11 @@
 #include <string>
 
 #include "common/logging.h"
-#include "core/batch_tables.h"
-#include "core/chi_squared_test.h"
 #include "datagen/quest_generator.h"
 #include "io/table_printer.h"
 #include "itemset/count_provider.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
-#include "mining/fp_growth.h"
-#include "mining/maximal.h"
-#include "mining/partition.h"
-#include "mining/pcy.h"
-#include "mining/sampling.h"
 
 namespace corrmine {
 namespace {
@@ -75,40 +67,6 @@ int main() {
   }
   {
     auto start = std::chrono::steady_clock::now();
-    PcyOptions options;
-    options.min_support_fraction = kSupport;
-    auto result = MineFrequentItemsetsPcy(*db, options);
-    CORRMINE_CHECK(result.ok());
-    table.AddRow({"PCY", io::FormatDouble(SecondsSince(start), 3),
-                  std::to_string(result->size()),
-                  ToMap(*result) == reference ? "yes" : "NO"});
-  }
-  {
-    auto start = std::chrono::steady_clock::now();
-    PartitionOptions options;
-    options.min_support_fraction = kSupport;
-    options.num_partitions = 8;
-    auto result = MineFrequentItemsetsPartition(*db, options);
-    CORRMINE_CHECK(result.ok());
-    table.AddRow({"partition (8 chunks)",
-                  io::FormatDouble(SecondsSince(start), 3),
-                  std::to_string(result->size()),
-                  ToMap(*result) == reference ? "yes" : "NO"});
-  }
-  {
-    auto start = std::chrono::steady_clock::now();
-    SamplingOptions options;
-    options.min_support_fraction = kSupport;
-    options.sample_fraction = 0.1;
-    auto result = MineFrequentItemsetsSampling(*db, options);
-    CORRMINE_CHECK(result.ok());
-    table.AddRow({"sampling (10% sample)",
-                  io::FormatDouble(SecondsSince(start), 3),
-                  std::to_string(result->size()),
-                  ToMap(*result) == reference ? "yes" : "NO"});
-  }
-  {
-    auto start = std::chrono::steady_clock::now();
     EclatOptions options;
     options.min_support_fraction = kSupport;
     auto result = MineFrequentItemsetsEclat(*db, options);
@@ -117,49 +75,7 @@ int main() {
                   std::to_string(result->size()),
                   ToMap(*result) == reference ? "yes" : "NO"});
   }
-  {
-    auto start = std::chrono::steady_clock::now();
-    FpGrowthOptions options;
-    options.min_support_fraction = kSupport;
-    auto result = MineFrequentItemsetsFpGrowth(*db, options);
-    CORRMINE_CHECK(result.ok());
-    auto as_map = ToMap(*result);
-    table.AddRow({"fp-growth", io::FormatDouble(SecondsSince(start), 3),
-                  std::to_string(result->size()),
-                  as_map == reference ? "yes" : "NO"});
-
-    auto maximal = MaximalFrequentItemsets(*result);
-    auto closed = ClosedFrequentItemsets(*result);
-    table.AddRow({"  (maximal / closed summary)", "-",
-                  std::to_string(maximal.size()) + " / " +
-                      std::to_string(closed.size()),
-                  "-"});
-  }
   table.Print(std::cout);
-
-  // Batch per-level table construction vs per-candidate builds.
-  std::vector<Itemset> candidates;
-  for (const auto& [itemset, count] : reference) {
-    if (itemset.size() == 2) candidates.push_back(itemset);
-  }
-  std::cout << "\n== Contingency tables for " << candidates.size()
-            << " pairs: batch scan vs per-candidate ==\n";
-  {
-    auto start = std::chrono::steady_clock::now();
-    auto batch = BuildSparseTablesBatch(*db, candidates);
-    CORRMINE_CHECK(batch.ok());
-    std::cout << "batch one-pass build : "
-              << io::FormatDouble(SecondsSince(start), 3) << " s\n";
-  }
-  {
-    auto start = std::chrono::steady_clock::now();
-    for (const Itemset& s : candidates) {
-      auto single = ContingencyTable::Build(provider, s);
-      CORRMINE_CHECK(single.ok());
-    }
-    std::cout << "per-candidate bitmap : "
-              << io::FormatDouble(SecondsSince(start), 3) << " s\n";
-  }
   corrmine::bench::EmitMetricsLine("bench_baselines");
   return 0;
 }

@@ -1,13 +1,15 @@
-// Ablation: the three counting strategies behind contingency-table
-// construction — per-query database scan, per-item bitmaps (AND/popcount),
-// and the datacube — over varying database sizes and itemset sizes.
+// Ablation: the counting strategies behind contingency-table construction
+// — per-query database scan, per-item bitmaps (AND/popcount) and the
+// compressed counting columns — over varying database sizes and itemset
+// sizes.
+
+#include <map>
 
 #include "common/logging.h"
 #include <benchmark/benchmark.h>
 
 #include "bench_metrics.h"
 
-#include "cube/datacube.h"
 #include "datagen/quest_generator.h"
 #include "itemset/counting_column.h"
 #include "itemset/count_provider.h"
@@ -69,23 +71,6 @@ void BM_CountBitmap(benchmark::State& state) {
                           static_cast<int64_t>(db.num_baskets()));
 }
 BENCHMARK(BM_CountBitmap)->Arg(1000)->Arg(10000)->Arg(50000);
-
-void BM_CountCube(benchmark::State& state) {
-  const auto& db = SharedDb(static_cast<size_t>(state.range(0)));
-  static auto* cubes = new std::map<size_t, DataCube>();
-  auto it = cubes->find(db.num_baskets());
-  if (it == cubes->end()) {
-    auto cube = DataCube::Build(db, 2);
-    CORRMINE_CHECK(cube.ok());
-    it = cubes->emplace(db.num_baskets(), std::move(*cube)).first;
-  }
-  CubeCountProvider provider(it->second, &db);
-  Itemset pair = FrequentPair(db);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(provider.CountAllPresent(pair));
-  }
-}
-BENCHMARK(BM_CountCube)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_CountCompressed(benchmark::State& state) {
   const auto& db = SharedDb(static_cast<size_t>(state.range(0)));

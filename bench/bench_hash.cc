@@ -1,52 +1,18 @@
-// Ablation for the paper's Section 4 implementation choice: static hash
-// tables (FKS over 64-bit keys; the miner's flat ItemsetTable over item
-// arenas) versus the standard unordered containers for the NOTSIG
-// membership tests driving candidate generation.
+// Ablation for the paper's Section 4 implementation choice: the miner's
+// static flat ItemsetTable over item arenas versus a standard unordered
+// set for the NOTSIG membership tests driving candidate generation.
 
 #include "common/logging.h"
-#include <unordered_map>
 #include <unordered_set>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_metrics.h"
 
-#include "hash/fks_perfect_hash.h"
 #include "hash/itemset_table.h"
-#include "hash/universal_hash.h"
 
 namespace corrmine::hash {
 namespace {
-
-std::vector<uint64_t> MakeKeys(size_t count) {
-  std::vector<uint64_t> keys;
-  keys.reserve(count);
-  SplitMix64 rng(99);
-  for (size_t i = 0; i < count; ++i) keys.push_back(rng.Next());
-  return keys;
-}
-
-void BM_FksLookupHit(benchmark::State& state) {
-  auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
-  auto table = FksPerfectHash::Build(keys);
-  CORRMINE_CHECK(table.ok());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table->Find(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_FksLookupHit)->Arg(1000)->Arg(100000);
-
-void BM_UnorderedMapLookupHit(benchmark::State& state) {
-  auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
-  std::unordered_map<uint64_t, uint64_t> table;
-  for (size_t i = 0; i < keys.size(); ++i) table.emplace(keys[i], i);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.find(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_UnorderedMapLookupHit)->Arg(1000)->Arg(100000);
 
 /// Every width-`width` itemset over items [0, universe) in lex order,
 /// split by item-sum parity: even sums are the members, odd sums the

@@ -68,8 +68,8 @@ void Report(io::TablePrinter* table, const std::string& name,
 }
 
 /// B1: `generate quest --baskets 20000`, then `mine --support-count 600
-/// --cell-fraction 0.26`, mined through a MiningSession as the CLI does,
-/// with one registry per run for the phase split.
+/// --cell-fraction 0.26`, mined through a MiningSession as the CLI does;
+/// the global registry is reset before each run for the phase split.
 void RunB1() {
   datagen::QuestOptions quest;
   quest.num_transactions = 20000;
@@ -80,10 +80,10 @@ void RunB1() {
                           "evaluate s", "generate s", "candidates", "sig",
                           "peak RSS MiB"});
   for (int threads : {1, 4}) {
-    MetricsRegistry registry;
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    registry.Reset();
     SessionOptions session_options;
     session_options.num_threads = threads;
-    session_options.metrics = &registry;
     auto session = MiningSession::FromDatabase(*db, session_options);
     CORRMINE_CHECK(session.ok()) << session.status().ToString();
     MinerOptions options;

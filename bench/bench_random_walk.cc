@@ -1,8 +1,7 @@
 // Compares the level-wise miner against the random-walk alternative the
 // paper sketches in Sections 2.1 and 6: walks have no per-level barrier and
 // support non-downward-closed pruning (high-chi2 filtering), at the cost of
-// probabilistic coverage. Also exercises the datacube-backed walk the paper
-// flags as future work.
+// probabilistic coverage.
 
 #include <chrono>
 
@@ -13,7 +12,6 @@
 #include "common/logging.h"
 #include "core/chi_squared_miner.h"
 #include "core/random_walk_miner.h"
-#include "cube/datacube.h"
 #include "datagen/quest_generator.h"
 #include "io/table_printer.h"
 #include "itemset/count_provider.h"
@@ -84,25 +82,6 @@ int main() {
         MineCorrelationsRandomWalk(provider, db->num_items(), options);
     CORRMINE_CHECK(result.ok());
     table.AddRow({"random walk x10000, chi2<=500",
-                  io::FormatDouble(SecondsSince(start), 3),
-                  std::to_string(result->significant.size())});
-  }
-
-  // Datacube-backed walk: counts served from materialized cube cells.
-  {
-    auto cube = DataCube::Build(*db, 2);
-    CORRMINE_CHECK(cube.ok());
-    CubeCountProvider cube_provider(*cube, &*db);
-    RandomWalkOptions options;
-    options.miner = miner;
-    options.miner.max_level = 2;  // Stay within the cube's dimension.
-    options.max_itemset_size = 2;
-    options.num_walks = 10000;
-    auto start = std::chrono::steady_clock::now();
-    auto result = MineCorrelationsRandomWalk(cube_provider,
-                                             db->num_items(), options);
-    CORRMINE_CHECK(result.ok());
-    table.AddRow({"random walk x10000 on datacube (pairs)",
                   io::FormatDouble(SecondsSince(start), 3),
                   std::to_string(result->significant.size())});
   }

@@ -1,7 +1,7 @@
 // Market-basket comparison: run the support-confidence framework (Apriori
-// + rule generation, plus the PCY hash-filtered variant) and the
-// chi-squared correlation framework side by side on Quest synthetic data,
-// showing where the two disagree — the heart of the paper's argument.
+// + rule generation) and the chi-squared correlation framework side by
+// side on Quest synthetic data, showing where the two disagree — the heart
+// of the paper's argument.
 
 #include <algorithm>
 #include <iostream>
@@ -12,8 +12,8 @@
 #include "datagen/quest_generator.h"
 #include "io/table_printer.h"
 #include "itemset/count_provider.h"
+#include "mining/apriori.h"
 #include "mining/association_rules.h"
-#include "mining/pcy.h"
 
 int main() {
   using namespace corrmine;
@@ -52,19 +52,7 @@ int main() {
   std::cout << "support-confidence: " << frequent->size()
             << " frequent itemsets, " << rules->size()
             << " rules at confidence >= " << rule_options.min_confidence
-            << "\n";
-
-  // PCY produces the same frequent sets through a hash filter.
-  PcyOptions pcy_options;
-  pcy_options.min_support_fraction = apriori_options.min_support_fraction;
-  PcyStats pcy_stats;
-  auto pcy = MineFrequentItemsetsPcy(*db, pcy_options, &pcy_stats);
-  if (pcy.ok()) {
-    std::cout << "PCY agrees on " << pcy->size()
-              << " frequent itemsets; bucket filter cut pair candidates "
-              << pcy_stats.pair_candidates_item_filter << " -> "
-              << pcy_stats.pair_candidates_after_bucket << "\n\n";
-  }
+            << "\n\n";
 
   // --- Correlation framework on the same data. ---
   MinerOptions miner;

@@ -92,11 +92,11 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
 };
 
-/// Owns the named metrics of one process (or one test). Library code
-/// instruments against Global(); tests that need isolation construct their
-/// own and pass it down (MinerOptions::metrics). Handles returned by the
-/// Get* methods stay valid for the registry's lifetime — Reset() zeroes
-/// values in place, it never invalidates pointers.
+/// Owns the named metrics of one process. Library code records into
+/// Global(); a test or bench that reads a run's numbers calls
+/// Global().Reset() before the run. Handles returned by the Get* methods
+/// stay valid for the registry's lifetime — Reset() zeroes values in
+/// place, it never invalidates pointers.
 class MetricsRegistry {
  public:
   /// The process-wide default registry.

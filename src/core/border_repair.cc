@@ -145,13 +145,12 @@ Status ApplyRetiredChunk(BorderState* state,
 StatusOr<MiningResult> RepairBorder(const MiningSession& session,
                                     BorderState* state) {
   CORRMINE_RETURN_NOT_OK(ValidateStateAgainstSession(*state, session));
-  Phase phase(session.metrics(), "repair.mine", -1,
+  Phase phase(MetricsRegistry::Global(), "repair.mine", -1,
               static_cast<int64_t>(state->num_baskets),
               static_cast<int64_t>(state->counts.size()));
   MinerOptions options = state->config.ToMinerOptions();
   options.num_threads = session.num_threads();
   options.pool = session.pool();
-  options.metrics = &session.metrics();
   MemoCountProvider memo_provider(&state->counts, session.provider());
   CORRMINE_ASSIGN_OR_RETURN(
       MiningResult result,

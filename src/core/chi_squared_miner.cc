@@ -277,8 +277,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
   }
   MiningResult result;
 
-  MetricsRegistry& registry =
-      options.metrics ? *options.metrics : MetricsRegistry::Global();
+  MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("miner.runs")->Add();
   MinerCounters counters(&registry);
   Phase run_phase(registry, "miner.mine", -1, -1,

@@ -13,7 +13,6 @@
 
 namespace corrmine {
 
-class MetricsRegistry;
 class ThreadPool;
 
 /// One heartbeat of a long-running mine, delivered to
@@ -74,12 +73,6 @@ struct MinerOptions {
   /// borrowed pool overrides num_threads for parallel regions; determinism
   /// holds either way.
   ThreadPool* pool = nullptr;
-
-  /// Registry the run's counters and phase spans are recorded into;
-  /// nullptr means MetricsRegistry::Global(). The per-level numbers also
-  /// land in MiningResult::levels, which is what the deterministic
-  /// stats-json section reports (DESIGN.md §6).
-  MetricsRegistry* metrics = nullptr;
 
   /// Optional heartbeat, invoked from the coordinating thread after every
   /// completed level (the CLI's --progress wires a stderr printer here).

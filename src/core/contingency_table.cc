@@ -157,35 +157,6 @@ StatusOr<SparseContingencyTable> SparseContingencyTable::Build(
       std::move(cells));
 }
 
-StatusOr<SparseContingencyTable> SparseContingencyTable::FromCells(
-    Itemset s, IndependenceModel model, std::vector<Cell> cells) {
-  if (s.empty() || static_cast<int>(s.size()) > kMaxItems ||
-      static_cast<int>(s.size()) != model.num_items()) {
-    return Status::InvalidArgument(
-        "itemset/model mismatch when assembling sparse table");
-  }
-  const uint32_t width = static_cast<uint32_t>(s.size());
-  uint64_t total = 0;
-  std::unordered_map<uint32_t, bool> seen;
-  for (const Cell& cell : cells) {
-    if (cell.observed == 0) {
-      return Status::InvalidArgument("sparse cells must have count > 0");
-    }
-    if (width < 32 && (cell.mask >> width) != 0) {
-      return Status::OutOfRange("cell mask exceeds itemset width");
-    }
-    if (!seen.emplace(cell.mask, true).second) {
-      return Status::InvalidArgument("duplicate cell mask");
-    }
-    total += cell.observed;
-  }
-  if (total != model.n()) {
-    return Status::Corruption("sparse cell counts do not sum to n");
-  }
-  return SparseContingencyTable(std::move(s), std::move(model),
-                                std::move(cells));
-}
-
 double SparseContingencyTable::TotalCellCount() const {
   return std::ldexp(1.0, num_items());
 }

@@ -109,13 +109,6 @@ class SparseContingencyTable {
   static StatusOr<SparseContingencyTable> Build(const TransactionDatabase& db,
                                                 const Itemset& s);
 
-  /// Assembles from precomputed cells (used by the batch per-level builder,
-  /// core/batch_tables.h). Cells must have distinct masks within the
-  /// itemset's width, positive counts, and sum to the model's n.
-  static StatusOr<SparseContingencyTable> FromCells(Itemset s,
-                                                    IndependenceModel model,
-                                                    std::vector<Cell> cells);
-
   const Itemset& itemset() const { return itemset_; }
   int num_items() const { return model_.num_items(); }
   uint64_t n() const { return model_.n(); }

@@ -25,11 +25,6 @@ Status ValidateSessionOptions(const SessionOptions& options) {
   return Status::OK();
 }
 
-MetricsRegistry& RegistryOf(const SessionOptions& options) {
-  return options.metrics != nullptr ? *options.metrics
-                                    : MetricsRegistry::Global();
-}
-
 /// Rows of a text or named-item input: named-item text is interned through
 /// the dictionary, other text parsed as integer ids.
 StatusOr<TransactionDatabase> LoadRows(const std::string& path,
@@ -52,8 +47,7 @@ MiningSession::MiningSession(std::unique_ptr<ShardedCountProvider> provider,
                              const SessionOptions& options)
     : provider_(std::move(provider)),
       dictionary_(std::move(dictionary)),
-      threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
-      metrics_(options.metrics) {
+      threads_(ThreadPool::ResolveThreadCount(options.num_threads)) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   PublishMemoryGauges();
 }
@@ -65,14 +59,13 @@ StatusOr<MiningSession> MiningSession::Open(const std::string& path,
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
   StatusOr<TransactionDatabase> rows = Status::Internal("not loaded");
   {
-    Phase load_phase(RegistryOf(options), "io.load", -1,
+    Phase load_phase(MetricsRegistry::Global(), "io.load", -1,
                      static_cast<int64_t>(shards));
     if (!options.named_items) {
       CORRMINE_ASSIGN_OR_RETURN(io::TransactionFileFormat format,
                                 io::DetectTransactionFileFormat(path));
       if (format == io::TransactionFileFormat::kBinary) {
-        auto index = std::make_unique<ShardedCountProvider>(
-            ItemId{0}, shards, options.metrics);
+        auto index = std::make_unique<ShardedCountProvider>(ItemId{0}, shards);
         CORRMINE_RETURN_NOT_OK(io::LoadBinaryIntoIndex(path, index.get()));
         return MiningSession(std::move(index), ItemDictionary(), options);
       }
@@ -88,10 +81,9 @@ StatusOr<MiningSession> MiningSession::FromDatabase(
   CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   const size_t shards =
       ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  auto index = std::make_unique<ShardedCountProvider>(db.num_items(), shards,
-                                                      options.metrics);
+  auto index = std::make_unique<ShardedCountProvider>(db.num_items(), shards);
   {
-    Phase build_phase(RegistryOf(options), "session.build_index", -1,
+    Phase build_phase(MetricsRegistry::Global(), "session.build_index", -1,
                       static_cast<int64_t>(shards),
                       static_cast<int64_t>(db.num_baskets()));
     index->Append(db);
@@ -104,23 +96,20 @@ StatusOr<MiningSession> MiningSession::FromShardedDatabase(
   CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options));
   std::unique_ptr<ShardedCountProvider> index;
   {
-    Phase build_phase(RegistryOf(options), "session.build_index", -1,
+    Phase build_phase(MetricsRegistry::Global(), "session.build_index", -1,
                       static_cast<int64_t>(db.num_shards()),
                       static_cast<int64_t>(db.num_baskets()));
-    index = std::make_unique<ShardedCountProvider>(db, options.metrics);
+    index = std::make_unique<ShardedCountProvider>(db);
   }
   return MiningSession(std::move(index), std::move(db.dictionary()), options);
-}
-
-MetricsRegistry& MiningSession::metrics() const {
-  return metrics_ != nullptr ? *metrics_ : MetricsRegistry::Global();
 }
 
 // Memory bookkeeping shared by every Mine* entry point: refreshed after each
 // run so a stats dump taken at any point reflects the high-water mark. (The
 // provider keeps "mem.shard_index_bytes" current itself.)
 void MiningSession::PublishMemoryGauges() const {
-  metrics().GetGauge("mem.peak_rss_bytes")
+  MetricsRegistry::Global()
+      .GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
 }
 
@@ -131,7 +120,7 @@ TransactionDatabase MiningSession::Flatten() const {
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
-  Phase phase(metrics(), "session.append", -1,
+  Phase phase(MetricsRegistry::Global(), "session.append", -1,
               static_cast<int64_t>(chunk.num_baskets()),
               static_cast<int64_t>(chunk.num_items()));
   provider_->Append(chunk);
@@ -140,12 +129,11 @@ Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
 }
 
 StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
-  Phase phase(metrics(), "session.mine", -1,
+  Phase phase(MetricsRegistry::Global(), "session.mine", -1,
               static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
-  if (options.metrics == nullptr) options.metrics = metrics_;
   auto result = MineCorrelations(provider(), num_items(), options);
   PublishMemoryGauges();
   return result;
@@ -153,12 +141,11 @@ StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
 
 StatusOr<MiningResult> MiningSession::MineRandomWalk(
     RandomWalkOptions options) const {
-  Phase phase(metrics(), "session.mine_random_walk", -1,
+  Phase phase(MetricsRegistry::Global(), "session.mine_random_walk", -1,
               static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.miner.num_threads = threads_;
   options.miner.pool = pool_.get();
-  if (options.miner.metrics == nullptr) options.miner.metrics = metrics_;
   auto result = MineCorrelationsRandomWalk(provider(), num_items(), options);
   PublishMemoryGauges();
   return result;
@@ -166,7 +153,7 @@ StatusOr<MiningResult> MiningSession::MineRandomWalk(
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
     AprioriOptions options) const {
-  Phase phase(metrics(), "session.mine_frequent", -1,
+  Phase phase(MetricsRegistry::Global(), "session.mine_frequent", -1,
               static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;
@@ -178,7 +165,7 @@ StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequentEclat(
     EclatOptions options) const {
-  Phase phase(metrics(), "session.mine_frequent_eclat", -1,
+  Phase phase(MetricsRegistry::Global(), "session.mine_frequent_eclat", -1,
               static_cast<int64_t>(num_shards()),
               static_cast<int64_t>(threads_));
   options.num_threads = threads_;

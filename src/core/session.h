@@ -36,19 +36,16 @@ struct SessionOptions {
   /// Floors the item space when loading text files (Open only); the CMB1
   /// binary header is authoritative for its own item space.
   ItemId num_items_hint = 0;
-
-  /// Registry for the runs' counters and phase timers; nullptr means
-  /// MetricsRegistry::Global().
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// One place that owns everything a mining run needs — the per-shard bitmap
 /// indexes (ShardedCountProvider, which also holds n, the item space and
-/// the exact item counts), the item dictionary, the thread pool, and the
-/// metrics registry — so front ends (the CLI, tests, benchmarks) stop
-/// hand-assembling provider/pool/option plumbing. The session keeps no row
-/// store: the bitmaps are the only copy of the data, and rows are read back
-/// from them on demand (ReadRows, Flatten). Construction resolves the
+/// the exact item counts), the item dictionary and the thread pool — so
+/// front ends (the CLI, tests, benchmarks) stop hand-assembling
+/// provider/pool/option plumbing. Every run records into
+/// MetricsRegistry::Global(). The session keeps no row store: the bitmaps
+/// are the only copy of the data, and rows are read back from them on
+/// demand (ReadRows, Flatten). Construction resolves the
 /// 0-means-auto conventions once; every Mine* method lends the session's
 /// pool to the run and wires the resolved thread count through, so results
 /// are identical to standalone calls with the same settings.
@@ -78,7 +75,7 @@ class MiningSession {
   ~MiningSession();
 
   /// Level-wise chi-squared mining (Figure 1) over the session's provider.
-  /// The session fills in num_threads/pool/metrics; all other fields of
+  /// The session fills in num_threads/pool; all other fields of
   /// `options` are the caller's.
   StatusOr<MiningResult> Mine(MinerOptions options = {}) const;
 
@@ -110,7 +107,6 @@ class MiningSession {
   int num_threads() const { return threads_; }
   /// The session's lending pool; nullptr when running sequentially.
   ThreadPool* pool() const { return pool_.get(); }
-  MetricsRegistry& metrics() const;
 
   ItemId num_items() const { return provider_->num_items(); }
   uint64_t num_baskets() const { return provider_->num_baskets(); }
@@ -131,15 +127,14 @@ class MiningSession {
   MiningSession(std::unique_ptr<ShardedCountProvider> provider,
                 ItemDictionary dictionary, const SessionOptions& options);
 
-  /// Refreshes the "mem.peak_rss_bytes" gauge in the session's registry;
-  /// called after every Mine* run.
+  /// Refreshes the "mem.peak_rss_bytes" gauge; called after every Mine*
+  /// run.
   void PublishMemoryGauges() const;
 
   std::unique_ptr<ShardedCountProvider> provider_;
   ItemDictionary dictionary_;
   std::unique_ptr<ThreadPool> pool_;
   int threads_ = 1;
-  MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace corrmine

@@ -7,8 +7,8 @@ namespace corrmine::hash {
 
 /// A function from the classic universal family
 ///   h_{a,b}(x) = ((a*x + b) mod p) mod m,   p = 2^61 - 1,
-/// the collision-probability guarantee perfect hashing (FKS and its dynamic
-/// variant) builds on. `a` must be nonzero mod p.
+/// the collision-probability guarantee perfect hashing builds on. `a` must
+/// be nonzero mod p.
 class UniversalHashFunction {
  public:
   static constexpr uint64_t kPrime = (uint64_t{1} << 61) - 1;
@@ -30,8 +30,9 @@ class UniversalHashFunction {
   uint64_t b_;
 };
 
-/// Deterministic pseudo-random stream used to draw hash functions (and by
-/// other components needing cheap seeded randomness): splitmix64.
+/// Deterministic pseudo-random stream used to draw hash functions and by
+/// components needing cheap seeded randomness (the random-walk miner):
+/// splitmix64.
 class SplitMix64 {
  public:
   explicit SplitMix64(uint64_t seed) : state_(seed) {}

@@ -85,35 +85,26 @@ TransactionDatabase ShardedTransactionDatabase::Flatten() const {
   return out;
 }
 
-namespace {
-
-MetricsRegistry& RegistryOrGlobal(MetricsRegistry* metrics) {
-  return metrics != nullptr ? *metrics : MetricsRegistry::Global();
-}
-
-}  // namespace
-
 ShardedCountProvider::ShardedCountProvider(ItemId num_items,
-                                           size_t num_shards,
-                                           MetricsRegistry* metrics)
+                                           size_t num_shards)
     : num_items_(num_items),
-      shard_batch_ns_(RegistryOrGlobal(metrics).GetHistogram(
+      shard_batch_ns_(MetricsRegistry::Global().GetHistogram(
           "sharded.shard_batch_ns")),
-      batch_imbalance_(RegistryOrGlobal(metrics).GetGauge(
+      batch_imbalance_(MetricsRegistry::Global().GetGauge(
           "sharded.batch_imbalance_x1000")),
       index_bytes_(
-          RegistryOrGlobal(metrics).GetGauge("mem.shard_index_bytes")) {
+          MetricsRegistry::Global().GetGauge("mem.shard_index_bytes")) {
   num_shards = std::max<size_t>(num_shards, 1);
   indexes_.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) indexes_.emplace_back(num_items, 0);
-  RegistryOrGlobal(metrics).GetGauge("sharded.shards")
+  MetricsRegistry::Global()
+      .GetGauge("sharded.shards")
       ->Set(static_cast<int64_t>(num_shards));
   index_bytes_->Set(0);
 }
 
-ShardedCountProvider::ShardedCountProvider(
-    const ShardedTransactionDatabase& db, MetricsRegistry* metrics)
-    : ShardedCountProvider(db.num_items(), db.num_shards(), metrics) {
+ShardedCountProvider::ShardedCountProvider(const ShardedTransactionDatabase& db)
+    : ShardedCountProvider(db.num_items(), db.num_shards()) {
   for (size_t k = 0; k < indexes_.size(); ++k) {
     indexes_[k] = VerticalIndex(db.shard(k));
   }

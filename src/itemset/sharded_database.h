@@ -13,7 +13,6 @@ namespace corrmine {
 
 class Gauge;
 class Histogram;
-class MetricsRegistry;
 
 /// Horizontal partition of the paper's basket data into K shards: basket j
 /// (in arrival order) lives in shard j % K at row j / K. Round-robin
@@ -95,8 +94,8 @@ class ShardedTransactionDatabase {
 /// order, so results are deterministic and identical for any K and any
 /// pool (the K-invariance contract above).
 ///
-/// Run-health telemetry (DESIGN.md §8), in the registry given at
-/// construction: gauge "sharded.shards", gauge "mem.shard_index_bytes"
+/// Run-health telemetry (DESIGN.md §8), in MetricsRegistry::Global():
+/// gauge "sharded.shards", gauge "mem.shard_index_bytes"
 /// (refreshed whenever the bitmaps grow), per-shard batch wall time in
 /// histogram "sharded.shard_batch_ns", and gauge
 /// "sharded.batch_imbalance_x1000" = 1000 * max/mean of the per-shard batch
@@ -106,15 +105,12 @@ class ShardedTransactionDatabase {
 class ShardedCountProvider : public CountProvider {
  public:
   /// An index of `num_items` items and no baskets over `num_shards` shards
-  /// (clamped to >= 1). Telemetry goes to `metrics`; nullptr means
-  /// MetricsRegistry::Global().
-  ShardedCountProvider(ItemId num_items, size_t num_shards,
-                       MetricsRegistry* metrics = nullptr);
+  /// (clamped to >= 1).
+  ShardedCountProvider(ItemId num_items, size_t num_shards);
 
   /// Builds each shard's index from `db`'s rows; `db` may be discarded
   /// afterwards.
-  explicit ShardedCountProvider(const ShardedTransactionDatabase& db,
-                                MetricsRegistry* metrics = nullptr);
+  explicit ShardedCountProvider(const ShardedTransactionDatabase& db);
 
   /// Widens the item space to `num_items` and sizes every shard's bitmaps
   /// for `num_baskets` baskets in all, so the AddBasket calls up to that

@@ -1,12 +1,10 @@
 #include "mining/partition.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -20,75 +18,6 @@
 #include "itemset/counting_column.h"
 
 namespace corrmine {
-
-StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsPartition(
-    const TransactionDatabase& db, const PartitionOptions& options,
-    PartitionStats* stats) {
-  if (db.num_baskets() == 0) {
-    return Status::FailedPrecondition("mining an empty database");
-  }
-  if (!(options.min_support_fraction > 0.0 &&
-        options.min_support_fraction <= 1.0)) {
-    return Status::InvalidArgument("min_support_fraction must be in (0,1]");
-  }
-  if (options.num_partitions < 1) {
-    return Status::InvalidArgument("num_partitions must be positive");
-  }
-  size_t n = db.num_baskets();
-  size_t num_partitions =
-      std::min<size_t>(static_cast<size_t>(options.num_partitions), n);
-
-  // Phase 1: mine each horizontal chunk at the same fractional threshold.
-  std::unordered_set<Itemset, ItemsetHasher> candidate_set;
-  size_t chunk = (n + num_partitions - 1) / num_partitions;
-  for (size_t p = 0; p < num_partitions; ++p) {
-    size_t begin = p * chunk;
-    size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    TransactionDatabase part(db.num_items());
-    for (size_t row = begin; row < end; ++row) {
-      CORRMINE_RETURN_NOT_OK(part.AddBasket(db.basket(row)));
-    }
-    BitmapCountProvider part_provider(part);
-    AprioriOptions local;
-    local.min_support_fraction = options.min_support_fraction;
-    local.max_level = options.max_level;
-    CORRMINE_ASSIGN_OR_RETURN(
-        std::vector<FrequentItemset> local_frequent,
-        MineFrequentItemsets(part_provider, db.num_items(), local));
-    for (FrequentItemset& f : local_frequent) {
-      candidate_set.insert(std::move(f.itemset));
-    }
-  }
-
-  // Phase 2: one global pass over the union of local winners.
-  uint64_t min_count = static_cast<uint64_t>(std::ceil(
-      options.min_support_fraction * static_cast<double>(n) - 1e-9));
-  if (min_count == 0) min_count = 1;
-  BitmapCountProvider provider(db);
-  std::vector<FrequentItemset> result;
-  uint64_t false_candidates = 0;
-  for (const Itemset& candidate : candidate_set) {
-    uint64_t count = provider.CountAllPresent(candidate);
-    if (count >= min_count) {
-      result.push_back(FrequentItemset{candidate, count});
-    } else {
-      ++false_candidates;
-    }
-  }
-  if (stats != nullptr) {
-    stats->global_candidates = candidate_set.size();
-    stats->false_candidates = false_candidates;
-  }
-  std::sort(result.begin(), result.end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              if (a.itemset.size() != b.itemset.size()) {
-                return a.itemset.size() < b.itemset.size();
-              }
-              return a.itemset < b.itemset;
-            });
-  return result;
-}
 
 namespace {
 
@@ -253,9 +182,7 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
                            ec.message());
   }
 
-  MetricsRegistry& registry = options.miner.metrics != nullptr
-                                  ? *options.miner.metrics
-                                  : MetricsRegistry::Global();
+  MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetGauge("mem.memory_budget_bytes")
       ->Set(static_cast<int64_t>(options.memory_budget_bytes));
 

@@ -7,37 +7,8 @@
 #include "common/status_or.h"
 #include "core/chi_squared_miner.h"
 #include "itemset/transaction_database.h"
-#include "mining/apriori.h"
 
 namespace corrmine {
-
-struct PartitionOptions {
-  double min_support_fraction = 0.01;
-  /// Number of horizontal partitions (the original tunes this so one
-  /// partition fits in memory).
-  int num_partitions = 4;
-  /// Stop after this itemset size; 0 = unbounded.
-  int max_level = 0;
-};
-
-struct PartitionStats {
-  /// Union of locally frequent itemsets = global candidates.
-  uint64_t global_candidates = 0;
-  /// Candidates that failed the global count (locally frequent somewhere,
-  /// globally infrequent — the algorithm's only source of wasted work).
-  uint64_t false_candidates = 0;
-};
-
-/// The Partition algorithm of Savasere, Omiecinski and Navathe (VLDB'95,
-/// the paper's reference [27]): split the database into `num_partitions`
-/// chunks, mine each chunk independently at the same *fractional*
-/// threshold, and union the locally frequent itemsets. Any globally
-/// frequent itemset is frequent in at least one partition (pigeonhole on
-/// fractions), so the union is a superset of the answer; a second full
-/// pass counts the union exactly. Two database passes total.
-StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsPartition(
-    const TransactionDatabase& db, const PartitionOptions& options = {},
-    PartitionStats* stats = nullptr);
 
 /// Options of the out-of-core correlation miner (DESIGN.md §12).
 struct OutOfCoreMinerOptions {

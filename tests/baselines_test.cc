@@ -1,16 +1,11 @@
-// Tests for the additional frequent-itemset baselines (Eclat, FP-growth)
-// and the maximal/closed post-processing and rule-measure panel.
+// Tests for the Eclat frequent-itemset baseline against Apriori.
 
-#include <cmath>
 #include <map>
 
 #include <gtest/gtest.h>
 
-#include "core/chi_squared_test.h"
+#include "mining/apriori.h"
 #include "mining/eclat.h"
-#include "mining/fp_growth.h"
-#include "mining/maximal.h"
-#include "mining/rule_measures.h"
 #include "test_util.h"
 
 namespace corrmine {
@@ -45,15 +40,6 @@ TEST_P(BaselineEquivalence, EclatMatchesApriori) {
   EXPECT_EQ(ToMap(*eclat), AprioriReference(db, 0.1));
 }
 
-TEST_P(BaselineEquivalence, FpGrowthMatchesApriori) {
-  auto db = testing::RandomCorrelatedDatabase(9, 300, 0.8, GetParam());
-  FpGrowthOptions options;
-  options.min_support_fraction = 0.1;
-  auto fp = MineFrequentItemsetsFpGrowth(db, options);
-  ASSERT_TRUE(fp.ok());
-  EXPECT_EQ(ToMap(*fp), AprioriReference(db, 0.1));
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, BaselineEquivalence,
                          ::testing::Values(11, 22, 33, 44, 55));
 
@@ -66,12 +52,6 @@ TEST(BaselineTest, MaxLevelRespectedEverywhere) {
   auto eclat = MineFrequentItemsetsEclat(db, eclat_opts);
   ASSERT_TRUE(eclat.ok());
   EXPECT_EQ(ToMap(*eclat), reference);
-  FpGrowthOptions fp_opts;
-  fp_opts.min_support_fraction = 0.05;
-  fp_opts.max_level = 2;
-  auto fp = MineFrequentItemsetsFpGrowth(db, fp_opts);
-  ASSERT_TRUE(fp.ok());
-  EXPECT_EQ(ToMap(*fp), reference);
 }
 
 TEST(BaselineTest, InputValidation) {
@@ -79,144 +59,11 @@ TEST(BaselineTest, InputValidation) {
   EXPECT_TRUE(MineFrequentItemsetsEclat(empty, EclatOptions())
                   .status()
                   .IsFailedPrecondition());
-  EXPECT_TRUE(MineFrequentItemsetsFpGrowth(empty, FpGrowthOptions())
-                  .status()
-                  .IsFailedPrecondition());
   auto db = testing::RandomIndependentDatabase(3, 30, 1);
   EclatOptions bad;
   bad.min_support_fraction = 0.0;
   EXPECT_TRUE(
       MineFrequentItemsetsEclat(db, bad).status().IsInvalidArgument());
-}
-
-// --- Maximal / closed ---
-
-TEST(MaximalTest, HandExample) {
-  // Frequent family: {a}, {b}, {c}, {a,b}, {a,c}, {a,b,c}? No — must be
-  // downward closed; use {a},{b},{c},{a,b},{a,c} with {b,c} infrequent.
-  std::vector<FrequentItemset> frequent = {
-      {Itemset{0}, 10}, {Itemset{1}, 8},    {Itemset{2}, 7},
-      {Itemset{0, 1}, 5}, {Itemset{0, 2}, 4},
-  };
-  auto maximal = MaximalFrequentItemsets(frequent);
-  ASSERT_EQ(maximal.size(), 2u);
-  EXPECT_EQ(maximal[0].itemset, (Itemset{0, 1}));
-  EXPECT_EQ(maximal[1].itemset, (Itemset{0, 2}));
-}
-
-TEST(MaximalTest, LosslessnessProperty) {
-  // A set is frequent iff it is a subset of some maximal set.
-  auto db = testing::RandomCorrelatedDatabase(7, 250, 0.85, 9);
-  EclatOptions options;
-  options.min_support_fraction = 0.1;
-  auto frequent = MineFrequentItemsetsEclat(db, options);
-  ASSERT_TRUE(frequent.ok());
-  auto maximal = MaximalFrequentItemsets(*frequent);
-  for (const FrequentItemset& f : *frequent) {
-    bool covered = false;
-    for (const FrequentItemset& m : maximal) {
-      if (m.itemset.ContainsAll(f.itemset)) {
-        covered = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(covered) << f.itemset.ToString();
-  }
-  // And maximal sets are incomparable.
-  for (const FrequentItemset& a : maximal) {
-    for (const FrequentItemset& b : maximal) {
-      if (a.itemset == b.itemset) continue;
-      EXPECT_FALSE(a.itemset.ContainsAll(b.itemset));
-    }
-  }
-}
-
-TEST(ClosedTest, CountsPreserved) {
-  // Every frequent set's count must equal the max count among its closed
-  // supersets.
-  auto db = testing::RandomCorrelatedDatabase(6, 200, 0.9, 13);
-  EclatOptions options;
-  options.min_support_fraction = 0.1;
-  auto frequent = MineFrequentItemsetsEclat(db, options);
-  ASSERT_TRUE(frequent.ok());
-  auto closed = ClosedFrequentItemsets(*frequent);
-  EXPECT_LE(closed.size(), frequent->size());
-  auto maximal = MaximalFrequentItemsets(*frequent);
-  EXPECT_LE(maximal.size(), closed.size());
-  for (const FrequentItemset& f : *frequent) {
-    uint64_t best = 0;
-    for (const FrequentItemset& c : closed) {
-      if (c.itemset.ContainsAll(f.itemset)) {
-        best = std::max(best, c.count);
-      }
-    }
-    EXPECT_EQ(best, f.count) << f.itemset.ToString();
-  }
-}
-
-// --- Rule measures ---
-
-TEST(RuleMeasuresTest, TeaCoffeePanel) {
-  // The paper's Example 1 joint: tc=20, t!c=5, !tc=70, !t!c=5 of n=100.
-  std::vector<std::vector<ItemId>> baskets;
-  for (int i = 0; i < 20; ++i) baskets.push_back({0, 1});
-  for (int i = 0; i < 5; ++i) baskets.push_back({0});
-  for (int i = 0; i < 70; ++i) baskets.push_back({1});
-  for (int i = 0; i < 5; ++i) baskets.push_back({});
-  auto db = testing::MakeDatabase(2, baskets);
-  ScanCountProvider provider(db);
-  auto table = ContingencyTable::Build(provider, Itemset{0, 1});
-  ASSERT_TRUE(table.ok());
-  auto m = ComputeRuleMeasures(*table);
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->support, 0.20);
-  EXPECT_DOUBLE_EQ(m->confidence, 0.80);
-  EXPECT_NEAR(m->lift, 0.888888888888889, 1e-12);  // Paper's 0.89.
-  EXPECT_NEAR(m->leverage, 0.20 - 0.25 * 0.90, 1e-12);
-  // conviction = P(t) P(!c) / P(t !c) = 0.25*0.1/0.05 = 0.5 (< 1: rule
-  // fires *more* falsely than independence would).
-  EXPECT_NEAR(m->conviction, 0.5, 1e-12);
-  EXPECT_LT(m->phi, 0.0);  // Negative correlation.
-  // chi2 = n phi^2 for 2x2 tables.
-  double chi2 = ComputeChiSquared(*table).statistic;
-  EXPECT_NEAR(100.0 * m->phi * m->phi, chi2, 1e-9);
-  EXPECT_NEAR(m->jaccard, 20.0 / 95.0, 1e-12);
-}
-
-TEST(RuleMeasuresTest, IndependentPanelIsNeutral) {
-  auto db = testing::MakeDatabase(2, {{0, 1}, {0}, {1}, {}});
-  ScanCountProvider provider(db);
-  auto table = ContingencyTable::Build(provider, Itemset{0, 1});
-  ASSERT_TRUE(table.ok());
-  auto m = ComputeRuleMeasures(*table);
-  ASSERT_TRUE(m.ok());
-  EXPECT_NEAR(m->lift, 1.0, 1e-12);
-  EXPECT_NEAR(m->leverage, 0.0, 1e-12);
-  EXPECT_NEAR(m->conviction, 1.0, 1e-12);
-  EXPECT_NEAR(m->phi, 0.0, 1e-12);
-}
-
-TEST(RuleMeasuresTest, ExceptionlessRuleHasInfiniteConviction) {
-  auto db = testing::MakeDatabase(2, {{0, 1}, {0, 1}, {1}, {}});
-  ScanCountProvider provider(db);
-  auto table = ContingencyTable::Build(provider, Itemset{0, 1});
-  ASSERT_TRUE(table.ok());
-  auto m = ComputeRuleMeasures(*table);
-  ASSERT_TRUE(m.ok());
-  EXPECT_TRUE(std::isinf(m->conviction));
-}
-
-TEST(RuleMeasuresTest, Validation) {
-  auto db = testing::RandomIndependentDatabase(3, 50, 3);
-  ScanCountProvider provider(db);
-  auto triple = ContingencyTable::Build(provider, Itemset{0, 1, 2});
-  ASSERT_TRUE(triple.ok());
-  EXPECT_TRUE(ComputeRuleMeasures(*triple).status().IsInvalidArgument());
-  auto degenerate_db = testing::MakeDatabase(2, {{0, 1}, {1}});
-  ScanCountProvider dp(degenerate_db);
-  auto table = ContingencyTable::Build(dp, Itemset{0, 1});
-  ASSERT_TRUE(table.ok());
-  EXPECT_TRUE(ComputeRuleMeasures(*table).status().IsFailedPrecondition());
 }
 
 }  // namespace

@@ -18,9 +18,21 @@ if(NOT out MATCHES "level 2")
 endif()
 execute_process(
   COMMAND ${CLI} rules ${WORKDIR}/smoke.txt --min-support 0.02
-  RESULT_VARIABLE rc)
+  RESULT_VARIABLE rc OUTPUT_VARIABLE apriori_rules)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "rules failed: ${rc}")
+endif()
+# Eclat over the session's shard indexes prints exactly what Apriori does.
+execute_process(
+  COMMAND ${CLI} rules ${WORKDIR}/smoke.txt --min-support 0.02
+          --algo eclat --shards 3 --threads 2
+  RESULT_VARIABLE rc OUTPUT_VARIABLE eclat_rules)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "rules --algo eclat failed: ${rc}")
+endif()
+if(apriori_rules STREQUAL "" OR NOT eclat_rules STREQUAL apriori_rules)
+  message(FATAL_ERROR "rules --algo eclat --shards 3 --threads 2 differs "
+          "from the default apriori run")
 endif()
 execute_process(COMMAND ${CLI} bogus RESULT_VARIABLE rc)
 if(rc EQUAL 0)

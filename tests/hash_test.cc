@@ -1,8 +1,7 @@
-#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "hash/fks_perfect_hash.h"
 #include "hash/itemset_table.h"
 #include "hash/universal_hash.h"
 
@@ -38,47 +37,6 @@ TEST(UniversalHashTest, DifferentFunctionsDisagree) {
 TEST(SplitMix64Test, ReproducibleStream) {
   SplitMix64 a(99), b(99);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.Next(), b.Next());
-}
-
-// --- FKS static perfect hashing ---
-
-TEST(FksTest, EmptyTable) {
-  auto table = FksPerfectHash::Build({});
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->size(), 0u);
-  EXPECT_FALSE(table->Contains(42));
-}
-
-TEST(FksTest, FindsAllKeysRejectsOthers) {
-  std::vector<uint64_t> keys;
-  for (uint64_t i = 0; i < 500; ++i) keys.push_back(i * i * 31 + 7);
-  auto table = FksPerfectHash::Build(keys);
-  ASSERT_TRUE(table.ok());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto found = table->Find(keys[i]);
-    ASSERT_TRUE(found.has_value()) << keys[i];
-    EXPECT_EQ(*found, i);
-  }
-  std::unordered_set<uint64_t> key_set(keys.begin(), keys.end());
-  for (uint64_t probe = 0; probe < 1000; ++probe) {
-    if (!key_set.count(probe)) {
-      EXPECT_FALSE(table->Contains(probe));
-    }
-  }
-}
-
-TEST(FksTest, RejectsDuplicateKeys) {
-  EXPECT_TRUE(
-      FksPerfectHash::Build({1, 2, 1}).status().IsInvalidArgument());
-}
-
-TEST(FksTest, SpaceIsLinear) {
-  std::vector<uint64_t> keys;
-  for (uint64_t i = 0; i < 2000; ++i) keys.push_back(i * 2654435761ULL + 3);
-  auto table = FksPerfectHash::Build(keys);
-  ASSERT_TRUE(table.ok());
-  // FKS guarantees expected sum of squared bucket sizes <= 4n.
-  EXPECT_LE(table->slot_count(), 4 * keys.size());
 }
 
 // --- Static itemset table ---

@@ -1,4 +1,4 @@
-// Tests for the tokenizer, CSV reader and result serialization.
+// Tests for the CSV reader and result serialization.
 
 #include <cinttypes>
 #include <cstdio>
@@ -11,63 +11,9 @@
 
 #include "io/csv.h"
 #include "io/result_io.h"
-#include "io/tokenizer.h"
 
 namespace corrmine::io {
 namespace {
-
-TEST(TokenizerTest, PaperWordDefinition) {
-  // "any consecutive sequence of alphabetic characters": possessive 's' is
-  // its own word, numbers vanish.
-  auto words = TokenizeWords("Mandela's 27 years; FREEDOM-now!");
-  ASSERT_EQ(words.size(), 5u);
-  EXPECT_EQ(words[0], "mandela");
-  EXPECT_EQ(words[1], "s");
-  EXPECT_EQ(words[2], "years");
-  EXPECT_EQ(words[3], "freedom");
-  EXPECT_EQ(words[4], "now");
-}
-
-TEST(TokenizerTest, ExactTokenCount) {
-  auto words = TokenizeWords("a1b2c3");
-  ASSERT_EQ(words.size(), 3u);
-  EXPECT_EQ(words[0], "a");
-  EXPECT_EQ(words[2], "c");
-  EXPECT_TRUE(TokenizeWords("123 456").empty());
-  EXPECT_TRUE(TokenizeWords("").empty());
-}
-
-TEST(TokenizerTest, BuildCorpusPrunesAndInterns) {
-  std::vector<std::string> docs = {
-      "alpha beta gamma alpha",  // alpha twice -> still one item.
-      "alpha beta delta",
-      "alpha epsilon zeta",
-      "alpha beta theta",
-  };
-  CorpusOptions options;
-  options.min_doc_frequency = 0.5;  // Words in >= 2 of 4 docs survive.
-  auto db = BuildCorpus(docs, options);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->num_baskets(), 4u);
-  // Survivors: alpha (4 docs), beta (3 docs). Everything else pruned.
-  EXPECT_EQ(db->num_items(), 2u);
-  auto alpha = db->dictionary().Get("alpha");
-  ASSERT_TRUE(alpha.ok());
-  EXPECT_EQ(db->ItemCount(*alpha), 4u);
-}
-
-TEST(TokenizerTest, ShortDocumentsDropped) {
-  std::vector<std::string> docs = {"one two three four five",
-                                   "too short"};
-  CorpusOptions options;
-  options.min_words_per_document = 3;
-  auto db = BuildCorpus(docs, options);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->num_baskets(), 1u);
-  CorpusOptions harsh;
-  harsh.min_words_per_document = 100;
-  EXPECT_TRUE(BuildCorpus(docs, harsh).status().IsFailedPrecondition());
-}
 
 // --- CSV ---
 

@@ -117,8 +117,8 @@ TEST(MinerMetricsTest, RegistryCountersMatchLevelStats) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   BitmapCountProvider provider(*db);
   MinerOptions options = SmallMinerOptions();
-  MetricsRegistry registry;
-  options.metrics = &registry;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
   auto result = MineCorrelations(provider, db->num_items(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_FALSE(result->levels.empty());
@@ -162,8 +162,8 @@ TEST(MinerMetricsTest, HeartbeatsCarryTheEvaluateAndGeneratePhases) {
   BitmapCountProvider provider(*db);
   MinerOptions options = SmallMinerOptions();
   options.num_threads = 2;
-  MetricsRegistry registry;
-  options.metrics = &registry;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
   std::vector<MinerProgress> heartbeats;
   options.progress = [&](const MinerProgress& p) { heartbeats.push_back(p); };
   auto result = MineCorrelations(provider, db->num_items(), options);
@@ -190,25 +190,23 @@ TEST(SessionMetricsTest, OpenTimesLoadOnceAndIndexesRowInputsOnce) {
   const std::string text = ::testing::TempDir() + "/metrics_session.txt";
   ASSERT_TRUE(io::WriteBinaryTransactionFile(*db, binary).ok());
   ASSERT_TRUE(io::WriteTransactionFile(*db, text).ok());
-  auto open = [](const std::string& path, MetricsRegistry* registry) {
+  auto open = [](const std::string& path) {
+    MetricsRegistry::Global().Reset();
     SessionOptions options;
     options.num_shards = 2;
-    options.metrics = registry;
     auto session = MiningSession::Open(path, options);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
-    return registry->Snap();
+    return MetricsRegistry::Global().Snap();
   };
   // A CMB1 file decodes straight into the bitmaps: set-up is one phase,
   // io.load, with one name across histogram, trace and PMU.
-  MetricsRegistry binary_registry;
-  MetricsRegistry::Snapshot snap = open(binary, &binary_registry);
+  MetricsRegistry::Snapshot snap = open(binary);
   EXPECT_EQ(snap.counters.at("io.load.calls"), 1u);
   EXPECT_EQ(snap.histograms.at("io.load.ns").count, 1u);
-  EXPECT_EQ(snap.counters.count("session.build_index.calls"), 0u);
+  EXPECT_EQ(snap.counters["session.build_index.calls"], 0u);
   // Text is parsed into rows (io.load), which are then indexed
   // (session.build_index) and dropped.
-  MetricsRegistry text_registry;
-  snap = open(text, &text_registry);
+  snap = open(text);
   EXPECT_EQ(snap.counters.at("io.load.calls"), 1u);
   EXPECT_EQ(snap.counters.at("session.build_index.calls"), 1u);
   EXPECT_EQ(snap.histograms.at("io.load.ns").count, 1u);
@@ -257,8 +255,6 @@ TEST(MaskedCellsTest, MinerLevelStatsCarryMaskedCells) {
   options.support.cell_fraction = 0.5;  // 2 of 4 cells ≥ 1 suffices.
   options.level_one = LevelOnePruning::kNone;
   options.chi2.min_expected_cell = 1.0;
-  MetricsRegistry registry;
-  options.metrics = &registry;
   auto result = MineCorrelations(provider, db.num_items(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->levels.size(), 1u);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
-#include "cube/datacube.h"
 #include "core/chi_squared_miner.h"
 #include "datagen/census_generator.h"
 #include "datagen/quest_generator.h"
@@ -335,23 +334,6 @@ TEST(MinerDeterminismTest, ZeroThreadsMeansHardwareConcurrency) {
   EXPECT_TRUE(
       MineCorrelations(provider, db.num_items(), bad).status()
           .IsInvalidArgument());
-}
-
-TEST(MinerProviderTest, CubeAndBitmapProvidersAgree) {
-  auto db = testing::RandomCorrelatedDatabase(6, 250, 0.8, 29);
-  BitmapCountProvider bitmap(db);
-  auto cube = DataCube::Build(db, 3);
-  ASSERT_TRUE(cube.ok());
-  CubeCountProvider cube_provider(*cube, &db);
-  MinerOptions options;
-  options.support.min_count = 3;
-  options.support.cell_fraction = 0.26;
-  options.max_level = 3;
-  auto via_bitmap = MineCorrelations(bitmap, db.num_items(), options);
-  auto via_cube = MineCorrelations(cube_provider, db.num_items(), options);
-  ASSERT_TRUE(via_bitmap.ok());
-  ASSERT_TRUE(via_cube.ok());
-  EXPECT_EQ(SignificantSets(*via_bitmap), SignificantSets(*via_cube));
 }
 
 }  // namespace

@@ -304,8 +304,8 @@ TEST_F(OutOfCoreTest, MultiplePartitionsStayExact) {
   OutOfCoreMinerOptions options;
   options.miner = miner;
   options.miner.num_threads = 2;
-  MetricsRegistry registry;
-  options.miner.metrics = &registry;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
   options.memory_budget_bytes = uint64_t{8} << 20;
   options.spill_dir = (dir_ / "spill").string();
   options.keep_spill = true;

@@ -267,39 +267,26 @@ TEST(MiningSessionTest, ReadsRowsBackFromTheBitmaps) {
   std::remove(path.c_str());
 }
 
-// Shard telemetry lands in the registry the session was given, not in the
-// global one.
-TEST(MiningSessionTest, ShardTelemetryGoesToTheSessionRegistry) {
+// A sharded mine records the provider's run-health telemetry: the shard
+// count, the index bytes, the per-shard batch times and their skew.
+TEST(MiningSessionTest, TwoShardMineRecordsShardTelemetry) {
   MetricsRegistry::Global().Reset();
-  MetricsRegistry registry;
   SessionOptions options;
   options.num_shards = 2;
-  options.metrics = &registry;
   auto session = MiningSession::FromDatabase(SeededQuest(1997), options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
 
-  const MetricsRegistry::Snapshot snap = registry.Snap();
+  const MetricsRegistry::Snapshot snap = MetricsRegistry::Global().Snap();
   ASSERT_EQ(snap.gauges.count("sharded.shards"), 1u);
   EXPECT_EQ(snap.gauges.at("sharded.shards"), 2);
   ASSERT_EQ(snap.gauges.count("mem.shard_index_bytes"), 1u);
   EXPECT_GT(snap.gauges.at("mem.shard_index_bytes"), 0);
-  EXPECT_EQ(snap.gauges.count("sharded.batch_imbalance_x1000"), 1u);
+  // max/mean of the per-shard batch times, so at least 1 (x1000).
+  ASSERT_EQ(snap.gauges.count("sharded.batch_imbalance_x1000"), 1u);
+  EXPECT_GE(snap.gauges.at("sharded.batch_imbalance_x1000"), 1000);
   ASSERT_EQ(snap.histograms.count("sharded.shard_batch_ns"), 1u);
   EXPECT_GT(snap.histograms.at("sharded.shard_batch_ns").count, 0u);
-
-  const MetricsRegistry::Snapshot global = MetricsRegistry::Global().Snap();
-  for (const char* gauge : {"sharded.shards", "mem.shard_index_bytes",
-                            "sharded.batch_imbalance_x1000"}) {
-    auto it = global.gauges.find(gauge);
-    if (it != global.gauges.end()) {
-      EXPECT_EQ(it->second, 0) << gauge;
-    }
-  }
-  auto batch_ns = global.histograms.find("sharded.shard_batch_ns");
-  if (batch_ns != global.histograms.end()) {
-    EXPECT_EQ(batch_ns->second.count, 0u);
-  }
 }
 
 TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {

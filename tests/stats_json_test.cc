@@ -156,8 +156,6 @@ TEST(StatsJsonTest, DeterministicSectionThreadCountInvariant) {
   for (int threads : {1, 8}) {
     MinerOptions options = SmallMinerOptions();
     options.num_threads = threads;
-    MetricsRegistry registry;
-    options.metrics = &registry;
     auto result = MineCorrelations(provider, db->num_items(), options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::string json = RenderDeterministicStats(*result);
@@ -178,8 +176,8 @@ TEST(StatsJsonTest, MinerMemoryGaugesReportEveryStructure) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   BitmapCountProvider provider(*db);
   MinerOptions options = SmallMinerOptions();
-  MetricsRegistry registry;
-  options.metrics = &registry;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
   auto result = MineCorrelations(provider, db->num_items(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GE(result->levels.size(), 3u);

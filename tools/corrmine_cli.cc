@@ -514,7 +514,7 @@ Status RunMine(const FlagParser& flags) {
               << state->counts.size() << " memoized counts)\n";
   }
 
-  return EmitMineStats(flags, result, session.metrics());
+  return EmitMineStats(flags, result, MetricsRegistry::Global());
 }
 
 Status RunDependencies(const FlagParser& flags) {
