@@ -224,6 +224,9 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
   # same questions in the same batches (item counts, then one sweep per
   # level). The 8-thread run also records a Chrome trace (spill, sweep and
   # per-partition count phases on the pool workers), which must validate.
+  # Both runs keep their spill: partitions close inline at 1 thread and on
+  # the pool behind the reader at 8, and every partition file must match
+  # byte for byte.
   ODIR=build/outofcore-out
   rm -rf "$ODIR" && mkdir -p "$ODIR"
   OFLAGS=(--support-count 3000 --cell-fraction 0.26 --max-level 3)
@@ -240,6 +243,7 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
     build/tools/corrmine_cli mine "$ODIR/fixture.cmb" "${OFLAGS[@]}" \
       --out-of-core --memory-budget $((8 * 1024 * 1024)) \
       --threads "$threads" "${trace_flags[@]}" \
+      --keep-spill --spill-dir "$ODIR/spill_t${threads}" \
       --out "$ODIR/rules_ooc_t${threads}.txt" \
       --stats-json "$ODIR/stats_ooc_t${threads}.json" >/dev/null
     cmp "$ODIR/rules_mem.txt" "$ODIR/rules_ooc_t${threads}.txt"
@@ -249,6 +253,10 @@ if [[ "${SKIP_OUTOFCORE:-0}" != "1" ]]; then
       "$ODIR/stats_ooc_t${threads}.json" --counters miner.,count_provider.
   done
   build/tools/statsdiff --validate-trace "$ODIR/ooc_t8.trace.json"
+  cmp <(ls "$ODIR/spill_t1") <(ls "$ODIR/spill_t8")
+  for part in "$ODIR"/spill_t1/part-*.ccs; do
+    cmp "$part" "$ODIR/spill_t8/$(basename "$part")"
+  done
 
   echo "== out-of-core sentinel: serial vs parallel admission =="
   # The admission controller must be invisible in the answer AND in the

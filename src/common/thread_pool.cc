@@ -312,26 +312,6 @@ class RegionCpus {
   std::array<std::atomic<uint64_t>, kMaxCpus / 64> words_{};
 };
 
-/// Runs `fn`, turning an exception that escapes it into a Status: an
-/// allocation failure is ResourceExhausted, anything else Internal. No
-/// exception crosses a region.
-template <typename Fn>
-Status RunGuarded(const Fn& fn) {
-  try {
-    return fn();
-  } catch (const std::bad_alloc&) {
-    // Nothing here may allocate: a second std::bad_alloc thrown from this
-    // handler would end the process. The message fits the short-string
-    // buffer.
-    return Status::ResourceExhausted("out of memory");
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in parallel region: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-std exception in parallel region");
-  }
-}
-
 Status InvokeGuarded(const std::function<Status(size_t, size_t, size_t)>& body,
                      size_t slot, size_t begin, size_t end) {
   return RunGuarded([&] { return body(slot, begin, end); });

@@ -4,8 +4,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
+#include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,8 +22,11 @@ class Histogram;
 
 /// Worker pool for the mining engines' parallel regions (DESIGN.md §10):
 /// one mutex-guarded FIFO task queue and one condition variable. Tasks are
-/// opaque `void()` closures; the regions below (ParallelFor,
-/// ParallelForSlots, OrderedPipeline) are its only clients in the engine.
+/// opaque `void()` closures. The regions below (ParallelFor,
+/// ParallelForSlots, OrderedPipeline) are its clients in the engine, plus
+/// one direct client: the out-of-core spill submits each partition close as
+/// one task and joins it with HelpUntil before handing off the next, so at
+/// most one close runs behind its reader (mining/partition.cc).
 /// Each region queues at most `num_threads()` helpers that pull chunks from
 /// one shared cursor, so load balance comes from the cursor, not from
 /// moving tasks between queues. Threads joining a region via HelpUntil run
@@ -102,6 +108,27 @@ class ThreadPool {
   Histogram* morsel_ns_;
   Gauge* queue_depth_;
 };
+
+/// Runs `fn`, turning an exception that escapes it into a Status: an
+/// allocation failure is ResourceExhausted, anything else Internal. Every
+/// region runs its chunks through it, and so does any task submitted
+/// directly, so no exception crosses the pool.
+template <typename Fn>
+Status RunGuarded(const Fn& fn) {
+  try {
+    return fn();
+  } catch (const std::bad_alloc&) {
+    // Nothing here may allocate: a second std::bad_alloc thrown from this
+    // handler would end the process. The message fits the short-string
+    // buffer.
+    return Status::ResourceExhausted("out of memory");
+  } catch (const std::exception& e) {
+    return Status::Internal(
+        std::string("uncaught exception in parallel region: ") + e.what());
+  } catch (...) {
+    return Status::Internal("uncaught non-std exception in parallel region");
+  }
+}
 
 /// Runs `body(begin, end)` over [0, n) split into chunks of `grain`
 /// indices, claimed from one shared cursor by the pool's workers and the

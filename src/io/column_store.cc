@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +45,101 @@ size_t RawPayloadBytes(const CountingColumn::ContainerView& view) {
 
 }  // namespace
 
+ColumnShardWriter::ColumnShardWriter(const ColumnShardWriteOptions& options)
+    : v2_(options.format_version == 2) {
+  CORRMINE_CHECK(options.format_version == 1 || options.format_version == 2)
+      << "unsupported column shard version " << options.format_version;
+}
+
+void ColumnShardWriter::Begin(size_t num_rows, ItemId num_columns) {
+  num_columns_ = num_columns;
+  added_ = 0;
+  directory_.clear();
+  payload_.clear();
+  raw_bytes_ = 0;
+  encoded_bytes_ = 0;
+  AppendVarint(&directory_, num_rows);
+  AppendVarint(&directory_, num_columns);
+}
+
+void ColumnShardWriter::AddColumn(const CountingColumn& column) {
+  CORRMINE_CHECK(added_ < num_columns_) << "more columns than Begin declared";
+  ++added_;
+  AppendVarint(&directory_, column.num_containers());
+  for (size_t i = 0; i < column.num_containers(); ++i) {
+    const CountingColumn::ContainerView view = column.container_view(i);
+    const size_t raw_bytes = RawPayloadBytes(view);
+    // Payload offsets are 8-aligned and relative to payload_base, so they
+    // are known before the directory, whose size sets the base.
+    payload_.resize(AlignUp(payload_.size(), kColumnShardPayloadAlign), '\0');
+    const size_t rel_offset = payload_.size();
+    uint8_t encoding = kColumnShardEncodingRaw;
+    if (v2_ && view.kind != CountingColumn::ContainerKind::kDense) {
+      EncodeU16DeltaVarint(view.kind, view.u16, &payload_);
+      if (payload_.size() - rel_offset < raw_bytes) {
+        encoding = kColumnShardEncodingDeltaVarint;
+      } else {
+        payload_.resize(rel_offset);
+      }
+    }
+    if (encoding == kColumnShardEncodingRaw) {
+      if (view.kind == CountingColumn::ContainerKind::kDense) {
+        payload_.append(reinterpret_cast<const char*>(view.words.data()),
+                        view.words.size() * sizeof(uint64_t));
+      } else {
+        payload_.append(reinterpret_cast<const char*>(view.u16.data()),
+                        view.u16.size() * sizeof(uint16_t));
+      }
+    }
+    const size_t bytes = payload_.size() - rel_offset;
+    raw_bytes_ += raw_bytes;
+    encoded_bytes_ += bytes;
+    AppendVarint(&directory_, view.key);
+    directory_.push_back(static_cast<char>(view.kind));
+    if (v2_) directory_.push_back(static_cast<char>(encoding));
+    AppendVarint(&directory_, view.count);
+    AppendVarint(&directory_, rel_offset);
+    AppendVarint(&directory_, bytes);
+  }
+}
+
+Status ColumnShardWriter::Finish(const std::string& path,
+                                 ColumnShardWriteStats* stats) {
+  CORRMINE_CHECK(added_ == num_columns_)
+      << "shard finished after " << added_ << " of " << num_columns_
+      << " columns";
+  const size_t header_bytes =
+      sizeof(kColumnShardMagic) + sizeof(uint64_t) + directory_.size();
+  const uint64_t payload_base = AlignUp(header_bytes, kColumnShardPageAlign);
+  char head[sizeof(kColumnShardMagic) + sizeof(uint64_t)];
+  std::memcpy(head, v2_ ? kColumnShardMagicV2 : kColumnShardMagic,
+              sizeof(kColumnShardMagic));
+  for (size_t i = 0; i < sizeof(uint64_t); ++i) {
+    head[sizeof(kColumnShardMagic) + i] =
+        static_cast<char>((payload_base >> (8 * i)) & 0xff);
+  }
+  static constexpr char kZeros[kColumnShardPageAlign] = {};
+  std::ofstream file(path, std::ios::binary);
+  if (!file) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
+  file.write(head, sizeof(head));
+  file.write(directory_.data(),
+             static_cast<std::streamsize>(directory_.size()));
+  file.write(kZeros, static_cast<std::streamsize>(payload_base - header_bytes));
+  file.write(payload_.data(), static_cast<std::streamsize>(payload_.size()));
+  file.flush();
+  if (!file) {
+    return Status::IOError("error writing " + path);
+  }
+  if (stats != nullptr) {
+    stats->file_bytes = payload_base + payload_.size();
+    stats->payload_bytes = encoded_bytes_;
+    stats->raw_payload_bytes = raw_bytes_;
+  }
+  return Status::OK();
+}
+
 Status WriteColumnShardFile(const ColumnSource& source,
                             const std::string& path,
                             const ColumnShardWriteOptions& options,
@@ -50,99 +147,12 @@ Status WriteColumnShardFile(const ColumnSource& source,
   if (options.format_version != 1 && options.format_version != 2) {
     return Status::InvalidArgument("unsupported column shard version");
   }
-  const bool v2 = options.format_version == 2;
-
-  // Pass 1: pick the min-byte encoding per container (v2) and assign
-  // 8-aligned payload offsets (relative to payload_base, so they are known
-  // before the directory — whose size sets the base — is built).
-  struct Entry {
-    CountingColumn::ContainerView view;
-    uint8_t encoding = kColumnShardEncodingRaw;
-    uint64_t rel_offset = 0;
-    uint64_t bytes = 0;       // encoded payload bytes
-    size_t varint_index = 0;  // into `varint_payloads` when encoding == 1
-  };
-  std::vector<std::vector<Entry>> columns(source.num_columns());
-  std::vector<std::string> varint_payloads;
-  uint64_t payload_bytes = 0;
-  uint64_t raw_bytes_total = 0;
-  uint64_t encoded_bytes_total = 0;
-  std::string scratch;
+  ColumnShardWriter writer(options);
+  writer.Begin(source.num_rows(), source.num_columns());
   for (ItemId item = 0; item < source.num_columns(); ++item) {
-    const CountingColumn& col = source.column(item);
-    columns[item].reserve(col.num_containers());
-    for (size_t i = 0; i < col.num_containers(); ++i) {
-      Entry entry;
-      entry.view = col.container_view(i);
-      const size_t raw_bytes = RawPayloadBytes(entry.view);
-      entry.bytes = raw_bytes;
-      raw_bytes_total += raw_bytes;
-      if (v2 && entry.view.kind != CountingColumn::ContainerKind::kDense) {
-        scratch.clear();
-        EncodeU16DeltaVarint(entry.view.kind, entry.view.u16, &scratch);
-        if (scratch.size() < raw_bytes) {
-          entry.encoding = kColumnShardEncodingDeltaVarint;
-          entry.bytes = scratch.size();
-          entry.varint_index = varint_payloads.size();
-          varint_payloads.push_back(scratch);
-        }
-      }
-      encoded_bytes_total += entry.bytes;
-      payload_bytes = AlignUp(payload_bytes, kColumnShardPayloadAlign);
-      entry.rel_offset = payload_bytes;
-      payload_bytes += entry.bytes;
-      columns[item].push_back(std::move(entry));
-    }
+    writer.AddColumn(source.column(item));
   }
-
-  std::string directory;
-  AppendVarint(&directory, source.num_rows());
-  AppendVarint(&directory, source.num_columns());
-  for (const std::vector<Entry>& column : columns) {
-    AppendVarint(&directory, column.size());
-    for (const Entry& entry : column) {
-      AppendVarint(&directory, entry.view.key);
-      directory.push_back(static_cast<char>(entry.view.kind));
-      if (v2) directory.push_back(static_cast<char>(entry.encoding));
-      AppendVarint(&directory, entry.view.count);
-      AppendVarint(&directory, entry.rel_offset);
-      AppendVarint(&directory, entry.bytes);
-    }
-  }
-
-  const size_t header_bytes = sizeof(kColumnShardMagic) + sizeof(uint64_t) +
-                              directory.size();
-  const uint64_t payload_base = AlignUp(header_bytes, kColumnShardPageAlign);
-
-  std::string bytes;
-  bytes.reserve(payload_base + payload_bytes);
-  bytes.append(v2 ? kColumnShardMagicV2 : kColumnShardMagic,
-               sizeof(kColumnShardMagic));
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<char>((payload_base >> (8 * i)) & 0xff));
-  }
-  bytes += directory;
-  bytes.resize(payload_base, '\0');
-  for (const std::vector<Entry>& column : columns) {
-    for (const Entry& entry : column) {
-      bytes.resize(payload_base + entry.rel_offset, '\0');
-      if (entry.encoding == kColumnShardEncodingDeltaVarint) {
-        bytes += varint_payloads[entry.varint_index];
-      } else if (entry.view.kind == CountingColumn::ContainerKind::kDense) {
-        bytes.append(reinterpret_cast<const char*>(entry.view.words.data()),
-                     entry.view.words.size() * sizeof(uint64_t));
-      } else {
-        bytes.append(reinterpret_cast<const char*>(entry.view.u16.data()),
-                     entry.view.u16.size() * sizeof(uint16_t));
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->file_bytes = bytes.size();
-    stats->payload_bytes = encoded_bytes_total;
-    stats->raw_payload_bytes = raw_bytes_total;
-  }
-  return WriteStringToFile(bytes, path);
+  return writer.Finish(path, stats);
 }
 
 StatusOr<std::unique_ptr<MappedColumnShard>> MappedColumnShard::Open(
@@ -158,9 +168,15 @@ StatusOr<std::unique_ptr<MappedColumnShard>> MappedColumnShard::Open(
   }
   const size_t len = static_cast<size_t>(st.st_size);
   void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int map_errno = errno;
   ::close(fd);  // the mapping keeps the file alive
   if (map == MAP_FAILED) {
-    return Status::IOError("mmap failed for column shard: " + path);
+    // No address space left for the mapping is the same shortage as a
+    // failed allocation.
+    return map_errno == ENOMEM
+               ? Status::ResourceExhausted("mmap failed for column shard: " +
+                                           path)
+               : Status::IOError("mmap failed for column shard: " + path);
   }
   std::unique_ptr<MappedColumnShard> shard(new MappedColumnShard());
   shard->map_ = map;
@@ -264,11 +280,15 @@ MappedColumnShard::~MappedColumnShard() {
 const CountingColumn& MappedColumnShard::column(ItemId item) const {
   if (static_cast<size_t>(item) >= columns_.size()) return empty_;
   LazyColumn& lazy = *columns_[item];
-  std::call_once(lazy.once, [this, &lazy]() {
+  if (lazy.ready.load(std::memory_order_acquire)) return lazy.column;
+  std::lock_guard<std::mutex> lock(lazy.mu);
+  if (!lazy.ready.load(std::memory_order_relaxed)) {
     std::vector<CountingColumn::ContainerView> views;
     views.reserve(lazy.entries.size());
     // Reserve so pushes never reallocate: earlier views alias `decoded`
     // buffers and must stay anchored until FromContainerViews copies them.
+    // An earlier attempt that ran out of memory may have left buffers.
+    lazy.decoded.clear();
     lazy.decoded.reserve(lazy.entries.size());
     for (const ContainerEntry& entry : lazy.entries) {
       CountingColumn::ContainerView view;
@@ -299,7 +319,8 @@ const CountingColumn& MappedColumnShard::column(ItemId item) const {
       views.push_back(view);
     }
     lazy.column = CountingColumn::FromContainerViews(num_rows_, views);
-  });
+    lazy.ready.store(true, std::memory_order_release);
+  }
   return lazy.column;
 }
 

@@ -1,6 +1,7 @@
 #ifndef CORRMINE_IO_COLUMN_STORE_H_
 #define CORRMINE_IO_COLUMN_STORE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -43,8 +44,8 @@ namespace corrmine::io {
 /// only ever touched through the container views handed to
 /// CountingColumn, so the kernel faults pages in at access granularity.
 /// Delta-varint payloads decode lazily: the first column(item) access
-/// materializes that column's compressed containers (thread-safe via
-/// std::once_flag — pass-2 morsels hit one shard from many threads), so
+/// materializes that column's compressed containers (thread-safe under a
+/// per-column mutex — sweep tasks hit one shard from many threads), so
 /// an unqueried column still costs nothing beyond its directory entry.
 /// payload_base is fixed-width (not varint) so the directory can be
 /// sized before the base is known. Offsets are 8-byte aligned: every raw
@@ -73,9 +74,47 @@ struct ColumnShardWriteStats {
   uint64_t raw_payload_bytes = 0;  // what encoding-0 payloads would cost
 };
 
-/// Serializes every column of `source` to `path` (whole-file write;
-/// callers must treat a failed write as leaving a partial file behind).
-/// Columns are written in item order, containers in key order.
+/// The one CCS writer. It takes a shard one column at a time, in item
+/// order: AddColumn picks each container's encoding (v2: the min-byte
+/// rule), appends the payload to one payload buffer and the record to one
+/// directory buffer, and keeps no reference to the column, so the caller
+/// can release it right away. Finish then writes the header, directory,
+/// padding and payload. Neither a whole-shard index nor a whole-file image
+/// is ever built, and Begin keeps both buffers' capacity: a writer reused
+/// across shards (the out-of-core spill keeps one) stops allocating once it
+/// has seen its largest shard. Not thread-safe; one shard at a time.
+class ColumnShardWriter {
+ public:
+  /// `options.format_version` must be 1 or 2.
+  explicit ColumnShardWriter(const ColumnShardWriteOptions& options = {});
+
+  /// Starts a shard of `num_columns` columns over `num_rows` rows,
+  /// discarding anything an unfinished shard had added.
+  void Begin(size_t num_rows, ItemId num_columns);
+
+  /// Appends the next column's containers, in key order. Exactly
+  /// `num_columns` calls go between Begin and Finish.
+  void AddColumn(const CountingColumn& column);
+
+  /// Writes the shard to `path`. A failed write can leave a partial file
+  /// behind.
+  Status Finish(const std::string& path,
+                ColumnShardWriteStats* stats = nullptr);
+
+ private:
+  bool v2_ = true;
+  ItemId num_columns_ = 0;
+  ItemId added_ = 0;
+  std::string directory_;
+  std::string payload_;
+  uint64_t raw_bytes_ = 0;
+  uint64_t encoded_bytes_ = 0;
+};
+
+/// Serializes every column of `source` to `path` through one
+/// ColumnShardWriter (callers must treat a failed write as leaving a
+/// partial file behind). Columns are written in item order, containers in
+/// key order.
 Status WriteColumnShardFile(const ColumnSource& source,
                             const std::string& path,
                             const ColumnShardWriteOptions& options = {},
@@ -118,14 +157,19 @@ class MappedColumnShard : public ColumnSource {
     size_t payload_bytes = 0;
   };
 
-  /// One column, materialized at most once. unique_ptr because
-  /// std::once_flag is immovable. `decoded` owns the u16 buffers for
-  /// delta-varint containers; raw containers view the mapping directly.
+  /// One column, materialized at most once. unique_ptr because the mutex
+  /// is immovable. `decoded` owns the u16 buffers for delta-varint
+  /// containers; raw containers view the mapping directly. A mutex and a
+  /// flag rather than std::call_once: call_once runs its callable inside
+  /// pthread_once, and a std::bad_alloc unwinding through that glibc frame
+  /// needs libgcc_s loaded by dlopen, which fails when memory has run out
+  /// and aborts the process instead of failing the count.
   struct LazyColumn {
     std::vector<ContainerEntry> entries;
-    std::once_flag once;
-    std::vector<std::vector<uint16_t>> decoded;
-    CountingColumn column;
+    std::mutex mu;
+    std::atomic<bool> ready{false};
+    std::vector<std::vector<uint16_t>> decoded;  // guarded by mu
+    CountingColumn column;  // written under mu before ready is set
   };
 
   MappedColumnShard() = default;

@@ -128,24 +128,41 @@ void CountingColumn::ContainerOffsets(const Container& c,
 }
 
 CountingColumn::CountingColumn(size_t num_rows,
-                               const std::vector<uint32_t>& rows)
-    : num_rows_(num_rows), total_count_(rows.size()) {
-  std::vector<uint16_t> offsets;
-  size_t i = 0;
-  while (i < rows.size()) {
-    const uint32_t key = rows[i] >> kBlockBits;
-    offsets.clear();
-    while (i < rows.size() && (rows[i] >> kBlockBits) == key) {
-      CORRMINE_CHECK(rows[i] < num_rows)
-          << "row " << rows[i] << " out of range " << num_rows;
-      CORRMINE_CHECK(offsets.empty() ||
-                     static_cast<uint16_t>(rows[i]) > offsets.back())
-          << "rows must be strictly increasing";
-      offsets.push_back(static_cast<uint16_t>(rows[i] & (kBlockSize - 1)));
-      ++i;
+                               const std::vector<uint32_t>& rows) {
+  std::vector<uint16_t> offsets(rows.size());
+  std::vector<uint32_t> block_ends;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    CORRMINE_CHECK(rows[i] < num_rows)
+        << "row " << rows[i] << " out of range " << num_rows;
+    CORRMINE_CHECK(i == 0 || rows[i] > rows[i - 1])
+        << "rows must be strictly increasing";
+    while (block_ends.size() < (rows[i] >> kBlockBits)) {
+      block_ends.push_back(static_cast<uint32_t>(i));
     }
-    containers_.push_back(MakeContainer(key, offsets));
+    offsets[i] = static_cast<uint16_t>(rows[i] & (kBlockSize - 1));
   }
+  *this = FromBlockOffsets(num_rows, offsets, block_ends);
+}
+
+CountingColumn CountingColumn::FromBlockOffsets(
+    size_t num_rows, std::span<const uint16_t> offsets,
+    std::span<const uint32_t> block_ends) {
+  CountingColumn col;
+  col.num_rows_ = num_rows;
+  col.total_count_ = offsets.size();
+  size_t begin = 0;
+  for (size_t b = 0; b <= block_ends.size(); ++b) {
+    const size_t end = b < block_ends.size() ? block_ends[b] : offsets.size();
+    CORRMINE_CHECK(begin <= end && end <= offsets.size())
+        << "block ends must be non-decreasing and within the offsets";
+    if (end == begin) continue;
+    CORRMINE_CHECK((b << kBlockBits) + offsets[end - 1] < num_rows)
+        << "block " << b << " reaches past row " << num_rows;
+    col.containers_.push_back(MakeContainer(
+        static_cast<uint32_t>(b), offsets.subspan(begin, end - begin)));
+    begin = end;
+  }
+  return col;
 }
 
 CountingColumn CountingColumn::FromBitmap(const Bitmap& bitmap) {
@@ -552,6 +569,87 @@ CountingColumn::ContainerView CountingColumn::container_view(size_t i) const {
   return view;
 }
 
+void CountingColumn::DensePrefix::Reset(const CountingColumn& prefix) {
+  prefix_ = &prefix;
+  words_.assign(prefix.containers_.size(), nullptr);
+  size_t sparse = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    const Container& c = prefix.containers_[i];
+    if (c.kind == ContainerKind::kDense) {
+      words_[i] = c.words();
+    } else {
+      ++sparse;
+    }
+  }
+  // Room for every sparse container's bitset up front, so the pointers
+  // Words hands out stay valid; each is zeroed when it is expanded.
+  if (scratch_.size() < sparse * kWordsPerDense) {
+    scratch_.resize(sparse * kWordsPerDense);
+  }
+  expanded_ = 0;
+}
+
+const uint64_t* CountingColumn::DensePrefix::Words(size_t i) {
+  if (words_[i] != nullptr) return words_[i];
+  uint64_t* words = scratch_.data() + expanded_++ * kWordsPerDense;
+  std::fill(words, words + kWordsPerDense, uint64_t{0});
+  const Container& c = prefix_->containers_[i];
+  const auto u16 = c.u16();
+  if (c.kind == ContainerKind::kArray) {
+    for (const uint16_t off : u16) {
+      words[off >> 6] |= uint64_t{1} << (off & 63);
+    }
+  } else {
+    for (size_t r = 0; r + 1 < u16.size(); r += 2) {
+      const uint32_t end = uint32_t{u16[r]} + u16[r + 1];
+      for (uint32_t off = u16[r]; off <= end; ++off) {
+        words[off >> 6] |= uint64_t{1} << (off & 63);
+      }
+    }
+  }
+  words_[i] = words;
+  return words;
+}
+
+uint64_t CountingColumn::DensePrefix::AndCount(const CountingColumn& other,
+                                               ColumnOpStats* stats) {
+  const CountingColumn& prefix = *prefix_;
+  CORRMINE_CHECK(prefix.num_rows_ == other.num_rows_)
+      << "AndCount over mismatched row spaces: " << prefix.num_rows_
+      << " != " << other.num_rows_;
+  const CountingKernels& kernels = ActiveKernels();
+  uint64_t count = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < prefix.containers_.size() && j < other.containers_.size()) {
+    const Container& p = prefix.containers_[i];
+    const Container& e = other.containers_[j];
+    if (p.key < e.key) {
+      ++i;
+    } else if (e.key < p.key) {
+      ++j;
+    } else {
+      // An array container probes a sparse prefix container's bitset
+      // where array_intersect_count would merge linearly, and merges where
+      // one side is kGallopRatio times the other and the merge gallops.
+      // Dense prefix containers take AndCount's probe as they are.
+      const bool linear = e.count < kGallopRatio * p.count &&
+                          p.count < kGallopRatio * e.count;
+      if (e.kind == ContainerKind::kArray &&
+          p.kind != ContainerKind::kDense && linear) {
+        const auto u16 = e.u16();
+        if (stats != nullptr) stats->probe_elems += u16.size();
+        count += kernels.array_dense_count(u16.data(), u16.size(), Words(i));
+      } else {
+        count += AndCountContainers(p, e, stats);
+      }
+      ++i;
+      ++j;
+    }
+  }
+  return count;
+}
+
 namespace {
 
 void AppendVarintU16(std::string* out, uint32_t value) {
@@ -694,6 +792,7 @@ void ExecuteBlockedGroupsColumns(const BlockedCountPlan& plan,
                                  ColumnOpStats* stats) {
   CORRMINE_CHECK(counts.size() == plan.num_queries)
       << "counts span does not match the plan";
+  CountingColumn::DensePrefix dense;
   for (size_t g = group_begin; g < group_end; ++g) {
     const BlockedCountPlan::Group& group = plan.groups[g];
     if (stats != nullptr) {
@@ -712,9 +811,12 @@ void ExecuteBlockedGroupsColumns(const BlockedCountPlan& plan,
     for (const uint32_t slot : group.self_queries) {
       counts[slot] = self_count;
     }
+    // Every extension shares the prefix: each prefix container is expanded
+    // into a bitset at most once, for the first extension that probes it.
+    dense.Reset(*block);
     for (size_t i = 0; i < group.ext_items.size(); ++i) {
       counts[group.ext_queries[i]] =
-          block->AndCount(source.column(group.ext_items[i]), stats);
+          dense.AndCount(source.column(group.ext_items[i]), stats);
     }
   }
 }
@@ -757,20 +859,6 @@ CompressedVerticalIndex::CompressedVerticalIndex(const TransactionDatabase& db)
   columns_.reserve(rows.size());
   for (const std::vector<uint32_t>& item_rows : rows) {
     columns_.emplace_back(num_baskets_, item_rows);
-  }
-  empty_ = CountingColumn(num_baskets_, {});
-}
-
-CompressedVerticalIndex::CompressedVerticalIndex(
-    size_t num_baskets, std::vector<std::vector<uint32_t>> item_rows)
-    : num_baskets_(num_baskets) {
-  columns_.reserve(item_rows.size());
-  for (std::vector<uint32_t>& rows : item_rows) {
-    columns_.emplace_back(num_baskets_, rows);
-    // Release each row list as soon as its column is built: the spill pass
-    // hands over partition-sized row data and sizes its transient around
-    // this incremental handback.
-    rows = {};
   }
   empty_ = CountingColumn(num_baskets_, {});
 }

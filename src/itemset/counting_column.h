@@ -70,8 +70,20 @@ class CountingColumn {
   /// Empty column over zero rows.
   CountingColumn() = default;
 
-  /// Rows must be strictly increasing and below `num_rows`.
+  /// Rows must be strictly increasing and below `num_rows`. Splits the
+  /// rows into block offsets and builds through FromBlockOffsets.
   CountingColumn(size_t num_rows, const std::vector<uint32_t>& rows);
+
+  /// The one column builder. Block b's rows are its in-block offsets
+  /// offsets[block_ends[b - 1], block_ends[b]) (from 0 for b = 0); the last
+  /// block, number block_ends.size(), runs to offsets.size(). Offsets must
+  /// be strictly increasing within each block and every row below
+  /// `num_rows`. Each non-empty block becomes its minimum-byte container.
+  /// The out-of-core spill builds its columns this way, straight from the
+  /// reader's per-item offset buffers.
+  static CountingColumn FromBlockOffsets(size_t num_rows,
+                                         std::span<const uint16_t> offsets,
+                                         std::span<const uint32_t> block_ends);
 
   /// Conversion from a plain bitmap (used by tests and adapters).
   static CountingColumn FromBitmap(const Bitmap& bitmap);
@@ -113,11 +125,40 @@ class CountingColumn {
   /// payloads are not counted — they live in the mapped file.
   size_t MemoryBytes() const;
 
-  /// Decompresses back to sorted row ids (tests, adapters, spill).
+  /// Decompresses back to sorted row ids (tests, adapters).
   std::vector<uint32_t> ToRows() const;
 
   size_t num_containers() const { return containers_.size(); }
   ContainerView container_view(size_t i) const;
+
+  /// One column shared by many AndCounts: the column executor's group
+  /// prefix. An extension's array container probes the prefix container's
+  /// 1024-word bitset with array_dense_count where array_intersect_count
+  /// would merge linearly (neither side kGallopRatio times the other), and
+  /// merges where it would gallop, which is cheaper there. Dense
+  /// containers are their own bitset; an array or run container is
+  /// expanded into reused scratch the first time an extension probes it.
+  /// The column must outlive the prefix's use of it.
+  class DensePrefix {
+   public:
+    /// Takes `prefix`, dropping whatever the previous Reset held.
+    void Reset(const CountingColumn& prefix);
+
+    /// |prefix AND other|, equal to prefix.AndCount(other). Probed array
+    /// containers count as probe_elems; every other container pair takes
+    /// AndCount's path and work units.
+    uint64_t AndCount(const CountingColumn& other,
+                      ColumnOpStats* stats = nullptr);
+
+   private:
+    /// Prefix container i as a bitset, expanded on first use.
+    const uint64_t* Words(size_t i);
+
+    const CountingColumn* prefix_ = nullptr;
+    std::vector<const uint64_t*> words_;  // per prefix container, or null
+    std::vector<uint64_t> scratch_;
+    size_t expanded_ = 0;  // scratch bitsets in use
+  };
 
  private:
   struct Container {
@@ -216,8 +257,10 @@ uint64_t CountAllPresentColumns(const ColumnSource& source, const Itemset& s,
 /// each answered query's count into `counts` (indexed by query slot;
 /// counts.size() == plan.num_queries). Size-1 prefixes alias the item
 /// column; larger prefixes materialize the prefix intersection once per
-/// group and stream every extension column against it. Exact integers for
-/// any group partition, so callers parallelize over disjoint ranges.
+/// group. Every extension counts against the prefix through
+/// CountingColumn::DensePrefix, which probes the prefix's bitset or merges
+/// container by container, by the two containers' sizes. Exact integers
+/// for any group partition, so callers parallelize over disjoint ranges.
 void ExecuteBlockedGroupsColumns(const BlockedCountPlan& plan,
                                  size_t group_begin, size_t group_end,
                                  const ColumnSource& source,
@@ -239,11 +282,6 @@ void CountColumnBatch(const BlockedCountPlan& plan, const ColumnSource& source,
 class CompressedVerticalIndex : public ColumnSource {
  public:
   explicit CompressedVerticalIndex(const TransactionDatabase& db);
-
-  /// Builds directly from per-item sorted row lists (the out-of-core spill
-  /// pass constructs partitions this way, without a TransactionDatabase).
-  CompressedVerticalIndex(size_t num_baskets,
-                          std::vector<std::vector<uint32_t>> item_rows);
 
   size_t num_baskets() const { return num_baskets_; }
   const CountingColumn& item_bitmap(ItemId item) const {

@@ -39,6 +39,12 @@ enum class KernelIsa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
 /// Extensions and_count_many keeps in registers per pass over the prefix.
 inline constexpr size_t kAndCountManyWidth = 4;
 
+/// array_intersect_count merges linearly while the two arrays' remainders
+/// are within this factor of each other and gallops the shorter through
+/// the longer past it. CountingColumn::DensePrefix probes a bitset instead
+/// exactly where the merge would be linear.
+inline constexpr size_t kGallopRatio = 16;
+
 /// One ISA's implementations. `name` has static storage duration.
 struct CountingKernels {
   KernelIsa isa;

@@ -11,7 +11,7 @@
 
 /// |a ∩ b| of two sorted uint16 arrays. Linear merge while the sides are
 /// comparable in length; gallops (doubling probe + binary search) once the
-/// longer side is >= 16x the shorter remainder, which is the regime sparse
+/// longer side is >= kGallopRatio x the shorter remainder, the regime sparse
 /// basket columns actually hit (a rare item against a common one).
 inline uint64_t SparseArrayIntersectCount(const uint16_t* a, size_t na,
                                           const uint16_t* b, size_t nb) {
@@ -21,7 +21,7 @@ inline uint64_t SparseArrayIntersectCount(const uint16_t* a, size_t na,
   while (i < na && j < nb) {
     const size_t rem_a = na - i;
     const size_t rem_b = nb - j;
-    if (rem_b >= 16 * rem_a || rem_a >= 16 * rem_b) {
+    if (rem_b >= kGallopRatio * rem_a || rem_a >= kGallopRatio * rem_b) {
       // Gallop the shorter remainder through the longer one.
       const uint16_t* hay = (rem_b > rem_a) ? b : a;
       size_t hay_pos = (rem_b > rem_a) ? j : i;

@@ -1,9 +1,12 @@
 #include "mining/partition.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <new>
 #include <span>
 #include <utility>
 
@@ -157,6 +160,297 @@ class SweepCountProvider : public CountProvider {
   mutable double sweep_seconds_ = 0.0;
 };
 
+/// Spill files are removed on every exit path (mid-walk error returns
+/// included) unless the caller asked to keep them. Paths register before
+/// their file is written, so partial files from failed writes go too.
+struct SpillGuard {
+  std::vector<std::string> paths;
+  std::string dir;
+  bool keep = false;
+
+  ~SpillGuard() {
+    if (keep) return;
+    std::error_code ec;
+    for (const std::string& p : paths) std::filesystem::remove(p, ec);
+    std::filesystem::remove(dir, ec);  // only succeeds when empty
+  }
+};
+
+/// One partition's baskets as the spill reader collects them: each item's
+/// rows as 16-bit offsets within 2^16-row blocks and, at every block
+/// boundary the partition crosses, the offset count of each item that has
+/// rows by then — together what CountingColumn::FromBlockOffsets takes.
+/// The reader reuses two buffers. What a buffer keeps between partitions
+/// follows the last partition it held, however the item ids drift:
+/// FreeAbsent frees the vectors of items the full partition does not use,
+/// and Clear keeps an item's capacity only while that partition used at
+/// least half of it.
+struct PartitionBuffer {
+  std::vector<std::vector<uint16_t>> offsets;  // by item
+  /// The items with rows here, in the order of their first row, and each
+  /// one's place in that order (valid while the item has rows).
+  std::vector<ItemId> items;
+  std::vector<uint32_t> slot;  // by item
+  /// At each block boundary crossed, the offset counts of the items that
+  /// had rows by then, in `items` order; boundary b's counts start at
+  /// ends[boundary_begin[b]].
+  std::vector<uint32_t> ends;
+  std::vector<uint32_t> boundary_begin;
+  /// One past the largest item of this partition: its column count.
+  ItemId num_columns = 0;
+  uint64_t rows = 0;
+  /// Bytes the partition's rows would take as uint32 row ids, 4 per item
+  /// occurrence: what the partition budget is charged.
+  uint64_t row_bytes = 0;
+
+  /// Appends one basket (sorted, distinct items) as the next row.
+  void Add(std::span<const ItemId> basket) {
+    if (rows != 0 && rows % CountingColumn::kBlockSize == 0) {
+      // A block boundary: record each present item's offset count once,
+      // here, rather than test each occurrence's block.
+      boundary_begin.push_back(static_cast<uint32_t>(ends.size()));
+      for (const ItemId item : items) {
+        ends.push_back(static_cast<uint32_t>(offsets[item].size()));
+      }
+    }
+    if (basket.empty()) {
+      ++rows;
+      return;
+    }
+    const ItemId top = basket.back();
+    if (top >= offsets.size()) {
+      offsets.resize(static_cast<size_t>(top) + 1);
+      slot.resize(static_cast<size_t>(top) + 1);
+    }
+    num_columns = std::max<ItemId>(num_columns, top + 1);
+    const uint16_t offset =
+        static_cast<uint16_t>(rows & (CountingColumn::kBlockSize - 1));
+    for (const ItemId item : basket) {
+      std::vector<uint16_t>& item_offsets = offsets[item];
+      if (item_offsets.empty()) {
+        slot[item] = static_cast<uint32_t>(items.size());
+        items.push_back(item);
+      }
+      item_offsets.push_back(offset);
+    }
+    row_bytes += basket.size() * sizeof(uint32_t);
+    ++rows;
+  }
+
+  /// `item`'s offset count at each block boundary crossed, into `out`
+  /// (empty for an item without rows).
+  void BlockEnds(ItemId item, std::vector<uint32_t>* out) const {
+    out->clear();
+    if (offsets[item].empty()) return;
+    for (size_t b = 0; b < boundary_begin.size(); ++b) {
+      const size_t end =
+          b + 1 < boundary_begin.size() ? boundary_begin[b + 1] : ends.size();
+      const size_t at = boundary_begin[b] + slot[item];
+      // An item whose first row comes after boundary b had none before it.
+      out->push_back(at < end ? ends[at] : 0);
+    }
+  }
+
+  /// Heap bytes the buffer holds, counted by capacity.
+  uint64_t HeldBytes() const {
+    uint64_t bytes = offsets.capacity() * sizeof(offsets[0]) +
+                     (items.capacity() + slot.capacity() + ends.capacity() +
+                      boundary_begin.capacity()) *
+                         sizeof(uint32_t);
+    for (const std::vector<uint16_t>& v : offsets) {
+      bytes += v.capacity() * sizeof(uint16_t);
+    }
+    return bytes;
+  }
+
+  /// Frees the vectors of items without rows in this (full) partition, so
+  /// that its close holds only its own items.
+  void FreeAbsent() {
+    for (std::vector<uint16_t>& v : offsets) {
+      if (v.empty() && v.capacity() != 0) std::vector<uint16_t>().swap(v);
+    }
+  }
+
+  /// Empties the buffer for the next partition.
+  void Clear() {
+    for (std::vector<uint16_t>& v : offsets) {
+      if (v.capacity() > 2 * v.size()) {
+        std::vector<uint16_t>().swap(v);
+      } else {
+        v.clear();
+      }
+    }
+    items.clear();
+    ends.clear();
+    boundary_begin.clear();
+    num_columns = 0;
+    rows = 0;
+    row_bytes = 0;
+  }
+};
+
+/// The spill's partition closes. The reader fills one PartitionBuffer;
+/// HandOff closes it — builds each item's column, streams it into the one
+/// ColumnShardWriter and writes part-<index>.ccs — as one task on the pool
+/// while the reader fills the other buffer. At most one close is in
+/// flight: HandOff first joins the previous one (help-first, so the reader
+/// runs the task itself if no worker has taken it). Without a pool the
+/// close runs inline. Close errors come back in partition order, from
+/// HandOff or Join. The destructor joins, so no close outlives the buffers,
+/// the writer or the SpillGuard declared before this object — on an error
+/// return and on a std::bad_alloc from the reader alike.
+class PartitionSpill {
+ public:
+  PartitionSpill(std::string dir, ThreadPool* pool, MetricsRegistry& registry,
+                 SpillGuard& guard)
+      : dir_(std::move(dir)),
+        pool_(pool),
+        registry_(registry),
+        guard_(guard),
+        in_flight_(std::make_shared<InFlight>()) {}
+
+  // Only an error or exception path finds a close in flight here, and it
+  // already carries the run's failure, so the close's Status is dropped.
+  ~PartitionSpill() { (void)Join(); }
+
+  PartitionSpill(const PartitionSpill&) = delete;
+  PartitionSpill& operator=(const PartitionSpill&) = delete;
+
+  /// The buffer the reader fills.
+  PartitionBuffer& filling() { return buffers_[filling_]; }
+
+  /// Closes the filling partition unless it is empty, and switches the
+  /// reader to the other buffer. Returns the first close error so far.
+  Status HandOff() {
+    PartitionBuffer& part = buffers_[filling_];
+    if (part.rows == 0) return Status::OK();
+    CORRMINE_RETURN_NOT_OK(Join());
+    // Both buffers are at their fullest here: the reader's and the other,
+    // whose close has finished.
+    output_.buffer_bytes =
+        std::max(output_.buffer_bytes,
+                 buffers_[0].HeldBytes() + buffers_[1].HeldBytes());
+    // Every item's exact count is the sum of its partitions' row counts.
+    std::vector<uint64_t>& item_counts = output_.item_counts;
+    if (item_counts.size() < part.num_columns) {
+      item_counts.resize(part.num_columns, 0);
+    }
+    for (ItemId item = 0; item < part.num_columns; ++item) {
+      item_counts[item] += part.offsets[item].size();
+    }
+    const size_t index = output_.paths.size();
+    std::string path = dir_ + "/part-" + std::to_string(index) + ".ccs";
+    guard_.paths.push_back(path);
+    output_.paths.push_back(path);
+    part.FreeAbsent();
+    filling_ ^= 1;
+    buffers_[filling_].Clear();
+    if (pool_ == nullptr) {
+      io::ColumnShardWriteStats wstats;
+      CORRMINE_RETURN_NOT_OK(Close(part, index, path, &wstats));
+      Account(wstats);
+      return Status::OK();
+    }
+    {
+      std::lock_guard<std::mutex> lock(in_flight_->mu);
+      in_flight_->running = true;
+    }
+    try {
+      pool_->Submit([this, &part, index, path = std::move(path),
+                     state = in_flight_] {
+        io::ColumnShardWriteStats wstats;
+        Status status =
+            RunGuarded([&] { return Close(part, index, path, &wstats); });
+        // Notify under the lock: the reader may free nothing it shares
+        // with this task before the task lets go of the mutex.
+        std::lock_guard<std::mutex> lock(state->mu);
+        state->status = std::move(status);
+        state->wstats = wstats;
+        state->running = false;
+        state->cv.notify_all();
+      });
+    } catch (const std::bad_alloc&) {
+      std::lock_guard<std::mutex> lock(in_flight_->mu);
+      in_flight_->running = false;
+      return Status::ResourceExhausted("out of memory");
+    }
+    return Status::OK();
+  }
+
+  /// Waits for the close in flight: its Status, or OK when none is.
+  Status Join() {
+    if (pool_ == nullptr) return Status::OK();
+    InFlight& state = *in_flight_;
+    pool_->HelpUntil(state.mu, state.cv, [&state] { return !state.running; });
+    Status status;
+    io::ColumnShardWriteStats wstats;
+    {
+      std::lock_guard<std::mutex> lock(state.mu);
+      status = std::move(state.status);
+      state.status = Status::OK();
+      wstats = state.wstats;
+      state.wstats = {};
+    }
+    Account(wstats);
+    return status;
+  }
+
+  /// What the spill leaves for the walk.
+  struct Output {
+    std::vector<std::string> paths;     // part-<index>.ccs, in order
+    std::vector<uint64_t> item_counts;  // each item's baskets
+    uint64_t raw_bytes = 0;             // v1-equivalent payload bytes
+    uint64_t encoded_bytes = 0;         // payload bytes written
+    uint64_t buffer_bytes = 0;          // the reader's buffers at most
+  };
+
+  /// Everything handed off so far; call after the last Join.
+  Output TakeOutput() { return std::move(output_); }
+
+ private:
+  /// What the reader and the close task share; the task holds it by
+  /// shared_ptr because it still touches it after the reader may wake.
+  struct InFlight {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool running = false;                // guarded by mu
+    Status status;                       // guarded by mu
+    io::ColumnShardWriteStats wstats;    // guarded by mu
+  };
+
+  /// Writes one partition: each item's column is built from the buffer,
+  /// handed to the writer and released before the next is built.
+  Status Close(const PartitionBuffer& part, size_t index,
+               const std::string& path, io::ColumnShardWriteStats* wstats) {
+    Phase phase(registry_, "outofcore.spill_partition", -1,
+                static_cast<int64_t>(index),
+                static_cast<int64_t>(part.rows));
+    writer_.Begin(part.rows, part.num_columns);
+    std::vector<uint32_t> block_ends;
+    for (ItemId item = 0; item < part.num_columns; ++item) {
+      part.BlockEnds(item, &block_ends);
+      writer_.AddColumn(CountingColumn::FromBlockOffsets(
+          part.rows, part.offsets[item], block_ends));
+    }
+    return writer_.Finish(path, wstats);
+  }
+
+  void Account(const io::ColumnShardWriteStats& wstats) {
+    output_.raw_bytes += wstats.raw_payload_bytes;
+    output_.encoded_bytes += wstats.payload_bytes;
+  }
+
+  const std::string dir_;
+  ThreadPool* const pool_;
+  MetricsRegistry& registry_;
+  SpillGuard& guard_;
+  PartitionBuffer buffers_[2];
+  int filling_ = 0;
+  io::ColumnShardWriter writer_;
+  Output output_;
+  std::shared_ptr<InFlight> in_flight_;
+};
+
 }  // namespace
 
 StatusOr<MiningResult> MineCorrelationsOutOfCore(
@@ -186,12 +480,18 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   registry.GetGauge("mem.memory_budget_bytes")
       ->Set(static_cast<int64_t>(options.memory_budget_bytes));
 
-  // Partition sizing: closing a partition briefly holds the row vectors
-  // (~R bytes of uint32), the built columns (<= R payload), and the
-  // serialized file string (~payload) at once — about 3x the accumulated
-  // row bytes — and the budget must also cover the base process. The
-  // budget/6 default leaves half the budget for everything else; explicit
-  // --partition-budget values are taken verbatim (validated above).
+  // Partition sizing: the budget is charged 4 bytes per item occurrence,
+  // what a partition's rows take as uint32 row ids. The reader keeps rows
+  // as 16-bit block offsets in two buffers, the partition it fills and the
+  // one whose close is in flight; with vector growth slack they hold about
+  // 1.5 charges while the item set is stable, and at most the current and
+  // previous partition of each, 4 charges, however the item ids drift
+  // (mem.spill_buffer_bytes). The close adds one column at a time and the
+  // writer's payload and directory buffers (at most the partition's raw
+  // payload, about half its row bytes). The budget/6 default leaves room
+  // for that, for the sweeps' admitted partitions and for the base
+  // process; explicit --partition-budget values are taken verbatim
+  // (validated above).
   const uint64_t partition_row_bytes =
       options.partition_budget_bytes != 0
           ? options.partition_budget_bytes
@@ -225,65 +525,27 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   registry.GetGauge("outofcore.admitted_partitions")
       ->Set(static_cast<int64_t>(admitted));
 
-  // Spill files are removed on EVERY exit path (including mid-walk error
-  // returns) unless the caller asked to keep them; paths register before
-  // the write so partial files from failed writes are removed too.
-  struct SpillGuard {
-    std::vector<std::string> paths;
-    std::string dir;
-    bool keep = false;
-    ~SpillGuard() {
-      if (keep) return;
-      std::error_code guard_ec;
-      for (const std::string& p : paths) {
-        std::filesystem::remove(p, guard_ec);
-      }
-      std::filesystem::remove(dir, guard_ec);  // only succeeds when empty
-    }
-  } guard;
+  SpillGuard guard;
   guard.dir = spill_dir;
   guard.keep = options.keep_spill;
 
-  // --- Spill: one streaming pass over the input builds a CCS v2 file per
-  // partition budget of rows and counts every item exactly on the way.
-  std::vector<std::string> part_paths;
-  std::vector<uint64_t> item_counts;
-  std::vector<std::vector<uint32_t>> rows_by_item;
-  uint64_t local_rows = 0;
-  uint64_t local_bytes = 0;
+  // --- Spill: one streaming pass over the input cuts a partition every
+  // partition budget of rows; each full partition closes into a CCS v2
+  // file on the pool behind the reader, and adds its rows to the exact
+  // item counts.
   uint64_t total_rows = 0;
-  uint64_t spilled_raw = 0;
-  uint64_t spilled_encoded = 0;
-
-  const auto close_partition = [&]() -> Status {
-    if (local_rows == 0) return Status::OK();
-    const size_t index = part_paths.size();
-    Phase phase(registry, "outofcore.spill_partition", -1,
-                static_cast<int64_t>(index), static_cast<int64_t>(local_rows));
-    CompressedVerticalIndex vindex(local_rows, std::move(rows_by_item));
-    rows_by_item = {};
-    std::string part_path =
-        spill_dir + "/part-" + std::to_string(index) + ".ccs";
-    guard.paths.push_back(part_path);
-    io::ColumnShardWriteStats wstats;
-    CORRMINE_RETURN_NOT_OK(
-        io::WriteColumnShardFile(vindex, part_path, {}, &wstats));
-    spilled_raw += wstats.raw_payload_bytes;
-    spilled_encoded += wstats.payload_bytes;
-    part_paths.push_back(std::move(part_path));
-    local_rows = 0;
-    local_bytes = 0;
-    return Status::OK();
-  };
-
   ItemId num_items = 0;
   double spill_seconds = 0.0;
+  PartitionSpill::Output spilled;
   {
+    // The reader's buffers and the writer's go when the spill ends, before
+    // the walk maps any partition.
+    PartitionSpill spill(spill_dir, pool, registry, guard);
     Phase spill_phase(registry, "outofcore.spill");
-    CORRMINE_RETURN_NOT_OK(io::StreamTransactionFile(
+    const Status read = io::StreamTransactionFile(
         path, &num_items, [&](std::vector<ItemId> basket) -> Status {
           // Text baskets may repeat or reorder ids; a column holds each
-          // row once, and the item counts must agree with it.
+          // row once.
           if (std::adjacent_find(basket.begin(), basket.end(),
                                  std::greater_equal<ItemId>()) !=
               basket.end()) {
@@ -291,30 +553,31 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
             basket.erase(std::unique(basket.begin(), basket.end()),
                          basket.end());
           }
-          if (!basket.empty() && basket.back() >= rows_by_item.size()) {
-            rows_by_item.resize(static_cast<size_t>(basket.back()) + 1);
-            if (item_counts.size() < rows_by_item.size()) {
-              item_counts.resize(rows_by_item.size(), 0);
-            }
-          }
-          for (const ItemId item : basket) {
-            rows_by_item[item].push_back(static_cast<uint32_t>(local_rows));
-            ++item_counts[item];
-          }
-          local_bytes += basket.size() * sizeof(uint32_t);
-          ++local_rows;
+          PartitionBuffer& part = spill.filling();
+          part.Add(basket);
           ++total_rows;
-          return local_bytes >= partition_row_bytes ? close_partition()
-                                                    : Status::OK();
-        }));
-    CORRMINE_RETURN_NOT_OK(close_partition());
+          return part.row_bytes >= partition_row_bytes ? spill.HandOff()
+                                                       : Status::OK();
+        });
+    // The serial spill would have stopped at a failed close before reading
+    // further, so the close in flight reports before the reader does.
+    CORRMINE_RETURN_NOT_OK(spill.Join());
+    CORRMINE_RETURN_NOT_OK(read);
+    CORRMINE_RETURN_NOT_OK(spill.HandOff());
+    CORRMINE_RETURN_NOT_OK(spill.Join());
     spill_seconds = static_cast<double>(spill_phase.Stop()) / 1e9;
+    spilled = spill.TakeOutput();
   }
+  const std::vector<std::string>& part_paths = spilled.paths;
+  const uint64_t spilled_raw = spilled.raw_bytes;
+  const uint64_t spilled_encoded = spilled.encoded_bytes;
   // Phase-boundary peak-RSS samples (here and after the walk): the budget
   // gate in bench_outofcore cares *when* the high-water mark happened,
   // not just its final value.
   registry.GetGauge("mem.peak_rss_spill_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
+  registry.GetGauge("mem.spill_buffer_bytes")
+      ->Set(static_cast<int64_t>(spilled.buffer_bytes));
   if (total_rows == 0) {
     return Status::FailedPrecondition("mining an empty database");
   }
@@ -322,8 +585,8 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   // --- Walk: the Figure 1 walk under the caller's unmodified mining
   // options, over exact counts — it asks exactly the in-memory walk's
   // questions, and each level's batch costs one sweep of the partitions.
-  SweepCountProvider sweeps(part_paths, item_counts, total_rows, admitted,
-                            registry);
+  SweepCountProvider sweeps(part_paths, spilled.item_counts, total_rows,
+                            admitted, registry);
   StatusOr<MiningResult> result = MineCorrelations(sweeps, num_items, base);
   if (!sweeps.error().ok()) return sweeps.error();
   registry.GetGauge("mem.peak_rss_walk_bytes")

@@ -23,13 +23,15 @@ struct OutOfCoreMinerOptions {
   uint64_t memory_budget_bytes = uint64_t{256} << 20;
 
   /// Bytes of basket rows buffered before a partition closes (--partition
-  /// -budget). 0 derives memory_budget_bytes / 6 floored at 1 MiB — the
-  /// close-time transient briefly holds row vectors, built columns and the
-  /// serialized file (~3x the row bytes), and a sweep needs headroom to
-  /// count several partitions at once. Explicit values are taken verbatim
-  /// (no floor, so tests can force many tiny partitions) but must not
-  /// exceed memory_budget_bytes; setting it equal to the memory budget
-  /// forces admitted = 1, i.e. sweeps that count one partition at a time.
+  /// -budget), charged 4 bytes per item occurrence. 0 derives
+  /// memory_budget_bytes / 6 floored at 1 MiB: the reader holds its rows
+  /// as 16-bit block offsets, so the filling partition and the one closing
+  /// on the pool together take about this much; the close adds its encoded
+  /// payload, and a sweep needs headroom to count several partitions at
+  /// once. Explicit values are taken verbatim (no floor, so tests can
+  /// force many tiny partitions) but must not exceed memory_budget_bytes;
+  /// setting it equal to the memory budget forces admitted = 1, i.e.
+  /// sweeps that count one partition at a time.
   uint64_t partition_budget_bytes = 0;
 
   /// Directory for the CCS partition shard files (created if missing).
@@ -73,10 +75,11 @@ struct OutOfCoreStats {
 /// Level-synchronous correlation mining over a dataset that need not fit
 /// in memory:
 ///
-///   spill — stream `path` once, building hybrid counting columns for
-///           RAM-sized horizontal partitions and writing each as an
-///           mmap-backed CCS v2 shard file, while counting every item
-///           exactly;
+///   spill — stream `path` once, cutting RAM-sized horizontal partitions
+///           and counting every item exactly; each full partition closes
+///           on the pool behind the reader (one close in flight), its
+///           hybrid counting columns built and streamed one at a time into
+///           an mmap-backed CCS v2 shard file;
 ///   walk  — run MineCorrelations (the Figure 1 walk) over a provider
 ///           that answers single items from those counts and each level's
 ///           candidate batch with one sweep over the partition files: up

@@ -120,6 +120,21 @@ foreach(limit 64000 96000 136000 176000)
             "mine --threads 4 under ulimit -v ${limit} should exit 1 with ResourceExhausted: ${rc} ${err}")
   endif()
 endforeach()
+# Out of core on four threads: partition closes run on the pool behind the
+# reader and the sweeps decode columns lazily on the workers. Running out
+# of memory in any of them ends the command the same way. (No allocation
+# may unwind through a glibc frame such as std::call_once's pthread_once:
+# glibc then dlopens libgcc_s, which fails with memory gone, and aborts.)
+foreach(limit 56000 88000 136000)
+  execute_process(
+    COMMAND sh -c "ulimit -v ${limit}; exec \"$0\" mine \"$1\" --support-count 2500 --cell-fraction 0.26 --out-of-core --memory-budget 8388608 --threads 4"
+            ${CLI} ${WORKDIR}/oom.cmb
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "ResourceExhausted")
+    message(FATAL_ERROR
+            "mine --out-of-core --threads 4 under ulimit -v ${limit} should exit 1 with ResourceExhausted: ${rc} ${err}")
+  endif()
+endforeach()
 
 # Exact-test of one itemset.
 execute_process(

@@ -1,13 +1,15 @@
 // Differential suite for the hybrid counting-column storage layer: random
 // container mixes against std::set reference loops, promotion/demotion
 // boundaries, run containers, the CCS shard file round trip, and the
-// blocked columns executor and CountColumnBatch against naive counting.
+// blocked columns executor (with its dense-prefix groups) and
+// CountColumnBatch against naive counting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <set>
 #include <span>
 #include <string>
@@ -18,6 +20,7 @@
 #include "datagen/rng.h"
 #include "io/column_store.h"
 #include "itemset/counting_column.h"
+#include "itemset/kernels.h"
 #include "test_util.h"
 
 namespace corrmine {
@@ -433,6 +436,243 @@ TEST(CountingColumnTest, CountColumnBatchSumsOverPartitionsAndPools) {
       EXPECT_EQ(counts, expected) << parts << " partitions, pool " << threads;
     }
   }
+}
+
+/// Container kinds a test block is drawn to take.
+enum class BlockKind { kArray, kDense, kRun };
+
+/// Appends rows of block `block` (rows [block << 16, +block_rows)) drawn
+/// to become `kind`: about 1% of rows (array), about 30% (dense), or
+/// bursts of up to 400 rows with gaps of up to 600 (run).
+void AppendBlock(datagen::Rng* rng, uint32_t block, uint32_t block_rows,
+                 BlockKind kind, std::vector<uint32_t>* rows) {
+  const uint32_t base = block << 16;
+  if (kind == BlockKind::kRun) {
+    uint32_t r = static_cast<uint32_t>(rng->NextDouble() * 300.0);
+    while (r < block_rows) {
+      const uint32_t burst =
+          1 + static_cast<uint32_t>(rng->NextDouble() * 400.0);
+      for (uint32_t i = 0; i < burst && r < block_rows; ++i) {
+        rows->push_back(base + r++);
+      }
+      r += 1 + static_cast<uint32_t>(rng->NextDouble() * 600.0);
+    }
+    return;
+  }
+  const double density = kind == BlockKind::kArray ? 0.01 : 0.3;
+  for (uint32_t r = 0; r < block_rows; ++r) {
+    if (rng->NextBernoulli(density)) rows->push_back(base + r);
+  }
+}
+
+/// A column source over columns built from row lists, so a test can pick
+/// each block's container kind.
+class RowColumns : public ColumnSource {
+ public:
+  RowColumns(size_t num_rows, std::vector<std::vector<uint32_t>> rows)
+      : num_rows_(num_rows), rows_(std::move(rows)) {
+    for (const std::vector<uint32_t>& r : rows_) {
+      columns_.emplace_back(num_rows_, r);
+    }
+    empty_ = CountingColumn(num_rows_, {});
+  }
+
+  size_t num_rows() const override { return num_rows_; }
+  ItemId num_columns() const override {
+    return static_cast<ItemId>(columns_.size());
+  }
+  const CountingColumn& column(ItemId item) const override {
+    return item < columns_.size() ? columns_[item] : empty_;
+  }
+  const std::vector<uint32_t>& rows(ItemId item) const { return rows_[item]; }
+
+ private:
+  size_t num_rows_;
+  std::vector<std::vector<uint32_t>> rows_;
+  std::vector<CountingColumn> columns_;
+  CountingColumn empty_;
+};
+
+// Every group counts its extensions against the prefix through
+// DensePrefix. Every prefix kind meets every extension kind, over three
+// full 2^16-row blocks and a short fourth, with blocks missing on either
+// side, and each prefix heads groups of 1, 2 and 9 extensions. Counts must
+// equal naive row-list intersections at every kernel and pool, and the
+// kernel.column_* work units must not depend on the kernel.
+TEST(CountingColumnTest, DensePrefixCountsAreExact) {
+  constexpr uint32_t kFullBlocks = 3;
+  constexpr uint32_t kTailRows = 1000;
+  constexpr size_t kNumRows = size_t{kFullBlocks} << 16 | kTailRows;
+  const BlockKind kKinds[] = {BlockKind::kArray, BlockKind::kDense,
+                              BlockKind::kRun};
+  // Items 0..8 head the prefixes, items 9..17 extend them. Within each
+  // set, item 3 * kind + variant has that kind in block 0 and: variant 0,
+  // in every block; variant 1, block 1 missing; variant 2, the next kind
+  // in block 1 and block 2 missing.
+  datagen::Rng rng(2718);
+  std::vector<std::vector<uint32_t>> rows;
+  for (int set = 0; set < 2; ++set) {
+    for (int k = 0; k < 3; ++k) {
+      for (int variant = 0; variant < 3; ++variant) {
+        std::vector<uint32_t> column;
+        for (uint32_t block = 0; block <= kFullBlocks; ++block) {
+          const uint32_t block_rows =
+              block < kFullBlocks ? uint32_t{1} << 16 : kTailRows;
+          BlockKind kind = kKinds[k];
+          if (variant == 1 && block == 1) continue;
+          if (variant == 2 && block == 2) continue;
+          if (variant == 2 && block == 1) kind = kKinds[(k + 1) % 3];
+          AppendBlock(&rng, block, block_rows, kind, &column);
+        }
+        rows.push_back(std::move(column));
+      }
+    }
+  }
+  const RowColumns source(kNumRows, rows);
+  for (ItemId item = 0; item < source.num_columns(); ++item) {
+    const CountingColumn& column = source.column(item);
+    ASSERT_GE(column.num_containers(), 2u);
+    const auto kind = column.container_view(0).kind;
+    EXPECT_EQ(static_cast<int>(kind), static_cast<int>(kKinds[item % 9 / 3]))
+        << "item " << item << " block 0";
+  }
+
+  // Size-1, size-2 and size-3 prefixes over items 0..8, the last two
+  // materialized by the executor.
+  std::vector<std::vector<ItemId>> prefixes;
+  for (ItemId p = 0; p < 9; ++p) prefixes.push_back({p});
+  for (ItemId p = 0; p < 9; ++p) {
+    for (ItemId q : {p + 1, p + 3}) {
+      if (q < 9) prefixes.push_back({p, q});
+    }
+  }
+  for (ItemId p = 0; p + 2 < 9; ++p) prefixes.push_back({p, p + 1, p + 2});
+  // Each prefix heads three groups: the same prefix recurs only after
+  // every other prefix, so its groups never merge.
+  const std::vector<std::vector<ItemId>> extension_sets = {
+      {9}, {10, 11}, {9, 10, 11, 12, 13, 14, 15, 16, 17}};
+  std::vector<Itemset> queries;
+  for (size_t set = 0; set < extension_sets.size(); ++set) {
+    for (const std::vector<ItemId>& prefix : prefixes) {
+      // A singleton is its own group's self query.
+      if (set == 2 && prefix.size() == 1) queries.emplace_back(prefix);
+      for (const ItemId ext : extension_sets[set]) {
+        std::vector<ItemId> items = prefix;
+        items.push_back(ext);
+        queries.emplace_back(items);
+      }
+    }
+  }
+  const BlockedCountPlan plan = BlockedCountPlan::Build(queries);
+  ASSERT_EQ(plan.groups.size(), 3 * prefixes.size());
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    EXPECT_EQ(plan.groups[g].ext_items.size(),
+              extension_sets[g / prefixes.size()].size());
+  }
+
+  std::vector<uint64_t> expected;
+  for (const Itemset& query : queries) {
+    std::vector<uint32_t> acc = source.rows(query.item(0));
+    for (size_t i = 1; i < query.size(); ++i) {
+      std::vector<uint32_t> next;
+      const std::vector<uint32_t>& other = source.rows(query.item(i));
+      std::set_intersection(acc.begin(), acc.end(), other.begin(),
+                            other.end(), std::back_inserter(next));
+      acc = std::move(next);
+    }
+    expected.push_back(acc.size());
+  }
+
+  struct KernelReset {
+    ~KernelReset() { EXPECT_TRUE(SetActiveKernel("auto").ok()); }
+  } reset;
+  ColumnOpStats first_stats;
+  bool have_first = false;
+  for (const CountingKernels* kernels : AvailableKernels()) {
+    ASSERT_TRUE(SetActiveKernel(kernels->name).ok());
+    for (const int threads : {1, 3}) {
+      ThreadPool pool(threads);
+      std::vector<uint64_t> counts(queries.size(), 0);
+      CountColumnBatch(plan, source, std::span<uint64_t>(counts), &pool);
+      EXPECT_EQ(counts, expected)
+          << kernels->name << ", pool of " << threads;
+    }
+    ColumnOpStats stats;
+    std::vector<uint64_t> counts(queries.size(), 0);
+    ExecuteBlockedGroupsColumns(plan, 0, plan.groups.size(), source,
+                                std::span<uint64_t>(counts), &stats);
+    EXPECT_EQ(counts, expected) << kernels->name;
+    EXPECT_GT(stats.probe_elems, 0u);
+    if (!have_first) {
+      first_stats = stats;
+      have_first = true;
+      continue;
+    }
+    EXPECT_EQ(stats.groups, first_stats.groups) << kernels->name;
+    EXPECT_EQ(stats.queries, first_stats.queries) << kernels->name;
+    EXPECT_EQ(stats.dense_words, first_stats.dense_words) << kernels->name;
+    EXPECT_EQ(stats.array_elems, first_stats.array_elems) << kernels->name;
+    EXPECT_EQ(stats.probe_elems, first_stats.probe_elems) << kernels->name;
+    EXPECT_EQ(stats.run_elems, first_stats.run_elems) << kernels->name;
+  }
+}
+
+/// `n` distinct rows of block `block`, in increasing order.
+std::vector<uint32_t> BlockRows(datagen::Rng* rng, uint32_t block, size_t n) {
+  std::set<uint32_t> rows;
+  while (rows.size() < n) {
+    rows.insert((block << 16) |
+                static_cast<uint32_t>(rng->NextDouble() * 65536.0));
+  }
+  return {rows.begin(), rows.end()};
+}
+
+// DensePrefix decides container by container, on the two counts alone:
+// it probes the prefix's bitset where array_intersect_count would merge
+// linearly and merges where one side is kGallopRatio times the other.
+// Either way the count is AndCount's.
+TEST(CountingColumnTest, DensePrefixProbesOnlyWhereTheMergeIsLinear) {
+  // Block 0: prefix 20 rows, extension 400 (merge: 20 x 16 <= 400).
+  // Block 1: 600 rows each (probe). Block 2: prefix 600 rows, extension
+  // 30 (merge). Block 3: a run prefix of 3 000 rows, extension 600 (probe).
+  datagen::Rng rng(99);
+  std::vector<uint32_t> prefix_rows;
+  std::vector<uint32_t> ext_rows;
+  const auto append = [](std::vector<uint32_t>* to,
+                         const std::vector<uint32_t>& rows) {
+    to->insert(to->end(), rows.begin(), rows.end());
+  };
+  append(&prefix_rows, BlockRows(&rng, 0, 20));
+  append(&ext_rows, BlockRows(&rng, 0, 400));
+  append(&prefix_rows, BlockRows(&rng, 1, 600));
+  append(&ext_rows, BlockRows(&rng, 1, 600));
+  append(&prefix_rows, BlockRows(&rng, 2, 600));
+  append(&ext_rows, BlockRows(&rng, 2, 30));
+  for (uint32_t r = 0; r < 3000; ++r) prefix_rows.push_back((3u << 16) + r);
+  append(&ext_rows, BlockRows(&rng, 3, 600));
+  const size_t num_rows = size_t{4} << 16;
+  const CountingColumn prefix(num_rows, prefix_rows);
+  const CountingColumn ext(num_rows, ext_rows);
+  ASSERT_EQ(prefix.num_containers(), 4u);
+  ASSERT_EQ(ext.num_containers(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ext.container_view(i).kind, CountingColumn::ContainerKind::kArray);
+    EXPECT_EQ(prefix.container_view(i).kind,
+              i < 3 ? CountingColumn::ContainerKind::kArray
+                    : CountingColumn::ContainerKind::kRun);
+  }
+
+  CountingColumn::DensePrefix dense;
+  dense.Reset(prefix);
+  ColumnOpStats stats;
+  EXPECT_EQ(dense.AndCount(ext, &stats), prefix.AndCount(ext));
+  EXPECT_EQ(stats.probe_elems, 600u + 600u);         // blocks 1 and 3
+  EXPECT_EQ(stats.array_elems, 20u + 400u + 600u + 30u);  // blocks 0 and 2
+  // A second extension reuses the expanded blocks and decides alike.
+  ColumnOpStats again;
+  EXPECT_EQ(dense.AndCount(ext, &again), prefix.AndCount(ext));
+  EXPECT_EQ(again.probe_elems, stats.probe_elems);
+  EXPECT_EQ(again.array_elems, stats.array_elems);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include "core/session.h"
 #include "datagen/quest_generator.h"
 #include "io/binary_io.h"
+#include "io/column_store.h"
 #include "io/transaction_io.h"
 #include "mining/partition.h"
 #include "test_util.h"
@@ -40,6 +43,54 @@ std::string Fingerprint(const MiningResult& result) {
   }
   for (const Itemset& f : result.frontier) out << 'F' << f.ToString() << '\n';
   return out.str();
+}
+
+/// splitmix64: a fixed hash, so the synthetic fixture below is the same
+/// on every platform and standard library.
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Baskets whose spill columns take every container kind: item 0 is in
+/// six rows of seven (dense blocks), item 1 in alternate 5 000-row
+/// stretches (runs), items 2..31 in about 2% of rows (arrays) and items
+/// 32..35 in about 12% (dense). About 2.4 items, so 9.8 row bytes, a row.
+TransactionDatabase SpillFixture(uint64_t rows) {
+  TransactionDatabase db(36);
+  for (uint64_t r = 0; r < rows; ++r) {
+    std::vector<ItemId> basket;
+    if (r % 7 != 3) basket.push_back(0);
+    if ((r / 5000) % 2 == 0) basket.push_back(1);
+    for (ItemId item = 2; item < 36; ++item) {
+      const uint64_t h = Mix(r * 64 + item) % 1000;
+      if (h < (item < 32 ? 20u : 120u)) basket.push_back(item);
+    }
+    EXPECT_TRUE(db.AddBasket(std::move(basket)).ok());
+  }
+  return db;
+}
+
+/// FNV-1a 64 over `bytes`, continuing from `hash`.
+uint64_t Fnv1a(const std::string& bytes, uint64_t hash) {
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+bool EmptyOrAbsent(const std::filesystem::path& dir) {
+  return !std::filesystem::exists(dir) || std::filesystem::is_empty(dir);
 }
 
 class OutOfCoreTest : public ::testing::Test {
@@ -207,32 +258,253 @@ TEST_F(OutOfCoreTest, FailedRunLeavesSpillDirEmpty) {
     out.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
   }
 
-  OutOfCoreMinerOptions options;
-  options.miner.support.min_count = 300;
-  options.miner.support.cell_fraction = 0.26;
-  options.miner.max_level = 3;
-  options.miner.num_threads = 2;
-  options.memory_budget_bytes = uint64_t{64} << 20;
-  options.partition_budget_bytes = uint64_t{64} << 10;
-  options.spill_dir = (dir_ / "spill_failed").string();
-  auto result_or = MineCorrelationsOutOfCore(input, options);
-  EXPECT_FALSE(result_or.ok());
-  EXPECT_FALSE(std::filesystem::exists(options.spill_dir))
-      << "failed run left spill files behind";
+  // At 1 thread the closes run inline; at 2 and 4 each runs on the pool
+  // while the reader goes on, and the stream error can arrive with one in
+  // flight.
+  for (const int threads : {1, 2, 4}) {
+    const std::string suffix = "_t" + std::to_string(threads);
+    OutOfCoreMinerOptions options;
+    options.miner.support.min_count = 300;
+    options.miner.support.cell_fraction = 0.26;
+    options.miner.max_level = 3;
+    options.miner.num_threads = threads;
+    options.memory_budget_bytes = uint64_t{64} << 20;
+    options.partition_budget_bytes = uint64_t{64} << 10;
+    options.spill_dir = (dir_ / ("spill_failed" + suffix)).string();
+    auto result_or = MineCorrelationsOutOfCore(input, options);
+    EXPECT_FALSE(result_or.ok()) << "threads " << threads;
+    EXPECT_TRUE(result_or.status().IsCorruption())
+        << "threads " << threads << ": " << result_or.status().ToString();
+    EXPECT_FALSE(std::filesystem::exists(options.spill_dir))
+        << "failed run left spill files behind at threads " << threads;
 
-  // keep_spill opts out of the cleanup even on error, for postmortems.
-  options.keep_spill = true;
-  options.spill_dir = (dir_ / "spill_kept").string();
-  EXPECT_FALSE(MineCorrelationsOutOfCore(input, options).ok());
-  ASSERT_TRUE(std::filesystem::exists(options.spill_dir));
-  size_t kept = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.spill_dir)) {
-    (void)entry;
-    ++kept;
+    // keep_spill opts out of the cleanup even on error, for postmortems.
+    options.keep_spill = true;
+    options.spill_dir = (dir_ / ("spill_kept" + suffix)).string();
+    EXPECT_FALSE(MineCorrelationsOutOfCore(input, options).ok());
+    ASSERT_TRUE(std::filesystem::exists(options.spill_dir));
+    size_t kept = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.spill_dir)) {
+      (void)entry;
+      ++kept;
+    }
+    EXPECT_GE(kept, 2u) << "expected several closed partitions before the "
+                           "stream error at threads "
+                        << threads;
   }
-  EXPECT_GE(kept, 2u) << "expected several closed partitions before the "
-                         "stream error";
+}
+
+TEST_F(OutOfCoreTest, FailedCloseWinsAtEveryThreadCount) {
+  // part-2.ccs already exists as a directory, so the third close cannot
+  // open its file. The partition budget is 2/7 of the row bytes: closes
+  // 0, 1 and 2 run during the stream and a partial partition is left. On
+  // the input with a garbage tail the reader fails while close 2 may still
+  // be in flight; the serial spill stopped at the close, so its IOError
+  // must win there too.
+  auto db_or = datagen::GenerateQuestData({.num_transactions = 6000,
+                                           .num_items = 300,
+                                           .avg_transaction_size = 12.0,
+                                           .seed = 11});
+  ASSERT_TRUE(db_or.ok());
+  uint64_t row_bytes = 0;
+  for (size_t b = 0; b < db_or->num_baskets(); ++b) {
+    row_bytes += db_or->basket(b).size() * sizeof(uint32_t);
+  }
+  const std::string encoded = io::EncodeBinaryTransactions(*db_or);
+  const std::string clean = (dir_ / "clean.bin").string();
+  const std::string tailed = (dir_ / "tailed.bin").string();
+  {
+    std::ofstream out(clean, std::ios::binary);
+    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+  }
+  {
+    std::ofstream out(tailed, std::ios::binary);
+    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    const std::string garbage = "CMB1\xff\xff\xff\xff\xff\xff\xff\xff";
+    out.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
+  }
+  for (const std::string& input : {clean, tailed}) {
+    for (const int threads : {1, 2, 4}) {
+      OutOfCoreMinerOptions options;
+      options.miner.support.min_count = 300;
+      options.miner.support.cell_fraction = 0.26;
+      options.miner.max_level = 3;
+      options.miner.num_threads = threads;
+      options.memory_budget_bytes = uint64_t{64} << 20;
+      options.partition_budget_bytes = row_bytes * 2 / 7;
+      const std::filesystem::path spill =
+          dir_ / ("spill_t" + std::to_string(threads));
+      options.spill_dir = spill.string();
+      std::filesystem::create_directories(spill / "part-2.ccs");
+      auto result_or = MineCorrelationsOutOfCore(input, options);
+      ASSERT_FALSE(result_or.ok()) << input << ", threads " << threads;
+      EXPECT_TRUE(result_or.status().IsIOError())
+          << input << ", threads " << threads << ": "
+          << result_or.status().ToString();
+      EXPECT_NE(result_or.status().message().find("part-2.ccs"),
+                std::string::npos)
+          << result_or.status().ToString();
+      EXPECT_TRUE(EmptyOrAbsent(spill))
+          << "failed close left spill files behind: " << input
+          << ", threads " << threads;
+      std::error_code ec;
+      std::filesystem::remove_all(spill, ec);
+    }
+  }
+}
+
+TEST_F(OutOfCoreTest, SpillFilesAreByteIdenticalAcrossThreads) {
+  // Five partitions; the four full ones hold about 143 000 rows, so each
+  // spans three 2^16-row blocks and its columns mix array, dense and run
+  // containers. The files must not depend on the thread count, must map
+  // back to exactly their baskets' rows, and must hash to the digest the
+  // serial spill wrote before closes moved onto the pool: any drift of the
+  // CCS bytes or of the partition cuts fails here.
+  constexpr uint64_t kRows = 650000;
+  constexpr uint64_t kSpillDigest = 7740751667985643087ULL;
+  const TransactionDatabase db = SpillFixture(kRows);
+  const std::string input = (dir_ / "fixture.bin").string();
+  ASSERT_TRUE(io::WriteBinaryTransactionFile(db, input).ok());
+
+  std::vector<std::string> baseline;
+  for (const int threads : {1, 2, 4}) {
+    OutOfCoreMinerOptions options;
+    options.miner.support.min_count = kRows / 20;
+    options.miner.support.cell_fraction = 0.26;
+    options.miner.max_level = 3;
+    options.miner.num_threads = threads;
+    options.memory_budget_bytes = uint64_t{64} << 20;
+    options.partition_budget_bytes = 1400000;
+    options.keep_spill = true;
+    const std::filesystem::path spill =
+        dir_ / ("spill_t" + std::to_string(threads));
+    options.spill_dir = spill.string();
+    OutOfCoreStats stats;
+    auto result_or = MineCorrelationsOutOfCore(input, options, &stats);
+    ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
+    ASSERT_GE(stats.partitions, 4u);
+
+    std::vector<std::string> files;
+    uint64_t digest = 1469598103934665603ULL;
+    uint64_t first_row = 0;
+    size_t widest = 0;
+    for (uint64_t p = 0; p < stats.partitions; ++p) {
+      const std::filesystem::path file =
+          spill / ("part-" + std::to_string(p) + ".ccs");
+      files.push_back(ReadFile(file));
+      digest = Fnv1a(files.back(), digest);
+      auto shard_or = io::MappedColumnShard::Open(file.string());
+      ASSERT_TRUE(shard_or.ok()) << shard_or.status().ToString();
+      const io::MappedColumnShard& shard = **shard_or;
+      widest = std::max(widest, shard.num_rows());
+      // The partition's rows, item by item, as offsets from its first row.
+      std::vector<std::vector<uint32_t>> expected;
+      for (uint64_t r = 0; r < shard.num_rows(); ++r) {
+        for (const ItemId item : db.basket(first_row + r)) {
+          if (item >= expected.size()) expected.resize(item + 1);
+          expected[item].push_back(static_cast<uint32_t>(r));
+        }
+      }
+      ASSERT_EQ(shard.num_columns(), expected.size()) << "partition " << p;
+      for (ItemId item = 0; item < shard.num_columns(); ++item) {
+        EXPECT_EQ(shard.column(item).ToRows(), expected[item])
+            << "partition " << p << ", item " << item;
+      }
+      first_row += shard.num_rows();
+    }
+    EXPECT_EQ(first_row, kRows);
+    EXPECT_GT(widest, size_t{2} << 16) << "no partition spans three blocks";
+    EXPECT_EQ(digest, kSpillDigest) << "threads " << threads;
+    if (baseline.empty()) {
+      baseline = files;
+    } else {
+      EXPECT_TRUE(files == baseline)
+          << "threads " << threads << " wrote other spill bytes";
+    }
+  }
+}
+
+TEST_F(OutOfCoreTest, SpillBuffersKeepOnlyTheirLastPartition) {
+  // Eight partitions of 70 000 rows, each drawing three distinct items a
+  // row from its own 64 items, so no item comes back in a later partition;
+  // the partition's last item first appears after its first 2^16-row block
+  // boundary. The reader's two buffers may keep capacity from partition to
+  // partition, but only what each one's last partition used: at most three
+  // partition charges here (mem.spill_buffer_bytes), however many
+  // partitions the file has. The spill files still map back to exactly
+  // their baskets' rows.
+  constexpr uint64_t kPartitionRows = 70000;
+  constexpr uint64_t kPartitions = 8;
+  constexpr ItemId kItemsEach = 64;
+  constexpr uint64_t kRows = kPartitionRows * kPartitions;
+  TransactionDatabase db(kItemsEach * kPartitions);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    const uint64_t local = r % kPartitionRows;
+    const ItemId first = static_cast<ItemId>(r / kPartitionRows) * kItemsEach;
+    std::vector<ItemId> basket;
+    for (uint64_t k = 0; basket.size() < 3; ++k) {
+      // Item first + 63 only after the boundary, in one row of 50.
+      const ItemId pick = static_cast<ItemId>(Mix(r * 16 + k) % 63);
+      const ItemId item = (local > 66000 && local % 50 == 0 && basket.empty())
+                              ? first + kItemsEach - 1
+                              : first + pick;
+      if (std::find(basket.begin(), basket.end(), item) == basket.end()) {
+        basket.push_back(item);
+      }
+    }
+    std::sort(basket.begin(), basket.end());
+    ASSERT_TRUE(db.AddBasket(std::move(basket)).ok());
+  }
+  const std::string input = (dir_ / "drift.bin").string();
+  ASSERT_TRUE(io::WriteBinaryTransactionFile(db, input).ok());
+
+  const uint64_t charge = kPartitionRows * 3 * sizeof(uint32_t);
+  for (const int threads : {1, 2}) {
+    OutOfCoreMinerOptions options;
+    options.miner.support.min_count = kRows / 20;
+    options.miner.support.cell_fraction = 0.26;
+    options.miner.max_level = 2;
+    options.miner.num_threads = threads;
+    options.memory_budget_bytes = uint64_t{64} << 20;
+    options.partition_budget_bytes = charge;
+    options.keep_spill = true;
+    const std::filesystem::path spill =
+        dir_ / ("spill_t" + std::to_string(threads));
+    options.spill_dir = spill.string();
+    MetricsRegistry::Global().Reset();
+    OutOfCoreStats stats;
+    auto result_or = MineCorrelationsOutOfCore(input, options, &stats);
+    ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
+    ASSERT_EQ(stats.partitions, kPartitions);
+    const int64_t held =
+        MetricsRegistry::Global().GetGauge("mem.spill_buffer_bytes")->Value();
+    EXPECT_GT(held, 0);
+    EXPECT_LE(static_cast<uint64_t>(held), 3 * charge)
+        << "threads " << threads;
+
+    for (uint64_t p = 0; p < kPartitions; ++p) {
+      const std::filesystem::path file =
+          spill / ("part-" + std::to_string(p) + ".ccs");
+      auto shard_or = io::MappedColumnShard::Open(file.string());
+      ASSERT_TRUE(shard_or.ok()) << shard_or.status().ToString();
+      const io::MappedColumnShard& shard = **shard_or;
+      ASSERT_EQ(shard.num_rows(), kPartitionRows);
+      ASSERT_EQ(shard.num_columns(), (p + 1) * kItemsEach);
+      std::vector<std::vector<uint32_t>> expected(shard.num_columns());
+      for (uint64_t r = 0; r < kPartitionRows; ++r) {
+        for (const ItemId item : db.basket(p * kPartitionRows + r)) {
+          expected[item].push_back(static_cast<uint32_t>(r));
+        }
+      }
+      EXPECT_FALSE(expected[(p + 1) * kItemsEach - 1].empty());
+      for (ItemId item = 0; item < shard.num_columns(); ++item) {
+        EXPECT_EQ(shard.column(item).ToRows(), expected[item])
+            << "threads " << threads << ", partition " << p << ", item "
+            << item;
+      }
+    }
+  }
 }
 
 TEST_F(OutOfCoreTest, SweepFailureReturnsStatus) {

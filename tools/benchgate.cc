@@ -68,6 +68,8 @@ struct OutOfCoreRun {
   double spilled_encoded_bytes = 0.0;
   double sweep_speedup = 0.0;
   double admitted = 0.0;
+  double spill_seconds = 0.0;
+  double spill_serial_seconds = 0.0;
 };
 
 struct Gate {
@@ -239,7 +241,9 @@ int main(int argc, char** argv) {
                            GetNumber(run, "spilled_payload_bytes"),
                            GetNumber(run, "spilled_encoded_bytes"),
                            GetNumber(run, "sweep_speedup"),
-                           GetNumber(run, "admitted")});
+                           GetNumber(run, "admitted"),
+                           GetNumber(run, "spill_seconds"),
+                           GetNumber(run, "spill_serial_seconds")});
         }
       }
     }
@@ -466,7 +470,10 @@ int main(int argc, char** argv) {
            << ",\"spilled_payload_bytes\":" << num(run.spilled_payload_bytes)
            << ",\"spilled_encoded_bytes\":" << num(run.spilled_encoded_bytes)
            << ",\"sweep_speedup\":" << num(run.sweep_speedup)
-           << ",\"admitted\":" << num(run.admitted) << '}';
+           << ",\"admitted\":" << num(run.admitted)
+           << ",\"spill_seconds\":" << num(run.spill_seconds)
+           << ",\"spill_serial_seconds\":" << num(run.spill_serial_seconds)
+           << '}';
     }
     json << "]";
   }
@@ -499,6 +506,20 @@ int main(int argc, char** argv) {
               << "] " << gate.name << ": " << FormatRatio(gate.actual)
               << " vs " << FormatRatio(gate.required)
               << (gate.enforced ? "" : " (not enforced)") << "\n";
+  }
+  // Report-only: the spill, whose closes run on the pool behind one
+  // reader, and the whole mine against their forced-serial runs.
+  for (size_t i = 0; i < outofcore_runs.size(); ++i) {
+    const OutOfCoreRun& run = outofcore_runs[i];
+    std::cout << "  [info] outofcore_spill_b" << i << ": "
+              << run.spill_seconds << " s vs serial "
+              << run.spill_serial_seconds << " s; whole mine "
+              << run.seconds << " s vs serial " << run.serial_seconds
+              << " s ("
+              << FormatRatio(run.seconds > 0.0
+                                 ? run.serial_seconds / run.seconds
+                                 : 0.0)
+              << ")\n";
   }
   std::cout << (all_pass ? "benchgate: OK\n" : "benchgate: FAILED\n");
   return all_pass ? 0 : 1;
